@@ -1364,8 +1364,9 @@ let verify_cmd =
 module Obs = Mica_obs.Obs
 
 (* Spans every run of the given stage must have produced.  [--check] (the
-   CI smoke contract) fails if any is missing or any registered metric is
-   non-finite or a negative counter. *)
+   CI smoke contract) fails if any is missing, if any registered metric is
+   non-finite or a negative counter, or, for the GA stages, if the
+   per-path evaluation counters do not add up to [ga.evaluations]. *)
 let profile_expected_spans stage =
   let characterize =
     [
@@ -1387,6 +1388,9 @@ let profile_expected_spans stage =
   | `Ce -> [ "select.ce" ]
   | `Cluster -> [ "select.ga"; "stats.kmeans"; "cluster.bic" ]
 
+let snapshot_counter (snap : Obs.snapshot) name =
+  match List.assoc_opt name snap.Obs.metrics with Some (Obs.Counter c) -> c | _ -> 0.0
+
 let profile_check stage (snap : Obs.snapshot) =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
@@ -1399,6 +1403,16 @@ let profile_check stage (snap : Obs.snapshot) =
         if not (Float.is_finite s.Obs.sp_total_s && Float.is_finite s.Obs.sp_self_s) then
           err "span %S has non-finite time" name)
     (profile_expected_spans stage);
+  (match stage with
+  | `Ga | `Cluster ->
+    let evals = snapshot_counter snap "ga.evaluations" in
+    let paths =
+      snapshot_counter snap "ga.rebuild_evals" +. snapshot_counter snap "ga.delta_evals"
+    in
+    if evals <= 0.0 then err "the GA recorded no evaluations"
+    else if paths <> evals then
+      err "ga.rebuild_evals + ga.delta_evals = %g, but ga.evaluations = %g" paths evals
+  | `Characterize | `Classify | `Ce -> ());
   List.iter
     (fun (name, v) ->
       match v with
@@ -1414,9 +1428,7 @@ let profile_check stage (snap : Obs.snapshot) =
 (* The per-stage table: like bench/probe.ml's, but computed from the span
    statistics of any real run instead of a dedicated micro-harness. *)
 let render_profile ~wall (snap : Obs.snapshot) =
-  let counter name =
-    match List.assoc_opt name snap.Obs.metrics with Some (Obs.Counter c) -> c | _ -> 0.0
-  in
+  let counter = snapshot_counter snap in
   let throughput name (s : Obs.span_stat) =
     let rate unit amount =
       if s.Obs.sp_total_s <= 0.0 then "-"
@@ -1428,7 +1440,14 @@ let render_profile ~wall (snap : Obs.snapshot) =
     | "analyzer.strides" | "analyzer.ppm" ->
       rate "instr/s" (counter "trace.instrs")
     | "pipeline.characterize" -> rate "workload/s" (float_of_int s.Obs.sp_count)
-    | "select.ga" -> rate "gen/s" (counter "ga.generations")
+    | "select.ga" ->
+      (* time per fitness evaluation, and how many took each path *)
+      let evals = counter "ga.evaluations" in
+      if evals <= 0.0 then "-"
+      else
+        Printf.sprintf "%11.1f us/eval (%.0f rebuild, %.0f delta)"
+          (1e6 *. s.Obs.sp_total_s /. evals)
+          (counter "ga.rebuild_evals") (counter "ga.delta_evals")
     | "stats.kmeans" -> rate "iter/s" (counter "kmeans.iterations")
     | _ -> "-"
   in

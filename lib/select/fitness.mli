@@ -4,10 +4,11 @@
     characteristics by how well pairwise benchmark distances computed in
     the reduced space correlate with distances in the full normalized
     space.  This module precomputes the per-pair, per-characteristic
-    squared differences once, in a flat row-major buffer, so that
-    evaluating a subset is a single fused pass over the pairs with no
-    intermediate allocation — which is what makes the genetic algorithm
-    and the correlation-elimination sweep affordable.
+    squared differences once, in a flat characteristic-major buffer (one
+    contiguous column of pairs per characteristic), so that evaluating a
+    subset is a cache-blocked sweep over the pairs with no intermediate
+    allocation — which is what makes the genetic algorithm and the
+    correlation-elimination sweep affordable.
 
     [rho]/[paper_fitness] are bit-identical to the naive reference path
     [Correlation.pearson (Distance.subset_distances components subset)
@@ -30,7 +31,8 @@ val full_distances : t -> float array
 
 val distances_for : t -> int array -> float array
 (** Condensed pairwise distances using only the given characteristic
-    indices. *)
+    indices.  This and the other subset evaluators below raise
+    [Invalid_argument] on an index outside [0, n_characteristics). *)
 
 val rho : t -> int array -> float
 (** Pearson correlation between the subset-space distances and the

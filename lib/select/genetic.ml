@@ -5,6 +5,11 @@ module Obs = Mica_obs.Obs
 let m_generations = Obs.counter "ga.generations"
 let m_evaluations = Obs.counter "ga.evaluations"
 
+(* Which path each evaluation took: a full in-order [Subset.set_cols], or
+   the parent's sums plus per-column deltas.  They sum to [ga.evaluations]. *)
+let m_rebuild_evals = Obs.counter "ga.rebuild_evals"
+let m_delta_evals = Obs.counter "ga.delta_evals"
+
 type config = {
   population : int;
   max_generations : int;
@@ -77,6 +82,7 @@ let run_body ~config ~pool ~rng fitness =
   let parents = Array.make pop (-1) in
   let keys = Array.make pop "" in
   let scores = Array.make pop 0.0 in
+  let via_delta = Array.make pop false in
   (* Evaluate one generation.  The grouping pass is sequential and keyed
      on genome content, so which genomes get evaluated — and through which
      path — depends only on the genomes and the cache, never on the pool
@@ -122,6 +128,7 @@ let run_body ~config ~pool ~rng fitness =
               g
           end
           else Fitness.Subset.set_cols st (subset_of_genome g);
+          via_delta.(i) <- delta;
           valid_next.(i) <- true;
           out.(u) <- Fitness.Subset.fitness st
         done);
@@ -129,6 +136,7 @@ let run_body ~config ~pool ~rng fitness =
       (fun u i ->
         incr evaluations;
         Obs.incr m_evaluations;
+        Obs.incr (if via_delta.(i) then m_delta_evals else m_rebuild_evals);
         Hashtbl.add cache keys.(i) out.(u))
       fresh;
     for i = 0 to pop - 1 do

@@ -15,17 +15,35 @@ type result = {
   iterations : int;
 }
 
-let nearest centroids x =
+(* Squared Euclidean distance, op-for-op [Distance.squared_euclidean a b]
+   (same element order, same [acc +. d *. d] fold).  Without flambda a
+   call into [Distance] returns its float boxed (12 M minor words over
+   Fig 6's BIC sweep); this local copy is inlined instead.  [fit] has
+   checked that every row has the same length, which makes the unchecked
+   reads safe. *)
+let[@inline] sq_dist a b =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length a - 1 do
+    let d = Array.unsafe_get a i -. Array.unsafe_get b i in
+    acc := !acc +. (d *. d)
+  done;
+  !acc
+
+(* Index of the centroid nearest [x], the first on a tie (strict [<]);
+   its squared distance is left in [d.(0)].  A flat float array carries
+   the distance back unboxed, so the assignment, inertia and reseed
+   loops allocate nothing per point. *)
+let nearest d centroids x =
   let best = ref 0 and best_d = ref infinity in
-  Array.iteri
-    (fun c centroid ->
-      let d = Distance.squared_euclidean centroid x in
-      if d < !best_d then begin
-        best_d := d;
-        best := c
-      end)
-    centroids;
-  (!best, !best_d)
+  for c = 0 to Array.length centroids - 1 do
+    let dc = sq_dist (Array.unsafe_get centroids c) x in
+    if dc < !best_d then begin
+      best_d := dc;
+      best := c
+    end
+  done;
+  Array.unsafe_set d 0 !best_d;
+  !best
 
 (* k-means++ seeding: first centroid uniform, then proportional to squared
    distance to the nearest chosen centroid. *)
@@ -33,33 +51,35 @@ let seed rng k m =
   let n = Array.length m in
   let centroids = Array.make k m.(0) in
   centroids.(0) <- Array.copy m.(Rng.int rng n);
-  let d2 = Array.map (fun x -> Distance.squared_euclidean x centroids.(0)) m in
+  let d2 = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    d2.(i) <- sq_dist m.(i) centroids.(0)
+  done;
   for c = 1 to k - 1 do
-    let total = Array.fold_left ( +. ) 0.0 d2 in
+    let total = ref 0.0 in
+    for i = 0 to n - 1 do
+      total := !total +. d2.(i)
+    done;
     let chosen =
-      if total <= 0.0 then Rng.int rng n
+      if !total <= 0.0 then Rng.int rng n
       else begin
-        let r = Rng.float rng total in
-        let acc = ref 0.0 and pick = ref (n - 1) in
-        (try
-           Array.iteri
-             (fun i d ->
-               acc := !acc +. d;
-               if r < !acc then begin
-                 pick := i;
-                 raise Exit
-               end)
-             d2
-         with Exit -> ());
-        !pick
+        (* first index whose running sum passes [r], else the last *)
+        let r = Rng.float rng !total in
+        let acc = ref 0.0 and pick = ref (-1) and i = ref 0 in
+        while !pick < 0 && !i < n do
+          acc := !acc +. d2.(!i);
+          if r < !acc then pick := !i;
+          incr i
+        done;
+        if !pick < 0 then n - 1 else !pick
       end
     in
     centroids.(c) <- Array.copy m.(chosen);
-    Array.iteri
-      (fun i x ->
-        let d = Distance.squared_euclidean x centroids.(c) in
-        if d < d2.(i) then d2.(i) <- d)
-      m
+    let centroid = centroids.(c) in
+    for i = 0 to n - 1 do
+      let d = sq_dist m.(i) centroid in
+      if d < d2.(i) then d2.(i) <- d
+    done
   done;
   centroids
 
@@ -68,6 +88,9 @@ let lloyd ~max_iters m centroids =
   let k = Array.length centroids in
   let dims = Array.length m.(0) in
   let assignments = Array.make n (-1) in
+  let d = [| 0.0 |] in
+  let sums = Array.make_matrix k dims 0.0 in
+  let counts = Array.make k 0 in
   let iterations = ref 0 in
   let changed = ref true in
   while !changed && !iterations < max_iters do
@@ -75,33 +98,40 @@ let lloyd ~max_iters m centroids =
     changed := false;
     (* assignment step *)
     for i = 0 to n - 1 do
-      let c, _ = nearest centroids m.(i) in
+      let c = nearest d centroids m.(i) in
       if c <> assignments.(i) then begin
         assignments.(i) <- c;
         changed := true
       end
     done;
     (* update step *)
-    let sums = Array.make_matrix k dims 0.0 in
-    let counts = Array.make k 0 in
+    Array.iter (fun row -> Array.fill row 0 dims 0.0) sums;
+    Array.fill counts 0 k 0;
     for i = 0 to n - 1 do
       let c = assignments.(i) in
       counts.(c) <- counts.(c) + 1;
-      let row = m.(i) in
-      for d = 0 to dims - 1 do
-        sums.(c).(d) <- sums.(c).(d) +. row.(d)
+      let row = m.(i) and sum = sums.(c) in
+      for j = 0 to dims - 1 do
+        sum.(j) <- sum.(j) +. row.(j)
       done
     done;
     for c = 0 to k - 1 do
-      if counts.(c) > 0 then
-        centroids.(c) <- Array.map (fun s -> s /. float_of_int counts.(c)) sums.(c)
+      if counts.(c) > 0 then begin
+        (* centroids own their rows (seeding and reseeding copy), so the
+           mean is written in place *)
+        let centroid = centroids.(c) and sum = sums.(c) in
+        let count = float_of_int counts.(c) in
+        for j = 0 to dims - 1 do
+          centroid.(j) <- sum.(j) /. count
+        done
+      end
       else begin
         (* re-seed an empty cluster with the point farthest from its centroid *)
         let far = ref 0 and far_d = ref neg_infinity in
         for i = 0 to n - 1 do
-          let _, d = nearest centroids m.(i) in
-          if d > !far_d then begin
-            far_d := d;
+          ignore (nearest d centroids m.(i) : int);
+          if d.(0) > !far_d then begin
+            far_d := d.(0);
             far := i
           end
         done;
@@ -112,19 +142,24 @@ let lloyd ~max_iters m centroids =
   done;
   let inertia = ref 0.0 in
   for i = 0 to n - 1 do
-    let c, d = nearest centroids m.(i) in
-    assignments.(i) <- c;
-    inertia := !inertia +. d
+    assignments.(i) <- nearest d centroids m.(i);
+    inertia := !inertia +. d.(0)
   done;
   (assignments, !inertia, !iterations)
 
 (* A NaN anywhere poisons clustering silently: every distance comparison
    involving NaN is false, so assignments and inertia become arbitrary
    without any error surfacing.  Reject non-finite inputs upfront, naming
-   the offending observation and characteristic column. *)
-let check_finite ?features m =
+   the offending observation and characteristic column — and ragged rows,
+   which the unchecked distance loop must never see. *)
+let check_input ?features m =
+  let dims = Array.length m.(0) in
   Array.iteri
     (fun i row ->
+      if Array.length row <> dims then
+        invalid_arg
+          (Printf.sprintf "Kmeans.fit: observation %d has %d values, observation 0 has %d" i
+             (Array.length row) dims);
       Array.iteri
         (fun j v ->
           if not (Float.is_finite v) then begin
@@ -145,7 +180,7 @@ let fit ?(max_iters = 100) ?(restarts = 1) ?(pool = Pool.sequential) ?features ~
   Obs.span "stats.kmeans" @@ fun () ->
   let n = Array.length m in
   if k < 1 || k > n then invalid_arg "Kmeans.fit: k out of range";
-  check_finite ?features m;
+  check_input ?features m;
   let restarts = max 1 restarts in
   (* one generator per restart, split off sequentially up front: the
      restarts are then independent tasks whose streams — and the winning

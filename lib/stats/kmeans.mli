@@ -25,10 +25,11 @@ val fit :
     inertia over independent seedings wins (earliest restart on a tie);
     each restart draws from its own generator split off [rng] up front, so
     the restarts may run on [pool] with a result independent of the pool
-    size.  Requires [1 <= k <= Array.length m] and finite inputs: a
-    NaN/Inf anywhere in [m] raises [Invalid_argument] naming the
-    observation and the characteristic column (labelled via [features]
-    when given) instead of silently corrupting assignments. *)
+    size.  Requires [1 <= k <= Array.length m], rows of equal length and
+    finite inputs: a ragged row raises [Invalid_argument], and so does a
+    NaN/Inf anywhere in [m], naming the observation and the
+    characteristic column (labelled via [features] when given) instead of
+    silently corrupting assignments. *)
 
 val cluster_members : result -> int list array
 (** Observation indices per cluster, ascending. *)

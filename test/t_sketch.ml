@@ -45,10 +45,16 @@ let prop_estimate_near_exact xs =
       Mica_util.Int_map.add_if_absent seen x)
     xs;
   let exact = float_of_int (Mica_util.Int_map.length seen) in
-  (* the linear-counting regime covers these sizes; 1024 registers keep
-     the standard error near 1%, so 8% relative (or 3 absolute for tiny
-     sets) is generous *)
-  Float.abs (Card.estimate t -. exact) <= Float.max (0.08 *. exact) 3.0
+  (* At these sizes (n <= 401 distinct keys over m = 1024 registers) the
+     estimate is linear counting, whose standard error is
+     sigma(n) = sqrt (m (e^(n/m) - n/m - 1)) / n (Whang et al., 1990):
+     2.3% at n = 400.  The bound is 6 sigma plus 3 absolute, the floor for
+     tiny sets, whose error is a handful of register collisions with a
+     Poisson rather than a Gaussian tail. *)
+  let m = float_of_int (Card.registers t) in
+  let x = exact /. m in
+  let sigma_abs = sqrt (m *. (exp x -. x -. 1.0)) in
+  Float.abs (Card.estimate t -. exact) <= (6.0 *. sigma_abs) +. 3.0
 
 (* ---------------- sampled reuse vs exact ---------------- *)
 

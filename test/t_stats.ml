@@ -234,10 +234,16 @@ let test_kmeans_inertia_decreases_with_k () =
 
 let test_kmeans_invalid_k () =
   let rng = Mica_util.Rng.create ~seed:107L in
-  try
-    ignore (S.Kmeans.fit ~rng ~k:0 [| [| 1.0 |] |]);
-    Alcotest.fail "expected Invalid_argument"
-  with Invalid_argument _ -> ()
+  List.iter
+    (fun (k, m) ->
+      match S.Kmeans.fit ~rng ~k m with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "expected Invalid_argument")
+    [
+      (0, [| [| 1.0 |] |]);
+      (* ragged rows: the distance loop reads them unchecked *)
+      (2, [| [| 1.0; 2.0 |]; [| 3.0 |]; [| 0.0; 1.0 |] |]);
+    ]
 
 let test_kmeans_members () =
   let rng = Mica_util.Rng.create ~seed:109L in

@@ -225,29 +225,89 @@ let random_subset rng ~cols =
   done;
   Array.of_list !out
 
+(* Shapes around the column sweep's 1024-pair block: 300 and 990 pairs
+   (below one block), 1035 (just above) and 4095 (three blocks and a
+   partial one).  1024 is not a triangular number, so no row count gives
+   exactly one block at jobs 1; at jobs 4, three of the four ranges that
+   4095 pairs split into are exactly 1024 pairs. *)
 let test_fused_fitness_matches_naive_reference () =
   let rng = Rng.create ~seed:0xF05EDL in
   let cols = 9 in
-  let normalized = random_normalized rng ~rows:25 ~cols in
-  let fit = Select.Fitness.create normalized in
-  let comp = Stats.Distance.condensed_squared_components normalized in
-  let full = Stats.Distance.condensed normalized in
-  Array.iteri
-    (fun p d ->
-      if d <> (Select.Fitness.full_distances fit).(p) then
-        Alcotest.failf "full distance %d not bit-identical" p)
-    full;
-  for trial = 1 to 50 do
-    let subset = random_subset rng ~cols in
-    let naive = Stats.Correlation.pearson (Stats.Distance.subset_distances comp subset) full in
-    let naive_fitness =
-      naive *. (1.0 -. (float_of_int (Array.length subset) /. float_of_int cols))
+  let check_shape ~rows =
+    let normalized = random_normalized rng ~rows ~cols in
+    let fit = Select.Fitness.create normalized in
+    let comp = Stats.Distance.condensed_squared_components normalized in
+    let full = Stats.Distance.condensed normalized in
+    let fail fmt = Alcotest.failf ("%d rows: " ^^ fmt) rows in
+    Array.iteri
+      (fun p d ->
+        if d <> (Select.Fitness.full_distances fit).(p) then
+          fail "full distance %d not bit-identical" p)
+      full;
+    let naive subset = Stats.Correlation.pearson (Stats.Distance.subset_distances comp subset) full in
+    let all = Array.init cols Fun.id in
+    let shuffled () =
+      let a = Array.copy all in
+      Rng.shuffle rng a;
+      a
     in
-    if Select.Fitness.rho fit subset <> naive then
-      Alcotest.failf "trial %d: fused rho not bit-identical to naive reference" trial;
-    if Select.Fitness.paper_fitness fit subset <> naive_fitness then
-      Alcotest.failf "trial %d: fused fitness not bit-identical to naive reference" trial
-  done
+    (* k = 1, odd k, a multiple of the sweep's four-column group, and
+       k = all columns, in ascending and non-ascending order, then random
+       subsets *)
+    let fixed =
+      [ [| Rng.int rng cols |]; [| 6; 1; 4 |]; [| 0; 2; 3; 5; 8 |]; [| 8; 3; 0; 5 |]; all;
+        shuffled (); Array.of_list (List.rev (Array.to_list all)) ]
+    in
+    let subsets = fixed @ List.init 20 (fun _ -> random_subset rng ~cols) in
+    List.iteri
+      (fun trial subset ->
+        let k = Array.length subset in
+        let want = naive subset in
+        let want_fitness = want *. (1.0 -. (float_of_int k /. float_of_int cols)) in
+        if Select.Fitness.rho fit subset <> want then
+          fail "trial %d (k=%d): fused rho not bit-identical to naive reference" trial k;
+        if Select.Fitness.paper_fitness fit subset <> want_fitness then
+          fail "trial %d (k=%d): fused fitness not bit-identical to naive reference" trial k;
+        let naive_distances = Stats.Distance.subset_distances comp subset in
+        Array.iteri
+          (fun p d ->
+            if d <> naive_distances.(p) then
+              fail "trial %d (k=%d): distances_for pair %d not bit-identical" trial k p)
+          (Select.Fitness.distances_for fit subset);
+        (* the subset state sums in ascending column order, so its
+           reference is the sorted subset; drift from a delta walk must
+           vanish on rebuild, at any pool size *)
+        let sorted = Array.copy subset in
+        Array.sort compare sorted;
+        let want_sorted = naive sorted in
+        List.iter
+          (fun jobs ->
+            Pool.with_pool ~jobs (fun pool ->
+                let st = Select.Fitness.Subset.of_cols ~pool fit subset in
+                if Select.Fitness.Subset.rho ~pool st <> want_sorted then
+                  fail "trial %d (k=%d): of_cols rho not bit-identical at jobs %d" trial k jobs;
+                let other = (sorted.(0) + 1) mod cols in
+                if Select.Fitness.Subset.mem st other then begin
+                  Select.Fitness.Subset.remove ~pool st other;
+                  Select.Fitness.Subset.add ~pool st other
+                end
+                else begin
+                  Select.Fitness.Subset.add ~pool st other;
+                  Select.Fitness.Subset.remove ~pool st other
+                end;
+                Select.Fitness.Subset.rebuild ~pool st;
+                if Select.Fitness.Subset.rho ~pool st <> want_sorted then
+                  fail "trial %d (k=%d): rebuilt rho not bit-identical at jobs %d" trial k jobs))
+          [ 1; 4 ])
+      subsets;
+    List.iter
+      (fun c ->
+        match Select.Fitness.rho fit [| 0; c |] with
+        | exception Invalid_argument _ -> ()
+        | _ -> fail "column %d out of range was accepted" c)
+      [ -1; cols ]
+  in
+  List.iter (fun rows -> check_shape ~rows) [ 25; 45; 46; 91 ]
 
 let test_subset_delta_within_tolerance () =
   let rng = Rng.create ~seed:0xDE17AL in
@@ -413,6 +473,50 @@ let test_clustering_jobs_invariance () =
             Stats.Descriptive.mean (Array.map (fun i -> xs.(i)) sample)))
   in
   if boot 1 <> boot 4 then Alcotest.fail "bootstrap interval not bit-identical across jobs"
+
+(* k-means' nearest-centroid search against a naive argmin over
+   [Distance.squared_euclidean], first index winning a tie.  Duplicate
+   rows and points symmetric about the centroids make exact ties: with
+   every row identical, all centroids coincide and every point ties
+   between them. *)
+let test_kmeans_ties_match_naive_argmin () =
+  let ring = [| [| 1.0; 0.0 |]; [| -1.0; 0.0 |]; [| 0.0; 1.0 |]; [| 0.0; -1.0 |]; [| 0.0; 0.0 |] |] in
+  let cases =
+    [
+      ("identical rows", Array.init 6 (fun _ -> [| 0.5; -2.0; 3.0 |]));
+      ("symmetric ring with duplicates", Array.concat [ ring; ring; [| [| 0.0; 0.0 |] |] ]);
+    ]
+  in
+  List.iter
+    (fun (label, m) ->
+      List.iter
+        (fun (k, jobs) ->
+          let res =
+            Pool.with_pool ~jobs (fun pool ->
+                Stats.Kmeans.fit ~restarts:3 ~pool ~rng:(Rng.create ~seed:0x71E5L) ~k m)
+          in
+          let inertia = ref 0.0 in
+          Array.iteri
+            (fun i x ->
+              let best = ref 0 and best_d = ref infinity in
+              Array.iteri
+                (fun c centroid ->
+                  let d = Stats.Distance.squared_euclidean centroid x in
+                  if d < !best_d then begin
+                    best_d := d;
+                    best := c
+                  end)
+                res.Stats.Kmeans.centroids;
+              if res.Stats.Kmeans.assignments.(i) <> !best then
+                Alcotest.failf "%s, k=%d, jobs %d: point %d assigned %d, naive argmin %d" label k
+                  jobs i res.Stats.Kmeans.assignments.(i) !best;
+              inertia := !inertia +. !best_d)
+            m;
+          if Int64.bits_of_float res.Stats.Kmeans.inertia <> Int64.bits_of_float !inertia then
+            Alcotest.failf "%s, k=%d, jobs %d: inertia %h, naive %h" label k jobs
+              res.Stats.Kmeans.inertia !inertia)
+        [ (1, 1); (2, 1); (3, 1); (4, 1); (2, 4); (4, 4) ])
+    cases
 
 (* ---------------- pipeline cache staleness and corruption ---------------- *)
 
@@ -728,14 +832,28 @@ let test_metrics_inert_selection_and_clustering () =
         let cx = if i < 12 then -3.0 else 3.0 in
         Array.init 3 (fun _ -> cx +. Rng.gaussian rng ~mu:0.0 ~sigma:0.5))
   in
+  let path_splits = ref [] in
   List.iter
     (fun jobs ->
       let ga metrics =
         with_metrics metrics (fun () ->
-            Pool.with_pool ~jobs (fun pool ->
-                Select.Genetic.run ~config ~pool ~rng:(Rng.create ~seed:7L) fit))
+            let r =
+              Pool.with_pool ~jobs (fun pool ->
+                  Select.Genetic.run ~config ~pool ~rng:(Rng.create ~seed:7L) fit)
+            in
+            let counter name =
+              match List.assoc_opt name (Obs.snapshot ()).Obs.metrics with
+              | Some (Obs.Counter v) -> v
+              | _ -> Float.nan
+            in
+            (r, (counter "ga.rebuild_evals", counter "ga.delta_evals")))
       in
-      let ga_off = ga false and ga_on = ga true in
+      let ga_off, _ = ga false and ga_on, (rebuild, delta) = ga true in
+      (* the per-path counters split exactly the evaluations the run reports *)
+      if rebuild +. delta <> float_of_int ga_on.Select.Genetic.evaluations then
+        Alcotest.failf "GA path counters %g + %g <> %d evaluations at jobs=%d" rebuild delta
+          ga_on.Select.Genetic.evaluations jobs;
+      path_splits := (rebuild, delta) :: !path_splits;
       Alcotest.(check (array int))
         (Printf.sprintf "GA selection inert at jobs=%d" jobs)
         ga_off.Select.Genetic.selected ga_on.Select.Genetic.selected;
@@ -764,7 +882,10 @@ let test_metrics_inert_selection_and_clustering () =
       in
       if sweep false <> sweep true then
         Alcotest.failf "BIC sweep not bit-identical metrics on/off at jobs=%d" jobs)
-    [ 1; 4 ]
+    [ 1; 4 ];
+  match !path_splits with
+  | [ at4; at1 ] -> if at1 <> at4 then Alcotest.fail "GA path counters differ across jobs"
+  | _ -> assert false
 
 (* Span-tree well-formedness under the fault-injection matrix: every
    injection point, driven through the supervised pipeline, must leave
@@ -875,6 +996,8 @@ let suite =
         test_selection_jobs_invariance;
       Alcotest.test_case "kernels: clustering jobs invariance" `Quick
         test_clustering_jobs_invariance;
+      Alcotest.test_case "kernels: k-means ties vs naive argmin" `Quick
+        test_kmeans_ties_match_naive_argmin;
       Alcotest.test_case "cache: hit consumed" `Quick test_cache_hit_is_consumed;
       Alcotest.test_case "cache: stale version invalidated" `Quick
         test_cache_stale_version_invalidated;
