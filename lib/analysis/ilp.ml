@@ -44,8 +44,10 @@ let step sim ~src1 ~src2 ~dst =
     if window_free > deps then window_free else deps
   in
   let completion = issue + 1 in
-  sim.completions.(sim.head) <- completion;
-  sim.head <- (sim.head + 1) mod sim.window;
+  let head = sim.head in
+  sim.completions.(head) <- completion;
+  (* wrap without a division *)
+  sim.head <- (if head + 1 = sim.window then 0 else head + 1);
   if sim.filled < sim.window then sim.filled <- sim.filled + 1;
   if Reg.carries_dependency dst then sim.reg_ready.(dst) <- completion;
   if completion > sim.last_cycle then sim.last_cycle <- completion

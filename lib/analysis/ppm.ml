@@ -84,12 +84,14 @@ let update p ~pc ~hist ~outcome =
 let observe t ~pc ~outcome =
   t.branches <- t.branches + 1;
   let lhist = Int_map.find t.local_hist pc ~default:0 in
-  Array.iter
-    (fun p ->
-      let hist = if uses_local_history p.variant then lhist else t.ghist in
-      if predict p ~pc ~hist <> outcome then p.misses <- p.misses + 1;
-      update p ~pc ~hist ~outcome)
-    t.predictors;
+  (* a plain loop: an [Array.iter] closure here would be allocated on
+     every branch *)
+  for i = 0 to Array.length t.predictors - 1 do
+    let p = t.predictors.(i) in
+    let hist = if uses_local_history p.variant then lhist else t.ghist in
+    if predict p ~pc ~hist <> outcome then p.misses <- p.misses + 1;
+    update p ~pc ~hist ~outcome
+  done;
   let bit = Bool.to_int outcome in
   Int_map.set t.local_hist pc (((lhist lsl 1) lor bit) land 0xFFFF);
   t.ghist <- ((t.ghist lsl 1) lor bit) land 0xFFFF

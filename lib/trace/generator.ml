@@ -75,6 +75,8 @@ let mix_int x =
   let x = Int64.logxor x (Int64.shift_right_logical x 31) in
   Int64.to_int (Int64.shift_right_logical x 2)
 
+(* [Int.max]/[Int.min], not the polymorphic [max]/[min]: those are calls to
+   a generic compare on every Random or Chase access. *)
 let next_addr st (m : Kernel.mem_state) =
   match m.m_pattern with
   | Kernel.Fixed -> m.m_base + m.m_cursor
@@ -87,16 +89,16 @@ let next_addr st (m : Kernel.mem_state) =
     (* Random accesses are zipf-like in real programs: most hit a hot
        window ([m_aux] marks its start), the tail roams the whole region. *)
     if Rng.bernoulli st.rng ~p:0.9 then
-      let hot_span = max 64 (m.m_span / 64) in
+      let hot_span = Int.max 64 (m.m_span / 64) in
       m.m_base + ((m.m_aux + (Rng.int st.rng (hot_span / 8) * 8)) mod m.m_span)
-    else m.m_base + (Rng.int st.rng (max 1 (m.m_span / 8)) * 8)
+    else m.m_base + (Rng.int st.rng (Int.max 1 (m.m_span / 8)) * 8)
   | Kernel.Chase ->
     (* Dependent walks have temporal locality: the chase scrambles inside a
        window that occasionally relocates, so the full region is covered
        over time without thrashing the TLB on every access. *)
-    let window = max 4096 (min (m.m_span / 8) 131072) in
+    let window = Int.max 4096 (Int.min (m.m_span / 8) 131072) in
     if Rng.bernoulli st.rng ~p:0.03 then
-      m.m_aux <- Rng.int st.rng (max 1 (m.m_span / 8)) * 8 mod m.m_span;
+      m.m_aux <- Rng.int st.rng (Int.max 1 (m.m_span / 8)) * 8 mod m.m_span;
     let a = m.m_base + ((m.m_aux + m.m_cursor) mod m.m_span) in
     m.m_cursor <- mix_int m.m_cursor mod window land lnot 7;
     a

@@ -180,35 +180,55 @@ let source_count rng spec op =
   | Int_alu | Int_mul -> if Rng.bernoulli rng ~p:spec.imm_frac then 1 else 2
   | Fp_add | Fp_mul | Fp_div -> 2
 
+(* The spec's weighted choices as arrays, converted once per instantiation
+   instead of once per slot. *)
+type choices = {
+  c_loads : (float * mem_pattern) array;
+  c_stores : (float * mem_pattern) array;
+  c_branches : (float * branch_kind) array;
+}
+
+let choices_of spec =
+  {
+    c_loads = Array.of_list spec.load_patterns;
+    c_stores = Array.of_list spec.store_patterns;
+    c_branches = Array.of_list spec.branch_kinds;
+  }
+
 let make_mem_state rng patterns ~base ~span =
-  let pattern = Rng.pick_weighted rng (Array.of_list patterns) in
-  let cursor = Rng.int rng (max 1 (span / 8)) * 8 mod span in
-  let aux = Rng.int rng (max 1 (span / 8)) * 8 mod span in
+  let pattern = Rng.pick_weighted rng patterns in
+  let cursor = Rng.int rng (Int.max 1 (span / 8)) * 8 mod span in
+  let aux = Rng.int rng (Int.max 1 (span / 8)) * 8 mod span in
   { m_pattern = pattern; m_base = base; m_span = span; m_cursor = cursor; m_aux = aux }
 
 let make_br_state rng kinds ~skip_max =
-  let kind = Rng.pick_weighted rng (Array.of_list kinds) in
+  let kind = Rng.pick_weighted rng kinds in
   let skip = if skip_max > 0 then 1 + Rng.int rng skip_max else 0 in
   { b_kind = kind; b_skip = skip; b_execs = 0 }
+
+(* The register of the first producer at distance [k], [k + 1], ... before
+   slot [i] (cyclically), or [Reg.zero] after [n] misses.  Top-level with
+   explicit parameters: a nested search would allocate a closure per
+   slot. *)
+let rec find_producer (dsts : int array) n i k tries =
+  if tries > n then Reg.zero
+  else
+    let j = ((i - k) mod n + n) mod n in
+    if Reg.is_none dsts.(j) then find_producer dsts n i (k + 1) (tries + 1) else dsts.(j)
 
 (* Pick the register produced by a slot at geometric distance before [i],
    skipping producers without a destination. *)
 let producer_reg rng spec dsts i =
-  let n = Array.length dsts in
   let d = 1 + Rng.geometric rng ~p:spec.dep_geom_p in
-  let rec find k tries =
-    if tries > n then Reg.zero
-    else
-      let j = ((i - k) mod n + n) mod n in
-      if Reg.is_none dsts.(j) then find (k + 1) (tries + 1) else dsts.(j)
-  in
-  find d 0
+  find_producer dsts (Array.length dsts) i d 0
 
-let hot_reg dsts =
-  (* first value-producing slot acts as the hot loop index / base pointer *)
-  let n = Array.length dsts in
-  let rec go i = if i >= n then Reg.zero else if Reg.is_none dsts.(i) then go (i + 1) else dsts.(i) in
-  go 0
+let rec first_producer (dsts : int array) i =
+  if i >= Array.length dsts then Reg.zero
+  else if Reg.is_none dsts.(i) then first_producer dsts (i + 1)
+  else dsts.(i)
+
+(* first value-producing slot acts as the hot loop index / base pointer *)
+let hot_reg dsts = first_producer dsts 0
 
 let pick_source rng spec dsts i ~allow_loop_carried =
   if Rng.bernoulli rng ~p:spec.hot_value_frac then hot_reg dsts
@@ -216,17 +236,17 @@ let pick_source rng spec dsts i ~allow_loop_carried =
     if Reg.is_none dsts.(i) then producer_reg rng spec dsts i else dsts.(i)
   else producer_reg rng spec dsts i
 
-let build_slot rng spec dsts ~pc ~data_base ~op i =
+let build_slot rng spec choices dsts ~pc ~data_base ~op i =
   let dst = dsts.(i) in
   let mem =
     match (op : Opcode.t) with
-    | Load -> Some (make_mem_state rng spec.load_patterns ~base:data_base ~span:spec.data_bytes)
-    | Store -> Some (make_mem_state rng spec.store_patterns ~base:data_base ~span:spec.data_bytes)
+    | Load -> Some (make_mem_state rng choices.c_loads ~base:data_base ~span:spec.data_bytes)
+    | Store -> Some (make_mem_state rng choices.c_stores ~base:data_base ~span:spec.data_bytes)
     | Branch | Jump | Call | Return | Int_alu | Int_mul | Fp_add | Fp_mul | Fp_div | Nop -> None
   in
   let br =
     match (op : Opcode.t) with
-    | Branch -> Some (make_br_state rng spec.branch_kinds ~skip_max:spec.branch_skip_max)
+    | Branch -> Some (make_br_state rng choices.c_branches ~skip_max:spec.branch_skip_max)
     | Load | Store | Jump | Call | Return | Int_alu | Int_mul | Fp_add | Fp_mul | Fp_div | Nop ->
       None
   in
@@ -279,7 +299,7 @@ let stratified_branch_kinds rng kinds count =
   Rng.shuffle rng kinds_arr;
   kinds_arr
 
-let build_body rng spec ~code_base ~data_base =
+let build_body rng spec choices ~code_base ~data_base =
   let n = spec.body_slots in
   let ops = sample_ops rng spec n in
   (* Slot 0 should produce a value so the hot register exists. *)
@@ -292,7 +312,7 @@ let build_body rng spec ~code_base ~data_base =
   let dsts = Array.mapi dst_for_slot ops in
   let body =
     Array.init n (fun i ->
-        build_slot rng spec dsts ~pc:(code_base + (4 * i)) ~data_base ~op:ops.(i) i)
+        build_slot rng spec choices dsts ~pc:(code_base + (4 * i)) ~data_base ~op:ops.(i) i)
   in
   (* Slot 0 is the induction variable: it increments itself once per
      iteration (a one-hop loop-carried chain), and indexed memory accesses
@@ -316,22 +336,17 @@ let build_body rng spec ~code_base ~data_base =
 
 (* Helpers are straight-line code: the body mixture with branches replaced
    by ALU work and mostly-sequential memory accesses. *)
-let build_helper rng spec ~base ~data_base ~slots =
+let helper_mem_patterns = [| (0.7, Seq { stride = 8 }); (0.3, Fixed) |]
+
+let build_helper rng spec choices ~base ~data_base ~slots =
   let helper_spec =
-    {
-      spec with
-      body_slots = slots;
-      mix = { spec.mix with branch = 0.0 };
-      load_patterns = [ (0.7, Seq { stride = 8 }); (0.3, Fixed) ];
-      store_patterns = [ (0.7, Seq { stride = 8 }); (0.3, Fixed) ];
-      loop_carried_frac = 0.0;
-    }
+    { spec with body_slots = slots; mix = { spec.mix with branch = 0.0 }; loop_carried_frac = 0.0 }
   in
   let ops = sample_ops rng helper_spec slots in
   let dsts = Array.mapi dst_for_slot ops in
   let body =
     Array.init slots (fun i ->
-        build_slot rng helper_spec dsts ~pc:(base + (4 * i)) ~data_base ~op:ops.(i) i)
+        build_slot rng helper_spec choices dsts ~pc:(base + (4 * i)) ~data_base ~op:ops.(i) i)
   in
   { h_base = base; h_body = body }
 
@@ -339,17 +354,19 @@ let instantiate spec ~rng ~code_base ~data_base =
   (match validate spec with
   | Ok () -> ()
   | Error msg -> invalid_arg msg);
-  let body = build_body rng spec ~code_base ~data_base in
+  let choices = choices_of spec in
+  let body = build_body rng spec choices ~code_base ~data_base in
   let loop_pc = code_base + (4 * spec.body_slots) in
   let helpers =
     if spec.helper_instrs = 0 || spec.helper_regions = 0 then [||]
     else begin
       let per_region = max 8 (spec.helper_instrs / spec.helper_regions) in
       let next_base = ref (loop_pc + 64) in
+      let choices = { choices with c_loads = helper_mem_patterns; c_stores = helper_mem_patterns } in
       Array.init spec.helper_regions (fun _ ->
           let base = !next_base in
           next_base := base + (per_region * 4) + 32;
-          build_helper rng spec ~base ~data_base ~slots:per_region)
+          build_helper rng spec choices ~base ~data_base ~slots:per_region)
     end
   in
   let helper_weights =

@@ -50,31 +50,48 @@ let sets t = t.n_sets
 let line_bytes t = t.line_bytes
 let assoc t = t.assoc
 
-let find t addr =
-  let line = addr lsr t.line_shift in
-  let set = line land t.set_mask in
-  let tag = line lsr t.set_shift in
-  let base = set * t.assoc in
-  let rec go i = if i >= t.assoc then -1 else if t.tags.(base + i) = tag then base + i else go (i + 1) in
-  (go 0, base, tag)
+(* Per-access helpers take [int array] and [int] explicitly: an
+   unannotated [tags.(i) = tag] would be polymorphic and compile to
+   [caml_equal].  They return one int, never a tuple, and build no
+   closure, so a lookup allocates nothing.  They scan one set,
+   [base, base + assoc) with [base = set * assoc] and [set < n_sets], which
+   lies inside [tags] and [stamps]; hence the unchecked reads. *)
+
+(* Slot holding [tag] in [tags.(i .. stop - 1)], or -1.  A tag is installed
+   only on a miss, so tags are unique within a set and the first match is
+   the only one. *)
+let rec find_slot (tags : int array) (tag : int) (i : int) (stop : int) =
+  if i >= stop then -1
+  else if Array.unsafe_get tags i = tag then i
+  else find_slot tags tag (i + 1) stop
+
+(* The LRU victim: the first slot with the strictly smallest stamp. *)
+let rec lru_slot (stamps : int array) (best : int) (i : int) (stop : int) =
+  if i >= stop then best
+  else
+    lru_slot stamps
+      (if Array.unsafe_get stamps i < Array.unsafe_get stamps best then i else best)
+      (i + 1) stop
+
+(* Replace the LRU way of the set starting at [base] with [tag]. *)
+let fill t base tag =
+  let victim = lru_slot t.stamps base (base + 1) (base + t.assoc) in
+  Array.unsafe_set t.tags victim tag;
+  Array.unsafe_set t.stamps victim t.clock
 
 let access t addr =
   t.accesses <- t.accesses + 1;
   t.clock <- t.clock + 1;
-  let idx, base, tag = find t addr in
-  if idx >= 0 then begin
-    t.stamps.(idx) <- t.clock;
+  let line = addr lsr t.line_shift in
+  let base = (line land t.set_mask) * t.assoc and tag = line lsr t.set_shift in
+  let slot = find_slot t.tags tag base (base + t.assoc) in
+  if slot >= 0 then begin
+    Array.unsafe_set t.stamps slot t.clock;
     true
   end
   else begin
     t.misses <- t.misses + 1;
-    (* replace LRU way *)
-    let victim = ref base in
-    for i = 1 to t.assoc - 1 do
-      if t.stamps.(base + i) < t.stamps.(!victim) then victim := base + i
-    done;
-    t.tags.(!victim) <- tag;
-    t.stamps.(!victim) <- t.clock;
+    fill t base tag;
     false
   end
 
@@ -88,21 +105,16 @@ let access_range t addr ~bytes =
   !all_hit
 
 let probe t addr =
-  let idx, _, _ = find t addr in
-  idx >= 0
+  let line = addr lsr t.line_shift in
+  let base = (line land t.set_mask) * t.assoc in
+  find_slot t.tags (line lsr t.set_shift) base (base + t.assoc) >= 0
 
 let install t addr =
   t.clock <- t.clock + 1;
-  let idx, base, tag = find t addr in
-  if idx >= 0 then t.stamps.(idx) <- t.clock
-  else begin
-    let victim = ref base in
-    for i = 1 to t.assoc - 1 do
-      if t.stamps.(base + i) < t.stamps.(!victim) then victim := base + i
-    done;
-    t.tags.(!victim) <- tag;
-    t.stamps.(!victim) <- t.clock
-  end
+  let line = addr lsr t.line_shift in
+  let base = (line land t.set_mask) * t.assoc and tag = line lsr t.set_shift in
+  let slot = find_slot t.tags tag base (base + t.assoc) in
+  if slot >= 0 then Array.unsafe_set t.stamps slot t.clock else fill t base tag
 
 let accesses t = t.accesses
 let misses t = t.misses

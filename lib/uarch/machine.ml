@@ -162,7 +162,8 @@ type t = {
   completions : int array;
   mutable head : int;
   mutable filled : int;
-  mutable fetch_num : int;
+  mutable fetch_cycle : int;  (* fetch position: cycle, and slot within it (< width) *)
+  mutable fetch_slot : int;
   mutable last_cycle : int;
 }
 
@@ -201,7 +202,8 @@ let create cfg =
     completions = Array.make window 0;
     head = 0;
     filled = 0;
-    fetch_num = 0;
+    fetch_cycle = 0;
+    fetch_slot = 0;
     last_cycle = 0;
   }
 
@@ -246,22 +248,35 @@ let step_in_order t ~pc ~code ~addr ~taken =
   end;
   t.stall_cycles <- t.stall_cycles + !stall
 
-let redirect_fetch t ~width cycle =
-  let num = cycle * width in
-  if num > t.fetch_num then t.fetch_num <- num
+(* Fetch resumes at [cycle] unless it is already there or later.  Since
+   [fetch_slot < width], [cycle > fetch_cycle] is exactly "cycle * width
+   exceeds the fetch position in instruction slots". *)
+let redirect_fetch t cycle =
+  if cycle > t.fetch_cycle then begin
+    t.fetch_cycle <- cycle;
+    t.fetch_slot <- 0
+  end
 
+(* Per instruction: int comparisons only (the polymorphic [max] is an
+   out-of-line generic compare), no closure, and a ring wrap without a
+   division. *)
 let step_out_of_order t ~width ~window ~pc ~code ~src1 ~src2 ~dst ~addr ~taken =
-  let fetch_cycle = t.fetch_num / width in
-  t.fetch_num <- t.fetch_num + 1;
+  let fetch_cycle = t.fetch_cycle in
+  let slot = t.fetch_slot + 1 in
+  if slot = width then begin
+    t.fetch_cycle <- fetch_cycle + 1;
+    t.fetch_slot <- 0
+  end
+  else t.fetch_slot <- slot;
   let ic = icache_extra t pc in
-  if ic > 0 then redirect_fetch t ~width (fetch_cycle + ic);
-  let ready_src r = if Reg.carries_dependency r then t.reg_ready.(r) else 0 in
-  let deps =
-    let a = ready_src src1 and b = ready_src src2 in
-    if a > b then a else b
-  in
-  let window_free = if t.filled < window then 0 else t.completions.(t.head) in
-  let issue = max fetch_cycle (max deps window_free) in
+  if ic > 0 then redirect_fetch t (fetch_cycle + ic);
+  let a = if Reg.carries_dependency src1 then t.reg_ready.(src1) else 0 in
+  let b = if Reg.carries_dependency src2 then t.reg_ready.(src2) else 0 in
+  let head = t.head in
+  let window_free = if t.filled < window then 0 else Array.unsafe_get t.completions head in
+  let issue = if a > fetch_cycle then a else fetch_cycle in
+  let issue = if b > issue then b else issue in
+  let issue = if window_free > issue then window_free else issue in
   let latency =
     if code = op_load then begin
       let tlb_extra = if Tlb.access t.dtlb addr then 0 else t.cfg.dtlb_penalty in
@@ -275,8 +290,8 @@ let step_out_of_order t ~width ~window ~pc ~code ~src1 ~src2 ~dst ~addr ~taken =
     else Array.unsafe_get t.lat_code code
   in
   let completion = issue + latency in
-  t.completions.(t.head) <- completion;
-  t.head <- (t.head + 1) mod window;
+  Array.unsafe_set t.completions head completion;
+  t.head <- (if head + 1 = window then 0 else head + 1);
   if t.filled < window then t.filled <- t.filled + 1;
   if Reg.carries_dependency dst then t.reg_ready.(dst) <- completion;
   if completion > t.last_cycle then t.last_cycle <- completion;
@@ -285,7 +300,7 @@ let step_out_of_order t ~width ~window ~pc ~code ~src1 ~src2 ~dst ~addr ~taken =
     let pred = Branch_pred.predict_update t.pred ~pc ~taken in
     if pred <> taken then begin
       t.mispredicts <- t.mispredicts + 1;
-      redirect_fetch t ~width (completion + t.cfg.mispredict_penalty)
+      redirect_fetch t (completion + t.cfg.mispredict_penalty)
     end
   end
 

@@ -24,7 +24,8 @@ type t = {
   completions : int array;  (* window ring *)
   mutable head : int;
   mutable filled : int;
-  mutable fetch_num : int;  (* fetch progress in instruction slots; cycle = fetch_num / width *)
+  mutable fetch_cycle : int;  (* fetch position: cycle, and slot within it (< width) *)
+  mutable fetch_slot : int;
   mutable last_cycle : int;
   mutable instrs : int;
   mutable cond_branches : int;
@@ -42,7 +43,8 @@ let create ?(config = default_config) () =
     completions = Array.make config.window 0;
     head = 0;
     filled = 0;
-    fetch_num = 0;
+    fetch_cycle = 0;
+    fetch_slot = 0;
     last_cycle = 0;
     instrs = 0;
     cond_branches = 0;
@@ -54,31 +56,45 @@ let load_latency t addr =
   else if Cache.access t.l2 addr then t.cfg.l2_latency
   else t.cfg.mem_latency
 
+(* Fetch resumes at [cycle] unless it is already there or later.  Since
+   [fetch_slot < width], [cycle > fetch_cycle] is exactly "cycle * width
+   exceeds the fetch position in instruction slots". *)
 let redirect_fetch t cycle =
-  let num = cycle * t.cfg.width in
-  if num > t.fetch_num then t.fetch_num <- num
+  if cycle > t.fetch_cycle then begin
+    t.fetch_cycle <- cycle;
+    t.fetch_slot <- 0
+  end
 
 let latency_code = Array.init Opcode.count (fun i -> Opcode.latency (Opcode.of_int i))
 let op_load = Opcode.to_int Opcode.Load
 let op_store = Opcode.to_int Opcode.Store
 let op_branch = Opcode.to_int Opcode.Branch
 
+(* Per instruction: int comparisons only (the polymorphic [max] is an
+   out-of-line generic compare), no closure, and a ring wrap without a
+   division. *)
 let step t ~pc ~code ~src1 ~src2 ~dst ~addr ~taken =
   t.instrs <- t.instrs + 1;
-  let fetch_cycle = t.fetch_num / t.cfg.width in
-  t.fetch_num <- t.fetch_num + 1;
+  let fetch_cycle = t.fetch_cycle in
+  let slot = t.fetch_slot + 1 in
+  if slot = t.cfg.width then begin
+    t.fetch_cycle <- fetch_cycle + 1;
+    t.fetch_slot <- 0
+  end
+  else t.fetch_slot <- slot;
   (* instruction-fetch miss delays the front end *)
   if not (Cache.access t.l1i pc) then begin
     let lat = if Cache.access t.l2 pc then t.cfg.l2_latency else t.cfg.mem_latency in
     redirect_fetch t (fetch_cycle + lat)
   end;
-  let ready_src r = if Reg.carries_dependency r then t.reg_ready.(r) else 0 in
-  let deps =
-    let a = ready_src src1 and b = ready_src src2 in
-    if a > b then a else b
-  in
-  let window_free = if t.filled < t.cfg.window then 0 else t.completions.(t.head) in
-  let issue = max fetch_cycle (max deps window_free) in
+  let a = if Reg.carries_dependency src1 then t.reg_ready.(src1) else 0 in
+  let b = if Reg.carries_dependency src2 then t.reg_ready.(src2) else 0 in
+  let window = t.cfg.window in
+  let head = t.head in
+  let window_free = if t.filled < window then 0 else Array.unsafe_get t.completions head in
+  let issue = if a > fetch_cycle then a else fetch_cycle in
+  let issue = if b > issue then b else issue in
+  let issue = if window_free > issue then window_free else issue in
   let latency =
     if code = op_load then load_latency t addr
     else if code = op_store then begin
@@ -89,9 +105,9 @@ let step t ~pc ~code ~src1 ~src2 ~dst ~addr ~taken =
     else Array.unsafe_get latency_code code
   in
   let completion = issue + latency in
-  t.completions.(t.head) <- completion;
-  t.head <- (t.head + 1) mod t.cfg.window;
-  if t.filled < t.cfg.window then t.filled <- t.filled + 1;
+  Array.unsafe_set t.completions head completion;
+  t.head <- (if head + 1 = window then 0 else head + 1);
+  if t.filled < window then t.filled <- t.filled + 1;
   if Reg.carries_dependency dst then t.reg_ready.(dst) <- completion;
   if completion > t.last_cycle then t.last_cycle <- completion;
   if code = op_branch then begin

@@ -2,6 +2,7 @@ type t = {
   page_shift : int;
   pages : int array;  (* -1 = invalid *)
   stamps : int array;
+  mutable mru : int;  (* entry of the last hit or fill, checked first *)
   mutable clock : int;
   mutable accesses : int;
   mutable misses : int;
@@ -16,32 +17,49 @@ let create ~entries ~page_bytes =
     page_shift = log2 page_bytes 0;
     pages = Array.make entries (-1);
     stamps = Array.make entries 0;
+    mru = 0;
     clock = 0;
     accesses = 0;
     misses = 0;
   }
+
+(* Entry holding [page] in [pages.(i .. n - 1)], or -1.  A page is
+   installed only on a miss, so it sits in at most one entry and the first
+   match is the only one; the invalid marker -1 never equals the page of a
+   traced (non-negative) address.  [int array] and [int] are pinned so the
+   compare is an integer one, not [caml_equal]. *)
+let rec find_entry (pages : int array) (page : int) (i : int) (n : int) =
+  if i >= n then -1
+  else if Array.unsafe_get pages i = page then i
+  else find_entry pages page (i + 1) n
+
+(* The LRU victim: the first entry with the strictly smallest stamp. *)
+let rec lru_entry (stamps : int array) (best : int) (i : int) (n : int) =
+  if i >= n then best
+  else
+    lru_entry stamps
+      (if Array.unsafe_get stamps i < Array.unsafe_get stamps best then i else best)
+      (i + 1) n
 
 let access t addr =
   t.accesses <- t.accesses + 1;
   t.clock <- t.clock + 1;
   let page = addr lsr t.page_shift in
   let n = Array.length t.pages in
-  let hit = ref (-1) in
-  for i = 0 to n - 1 do
-    if t.pages.(i) = page then hit := i
-  done;
-  if !hit >= 0 then begin
-    t.stamps.(!hit) <- t.clock;
+  let hit =
+    if Array.unsafe_get t.pages t.mru = page then t.mru else find_entry t.pages page 0 n
+  in
+  if hit >= 0 then begin
+    Array.unsafe_set t.stamps hit t.clock;
+    t.mru <- hit;
     true
   end
   else begin
     t.misses <- t.misses + 1;
-    let victim = ref 0 in
-    for i = 1 to n - 1 do
-      if t.stamps.(i) < t.stamps.(!victim) then victim := i
-    done;
-    t.pages.(!victim) <- page;
-    t.stamps.(!victim) <- t.clock;
+    let victim = lru_entry t.stamps 0 1 n in
+    Array.unsafe_set t.pages victim page;
+    Array.unsafe_set t.stamps victim t.clock;
+    t.mru <- victim;
     false
   end
 

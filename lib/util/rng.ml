@@ -244,8 +244,17 @@ let rec pick_weighted_from choices r i acc =
     let acc = acc +. w in
     if r < acc then x else pick_weighted_from choices r (i + 1) acc
 
+(* The weights' sum in array order from 0.0, the same float as a left fold,
+   without the fold's per-call closure. *)
+let total_weight (choices : (float * _) array) =
+  let total = ref 0.0 in
+  for i = 0 to Array.length choices - 1 do
+    total := !total +. fst choices.(i)
+  done;
+  !total
+
 let pick_weighted t choices =
-  let total = Array.fold_left (fun acc (w, _) -> acc +. w) 0.0 choices in
+  let total = total_weight choices in
   assert (total > 0.);
   let r = float t total in
   pick_weighted_from choices r 0 0.0

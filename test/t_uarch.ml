@@ -178,6 +178,221 @@ let test_tlb_access_range () =
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
+(* ---------------- reference models ---------------- *)
+
+(* Cache and TLB written the plain way: a scan over every way (entry) for
+   the hit, and the first way with the strictly smallest stamp as the LRU
+   victim.  The library's lookups stop early and check the last TLB hit
+   first; driven with the same random streams, both must agree on every
+   call's result and on the counters. *)
+module Ref_cache = struct
+  type t = {
+    line_bytes : int;
+    n_sets : int;
+    assoc : int;
+    tags : int array;
+    stamps : int array;
+    mutable clock : int;
+    mutable accesses : int;
+    mutable misses : int;
+  }
+
+  let create ~size_bytes ~line_bytes ~assoc =
+    let n_sets = size_bytes / (line_bytes * assoc) in
+    {
+      line_bytes;
+      n_sets;
+      assoc;
+      tags = Array.make (n_sets * assoc) (-1);
+      stamps = Array.make (n_sets * assoc) 0;
+      clock = 0;
+      accesses = 0;
+      misses = 0;
+    }
+
+  let base t addr = addr / t.line_bytes mod t.n_sets * t.assoc
+  let tag t addr = addr / t.line_bytes / t.n_sets
+
+  let find t addr =
+    let b = base t addr and g = tag t addr in
+    let hit = ref (-1) in
+    for i = b to b + t.assoc - 1 do
+      if t.tags.(i) = g then hit := i
+    done;
+    !hit
+
+  let fill t addr =
+    let b = base t addr in
+    let victim = ref b in
+    for i = b + 1 to b + t.assoc - 1 do
+      if t.stamps.(i) < t.stamps.(!victim) then victim := i
+    done;
+    t.tags.(!victim) <- tag t addr;
+    t.stamps.(!victim) <- t.clock
+
+  let access t addr =
+    t.accesses <- t.accesses + 1;
+    t.clock <- t.clock + 1;
+    let i = find t addr in
+    if i >= 0 then t.stamps.(i) <- t.clock
+    else begin
+      t.misses <- t.misses + 1;
+      fill t addr
+    end;
+    i >= 0
+
+  let access_range t addr ~bytes =
+    let first = addr / t.line_bytes and last = (addr + bytes - 1) / t.line_bytes in
+    List.fold_left
+      (fun all line -> access t (line * t.line_bytes) && all)
+      true
+      (List.init (last - first + 1) (fun k -> first + k))
+
+  let probe t addr = find t addr >= 0
+
+  let install t addr =
+    t.clock <- t.clock + 1;
+    let i = find t addr in
+    if i >= 0 then t.stamps.(i) <- t.clock else fill t addr
+end
+
+module Ref_tlb = struct
+  type t = {
+    page_bytes : int;
+    pages : int array;
+    stamps : int array;
+    mutable clock : int;
+    mutable accesses : int;
+    mutable misses : int;
+  }
+
+  let create ~entries ~page_bytes =
+    {
+      page_bytes;
+      pages = Array.make entries (-1);
+      stamps = Array.make entries 0;
+      clock = 0;
+      accesses = 0;
+      misses = 0;
+    }
+
+  let access t addr =
+    t.accesses <- t.accesses + 1;
+    t.clock <- t.clock + 1;
+    let page = addr / t.page_bytes in
+    let hit = ref (-1) in
+    Array.iteri (fun i p -> if p = page then hit := i) t.pages;
+    if !hit >= 0 then t.stamps.(!hit) <- t.clock
+    else begin
+      t.misses <- t.misses + 1;
+      let victim = ref 0 in
+      Array.iteri (fun i s -> if s < t.stamps.(!victim) then victim := i) t.stamps;
+      t.pages.(!victim) <- page;
+      t.stamps.(!victim) <- t.clock
+    end;
+    !hit >= 0
+
+  let access_range t addr ~bytes =
+    let first = addr / t.page_bytes and last = (addr + bytes - 1) / t.page_bytes in
+    List.fold_left
+      (fun all page -> access t (page * t.page_bytes) && all)
+      true
+      (List.init (last - first + 1) (fun k -> first + k))
+end
+
+type model_op = Access of int | Probe of int | Install of int | Range of int * int
+
+let show_op = function
+  | Access a -> Printf.sprintf "access %d" a
+  | Probe a -> Printf.sprintf "probe %d" a
+  | Install a -> Printf.sprintf "install %d" a
+  | Range (a, b) -> Printf.sprintf "range %d+%d" a b
+
+(* Addresses come from a universe a little larger than the structure, so
+   streams mix hits, cold misses and LRU evictions. *)
+let gen_op ~block ~universe ~with_probe =
+  QCheck2.Gen.(
+    let addr = int_bound ((universe * block) - 1) in
+    let kinds =
+      [
+        (6, map (fun a -> Access a) addr);
+        (2, map2 (fun a b -> Range (a, b)) addr (int_range 1 (2 * block)));
+      ]
+    in
+    frequency
+      (if with_probe then
+         kinds @ [ (1, map (fun a -> Probe a) addr); (1, map (fun a -> Install a) addr) ]
+       else kinds))
+
+let gen_cache_case =
+  QCheck2.Gen.(
+    let* assoc = oneofl [ 1; 2; 3; 4; 32 ]
+    and* line_bytes = oneofl [ 16; 32; 64 ]
+    and* n_sets = oneofl [ 1; 2; 4; 8 ] in
+    let universe = n_sets * (assoc + 2) in
+    let* ops = list_size (int_range 1 600) (gen_op ~block:line_bytes ~universe ~with_probe:true) in
+    return (assoc, line_bytes, n_sets, ops))
+
+let prop_cache_matches_reference =
+  Tutil.qcheck_case ~count:200 "cache = full-scan LRU reference"
+    ~print:(fun (assoc, line, sets, ops) ->
+      Printf.sprintf "assoc %d line %d sets %d: %s" assoc line sets
+        (String.concat "; " (List.map show_op ops)))
+    gen_cache_case
+    (fun (assoc, line_bytes, n_sets, ops) ->
+      let size_bytes = n_sets * line_bytes * assoc in
+      let c = U.Cache.create ~name:"c" ~size_bytes ~line_bytes ~assoc in
+      let r = Ref_cache.create ~size_bytes ~line_bytes ~assoc in
+      let same_counts () =
+        U.Cache.accesses c = r.Ref_cache.accesses && U.Cache.misses c = r.Ref_cache.misses
+      in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | Access a -> U.Cache.access c a = Ref_cache.access r a
+            | Probe a -> U.Cache.probe c a = Ref_cache.probe r a
+            | Install a ->
+              U.Cache.install c a;
+              Ref_cache.install r a;
+              true
+            | Range (a, bytes) -> U.Cache.access_range c a ~bytes = Ref_cache.access_range r a ~bytes
+          in
+          same && same_counts ())
+        ops
+      (* the resident lines match exactly, not just the outcomes so far *)
+      && List.for_all
+           (fun line -> U.Cache.probe c (line * line_bytes) = Ref_cache.probe r (line * line_bytes))
+           (List.init (n_sets * (assoc + 2)) Fun.id))
+
+let gen_tlb_case =
+  QCheck2.Gen.(
+    let* entries = oneofl [ 1; 2; 64; 256 ] and* page_bytes = oneofl [ 4096; 8192 ] in
+    let universe = entries + (entries / 4) + 2 in
+    let* ops =
+      list_size (int_range 1 (8 * universe)) (gen_op ~block:page_bytes ~universe ~with_probe:false)
+    in
+    return (entries, page_bytes, ops))
+
+let prop_tlb_matches_reference =
+  Tutil.qcheck_case ~count:100 "tlb = full-scan LRU reference"
+    ~print:(fun (entries, page, ops) ->
+      Printf.sprintf "entries %d page %d: %s" entries page
+        (String.concat "; " (List.map show_op ops)))
+    gen_tlb_case
+    (fun (entries, page_bytes, ops) ->
+      let t = U.Tlb.create ~entries ~page_bytes in
+      let r = Ref_tlb.create ~entries ~page_bytes in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Access a -> U.Tlb.access t a = Ref_tlb.access r a
+          | Range (a, bytes) -> U.Tlb.access_range t a ~bytes = Ref_tlb.access_range r a ~bytes
+          | Probe _ | Install _ -> true)
+          && U.Tlb.accesses t = r.Ref_tlb.accesses
+          && U.Tlb.misses t = r.Ref_tlb.misses)
+        ops)
+
 (* ---------------- branch predictors ---------------- *)
 
 let drive pred outcomes =
@@ -343,15 +558,30 @@ let test_machine_ipc_respects_width () =
     U.Machine.presets
 
 let test_machine_matches_canonical_models () =
-  (* the ev56 preset and the standalone Inorder model agree on the trace *)
-  let p = Tutil.tiny_program "machine-agree" in
-  let preset = U.Machine.measure U.Machine.ev56 p ~icount:10_000 in
-  let io = U.Inorder.create () in
-  let (_ : int) = Mica_trace.Generator.run p ~icount:10_000 ~sink:(U.Inorder.sink io) in
-  let canon = U.Inorder.result io in
-  Alcotest.check Tutil.feq_loose "same ipc" canon.U.Inorder.ipc preset.U.Machine.ipc;
-  Alcotest.check Tutil.feq_loose "same l1d" canon.U.Inorder.l1d_miss_rate
-    preset.U.Machine.l1d_miss_rate
+  (* the ev56 preset and the standalone Inorder model agree to the bit on
+     all six counters, over every fourth registry workload *)
+  List.iteri
+    (fun i (w : Mica_workloads.Workload.t) ->
+      if i mod 4 = 0 then begin
+        let p = w.Mica_workloads.Workload.model in
+        let preset = U.Machine.to_vector (U.Machine.measure U.Machine.ev56 p ~icount:20_000) in
+        let io = U.Inorder.create () in
+        let (_ : int) = Mica_trace.Generator.run p ~icount:20_000 ~sink:(U.Inorder.sink io) in
+        let r = U.Inorder.result io in
+        let canon =
+          [|
+            r.U.Inorder.ipc; r.U.Inorder.branch_mispredict_rate; r.U.Inorder.l1d_miss_rate;
+            r.U.Inorder.l1i_miss_rate; r.U.Inorder.l2_miss_rate; r.U.Inorder.dtlb_miss_rate;
+          |]
+        in
+        Array.iteri
+          (fun k x ->
+            if Int64.bits_of_float x <> Int64.bits_of_float canon.(k) then
+              Alcotest.failf "%s %s: Machine.ev56 %.17g <> Inorder %.17g"
+                (Mica_workloads.Workload.id w) U.Machine.metric_names.(k) x canon.(k))
+          preset
+      end)
+    Mica_workloads.Registry.all
 
 let test_machine_measure_all_isolated () =
   (* fanned-out machines give the same result as individual runs *)
@@ -396,6 +626,38 @@ let test_machine_prefetch_helps_streaming () =
   let no_pf_r = run base random and with_pf_r = run pf random in
   Alcotest.(check bool) "prefetch useless on random access" true
     (with_pf_r > no_pf_r -. 0.05)
+
+(* ---------------- allocation budget ---------------- *)
+
+(* Minor words per instruction of the per-instruction models, net of a
+   null-sink generator pass over the same trace.  Minor-word counts repeat
+   exactly at one domain, so the budget cannot flake; what is left is
+   per-run setup (model state, result records). *)
+let test_allocation_budget () =
+  let icount = 20_000 in
+  Mica_obs.Obs.set_enabled false;
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  List.iter
+    (fun id ->
+      let p = (Mica_workloads.Registry.find_exn id).Mica_workloads.Workload.model in
+      let null_sink = Mica_trace.Sink.make ~name:"null" (fun _ -> ()) in
+      let gen = words (fun () -> ignore (Mica_trace.Generator.run p ~icount ~sink:null_sink : int)) in
+      List.iter
+        (fun (name, f) ->
+          let per_instr = (words f -. gen) /. float_of_int icount in
+          if per_instr >= 0.5 then
+            Alcotest.failf "%s on %s: %.3f minor words/instr (budget 0.5)" name id per_instr)
+        [
+          ("Hw_counters.measure", fun () -> ignore (U.Hw_counters.measure p ~icount : U.Hw_counters.result));
+          ( "Machine.measure_all presets",
+            fun () -> ignore (U.Machine.measure_all U.Machine.presets p ~icount : U.Machine.result list) );
+          ("Analyzer.analyze", fun () -> ignore (Mica_analysis.Analyzer.analyze p ~icount : float array));
+        ])
+    [ "SPEC2000/mcf/ref"; "SPEC2000/swim/ref"; "MiBench/sha/large" ]
 
 (* ---------------- golden preset vectors ---------------- *)
 
@@ -499,6 +761,7 @@ let suite =
       Alcotest.test_case "machine cache scaling" `Quick test_machine_bigger_cache_fewer_misses;
       Alcotest.test_case "machine prefetcher" `Quick test_machine_prefetch_helps_streaming;
       Alcotest.test_case "preset golden vectors" `Quick test_preset_golden_vectors;
+      Alcotest.test_case "allocation budget" `Quick test_allocation_budget;
       prop_machine_rates_bounded;
       Alcotest.test_case "cache geometry" `Quick test_cache_geometry;
       Alcotest.test_case "cache invalid geometry" `Quick test_cache_invalid_geometry;
@@ -518,6 +781,8 @@ let suite =
       Alcotest.test_case "tlb LRU" `Quick test_tlb_lru_eviction;
       Alcotest.test_case "tlb invalid" `Quick test_tlb_invalid;
       Alcotest.test_case "tlb access range" `Quick test_tlb_access_range;
+      prop_cache_matches_reference;
+      prop_tlb_matches_reference;
       Alcotest.test_case "bimodal learns bias" `Quick test_bimodal_learns_bias;
       Alcotest.test_case "bimodal vs alternation" `Quick test_bimodal_cannot_learn_alternation;
       Alcotest.test_case "local learns alternation" `Quick test_local_learns_alternation;

@@ -34,5 +34,5 @@ let fp ?(pc = 0x1000) ?(src1 = -1) ?(src2 = -1) ?(dst = -1) () =
 let tiny_program name =
   Mica_trace.Program.single ~name { Mica_trace.Kernel.default with Mica_trace.Kernel.name }
 
-let qcheck_case ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qcheck_case ?(count = 200) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
