@@ -1094,9 +1094,13 @@ let characterize_trace_cmd =
     let analyzer = Mica_analysis.Analyzer.create () in
     let sink = Mica_analysis.Analyzer.sink analyzer in
     let n =
-      match format with
-      | `Text -> Mica_trace.Trace_io.replay_text ~path:input ~sink
-      | `Binary -> Mica_trace.Trace_io.replay_binary ~path:input ~sink
+      try
+        match format with
+        | `Text -> Mica_trace.Trace_io.replay_text ~path:input ~sink
+        | `Binary -> Mica_trace.Trace_io.replay_binary ~path:input ~sink
+      with Failure msg ->
+        Printf.eprintf "error: %s: %s\n" input msg;
+        exit 2
     in
     Printf.printf "MICA characteristics from %s (%d recorded instructions):\n" input n;
     Array.iteri

@@ -18,13 +18,17 @@ let create ?(ppm_order = 8) ?ilp_windows () =
   }
 
 (* Per-family chunk-time spans.  One atomic load per chunk per family when
-   metrics are off; per-chunk granularity (4096 instructions) keeps the
-   enabled-path cost negligible too. *)
+   metrics are off, and no span thunk either: it would be a closure
+   allocated per chunk per family.  Per-chunk granularity (4096
+   instructions) keeps the enabled-path cost negligible too. *)
 let timed name (s : Mica_trace.Sink.t) =
+  let on_chunk = s.Mica_trace.Sink.on_chunk in
   {
     s with
     Mica_trace.Sink.on_chunk =
-      (fun c -> Mica_obs.Obs.span name (fun () -> s.Mica_trace.Sink.on_chunk c));
+      (fun c ->
+        if Mica_obs.Obs.enabled () then Mica_obs.Obs.span name (fun () -> on_chunk c)
+        else on_chunk c);
   }
 
 let sink t =

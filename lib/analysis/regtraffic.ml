@@ -10,8 +10,8 @@ type t = {
   uses : int array;  (* reads of the current instance per register *)
   mutable instances : int;  (* completed register instances *)
   mutable total_uses : int;  (* reads accumulated over completed instances *)
-  dep_counts : int array;  (* histogram over cutoffs; last bucket = "> 64" *)
-  mutable dep_total : int;
+  dep_counts : int array;
+      (* histogram over cutoffs; last bucket = "> 64"; sums to the dependent reads *)
 }
 
 type result = { avg_input_operands : float; avg_degree_of_use : float; dep_cdf : float array }
@@ -25,52 +25,82 @@ let create () =
     instances = 0;
     total_uses = 0;
     dep_counts = Array.make (Array.length dep_cutoffs + 1) 0;
-    dep_total = 0;
   }
 
-(* Top-level recursion: a nested [let rec] capturing [d] would allocate a
-   closure on each call, and this runs for every dependent source read. *)
-let rec bucket_from d i n =
-  if i >= n then n else if d <= dep_cutoffs.(i) then i else bucket_from d (i + 1) n
+(* Bucket of each dependence distance 1..64; longer distances go in the
+   last bucket, past the table.  Index 0 is unused: an instruction's reads
+   come before its write, so a distance is at least 1. *)
+let max_cutoff = dep_cutoffs.(Array.length dep_cutoffs - 1)
+let last_bucket = Array.length dep_cutoffs
 
-let bucket_of_distance d = bucket_from d 0 (Array.length dep_cutoffs)
+let dep_bucket =
+  Array.init (max_cutoff + 1) (fun d ->
+      let b = ref 0 in
+      while d > dep_cutoffs.(!b) do
+        incr b
+      done;
+      !b)
 
-let read t r =
-  if not (Reg.is_none r) then begin
-    t.operands <- t.operands + 1;
-    if Reg.carries_dependency r then begin
-      t.uses.(r) <- t.uses.(r) + 1;
-      let lw = t.last_write.(r) in
+(* Register tests are written inline: under [-opaque] each [Reg]
+   predicate would be an indirect call, three per operand.  A register
+   below [Reg.none] is rejected; one at or above [Reg.count] fails the
+   bounds check on [uses] or [last_write]. *)
+let zero = Reg.zero
+
+let bad_register r : int = invalid_arg (Printf.sprintf "Regtraffic: register %d out of range" r)
+
+(* Source operand [r] of the instruction at dynamic index [now]; returns 1
+   if it is present.  Reading a register that carries a dependency adds a
+   use to its live instance and files the distance back to its producer,
+   if it has one. *)
+let[@inline] read t (uses : int array) (last_write : int array) now r =
+  if r >= 0 then begin
+    if r <> zero then begin
+      uses.(r) <- uses.(r) + 1;
+      let lw = last_write.(r) in
       if lw >= 0 then begin
-        let d = t.instrs - lw in
-        let b = bucket_of_distance d in
-        t.dep_counts.(b) <- t.dep_counts.(b) + 1;
-        t.dep_total <- t.dep_total + 1
+        let d = now - lw in
+        let b = if d > max_cutoff then last_bucket else Array.unsafe_get dep_bucket d in
+        Array.unsafe_set t.dep_counts b (Array.unsafe_get t.dep_counts b + 1)
       end
-    end
-  end
-
-let write t r =
-  if Reg.carries_dependency r then begin
-    (* finalize the instance being overwritten *)
-    if t.last_write.(r) >= 0 then begin
-      t.instances <- t.instances + 1;
-      t.total_uses <- t.total_uses + t.uses.(r)
     end;
-    t.uses.(r) <- 0;
-    t.last_write.(r) <- t.instrs
+    1
   end
+  else if r = Reg.none then 0
+  else bad_register r
 
+(* The sweep keeps its counters in locals and calls nothing: [read] is
+   inlined and the destination is handled in place. *)
 let sink t =
   Mica_trace.Sink.make ~name:"regtraffic" (fun c ->
-      let len = c.Chunk.len in
       let src1 = c.Chunk.src1 and src2 = c.Chunk.src2 and dst = c.Chunk.dst in
-      for i = 0 to len - 1 do
-        t.instrs <- t.instrs + 1;
-        read t (Array.unsafe_get src1 i);
-        read t (Array.unsafe_get src2 i);
-        write t (Array.unsafe_get dst i)
-      done)
+      let uses = t.uses and last_write = t.last_write in
+      let now = ref t.instrs and operands = ref t.operands in
+      let instances = ref t.instances and total_uses = ref t.total_uses in
+      for i = 0 to c.Chunk.len - 1 do
+        let n = !now + 1 in
+        now := n;
+        let a = read t uses last_write n (Array.unsafe_get src1 i) in
+        let b = read t uses last_write n (Array.unsafe_get src2 i) in
+        operands := !operands + a + b;
+        (* the write comes after both reads: an instruction that reads its
+           own destination sees the previous value *)
+        let r = Array.unsafe_get dst i in
+        if r >= 0 && r <> zero then begin
+          (* finalize the instance being overwritten *)
+          if last_write.(r) >= 0 then begin
+            instances := !instances + 1;
+            total_uses := !total_uses + uses.(r)
+          end;
+          uses.(r) <- 0;
+          last_write.(r) <- n
+        end
+        else if r < Reg.none then ignore (bad_register r : int)
+      done;
+      t.instrs <- !now;
+      t.operands <- !operands;
+      t.instances <- !instances;
+      t.total_uses <- !total_uses)
 
 let reset t =
   t.instrs <- 0;
@@ -79,8 +109,7 @@ let reset t =
   Array.fill t.uses 0 (Array.length t.uses) 0;
   t.instances <- 0;
   t.total_uses <- 0;
-  Array.fill t.dep_counts 0 (Array.length t.dep_counts) 0;
-  t.dep_total <- 0
+  Array.fill t.dep_counts 0 (Array.length t.dep_counts) 0
 
 let result t =
   (* flush live instances *)
@@ -93,7 +122,7 @@ let result t =
       end)
     t.last_write;
   let cdf = Array.make (Array.length dep_cutoffs) 0.0 in
-  let denom = float_of_int (max 1 t.dep_total) in
+  let denom = float_of_int (max 1 (Array.fold_left ( + ) 0 t.dep_counts)) in
   let acc = ref 0 in
   Array.iteri
     (fun i _ ->

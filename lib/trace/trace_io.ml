@@ -1,5 +1,11 @@
 module Instr = Mica_isa.Instr
 module Opcode = Mica_isa.Opcode
+module Reg = Mica_isa.Reg
+
+(* Analyzers index per-register state by id, so a register below
+   [Reg.none] or at or above [Reg.count] is malformed input, never an
+   instruction. *)
+let valid_reg r = r >= Reg.none && r < Reg.count
 
 (* ---------------- text format ---------------- *)
 
@@ -14,14 +20,18 @@ let instr_to_line (i : Instr.t) =
     (if i.taken then 'T' else 'N')
     i.target
 
+let reg_of_string s =
+  let r = int_of_string s in
+  if valid_reg r then r else failwith (Printf.sprintf "register %d out of range" r)
+
 let instr_of_line line =
   match String.split_on_char ' ' (String.trim line) with
   | [ pc; op; src1; src2; dst; addr; taken; target ] -> (
     try
       Instr.make
         ~pc:(int_of_string ("0x" ^ pc))
-        ~op:(opcode_of_string op) ~src1:(int_of_string src1) ~src2:(int_of_string src2)
-        ~dst:(int_of_string dst)
+        ~op:(opcode_of_string op) ~src1:(reg_of_string src1) ~src2:(reg_of_string src2)
+        ~dst:(reg_of_string dst)
         ~addr:(int_of_string ("0x" ^ addr))
         ~taken:(match taken with "T" -> true | "N" -> false | _ -> failwith "bad taken flag")
         ~target:(int_of_string ("0x" ^ target))
@@ -94,6 +104,8 @@ let decode buf =
   let b27 = Bytes.get_uint8 buf 27 in
   let taken = b27 land 0x80 <> 0 in
   let dst = (b27 land 0x7F) - 1 in
+  if not (valid_reg src1 && valid_reg src2 && valid_reg dst) then
+    failwith "corrupt trace: bad register";
   Instr.make ~pc ~op:opcode_array.(op_idx) ~src1 ~src2 ~dst ~addr ~taken ~target ()
 
 let binary_sink oc =

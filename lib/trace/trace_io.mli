@@ -23,12 +23,16 @@ val write_binary : path:string -> Program.t -> icount:int -> int
 
 val replay_text : path:string -> sink:Sink.t -> int
 (** Feed a recorded text trace into a sink; returns the instruction count.
-    Raises [Failure] with a line number on malformed input. *)
+    Raises [Failure] with a line number on malformed input, including a
+    register below [Mica_isa.Reg.none] or at or above
+    [Mica_isa.Reg.count]. *)
 
 val replay_binary : path:string -> sink:Sink.t -> int
-(** Raises [Failure] on a bad header or truncated record. *)
+(** Raises [Failure] on a bad header, a truncated record or a record
+    naming a register below [Mica_isa.Reg.none] or at or above
+    [Mica_isa.Reg.count]. *)
 
 val instr_to_line : Mica_isa.Instr.t -> string
 val instr_of_line : string -> Mica_isa.Instr.t
 (** Single-record text conversions (exposed for tests and tooling).
-    @raise Failure on malformed input. *)
+    @raise Failure on malformed input, including an out-of-range register. *)

@@ -21,6 +21,10 @@ let log2 n =
 
 let create ~name ~size_bytes ~line_bytes ~assoc =
   if not (is_pow2 line_bytes) then invalid_arg "Cache.create: line size must be a power of two";
+  (* with 1-byte lines and one set, address -1 has tag -1, the invalid
+     marker, and would hit in a cold cache; from 2 bytes up, every tag is
+     non-negative *)
+  if line_bytes < 2 then invalid_arg "Cache.create: line size must be at least 2 bytes";
   if assoc <= 0 then invalid_arg "Cache.create: assoc must be positive";
   if size_bytes < line_bytes * assoc then
     invalid_arg "Cache.create: size must cover at least one set";

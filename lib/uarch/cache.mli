@@ -7,12 +7,14 @@ type t
 
 val create : name:string -> size_bytes:int -> line_bytes:int -> assoc:int -> t
 (** [line_bytes] and the resulting set count [size_bytes / (line_bytes *
-    assoc)] must be powers of two, and [size_bytes] a whole number of
-    sets; [assoc] must be positive but need {e not} be a power of two —
-    LRU search and replacement scan the ways, so e.g. the 21164's 96KB
-    3-way L2 (512 sets) is a legal, exactly-modelled geometry.  A size
-    that is not a multiple of [line_bytes * assoc] is rejected rather
-    than silently truncated.  Raises [Invalid_argument] otherwise. *)
+    assoc)] must be powers of two, [line_bytes] at least 2 (with 1-byte
+    lines address -1 would carry the invalid tag -1), and [size_bytes] a
+    whole number of sets; [assoc] must be positive but need {e not} be a
+    power of two — LRU search and replacement scan the ways, so e.g. the
+    21164's 96KB 3-way L2 (512 sets) is a legal, exactly-modelled
+    geometry.  A size that is not a multiple of [line_bytes * assoc] is
+    rejected rather than silently truncated.  Raises [Invalid_argument]
+    otherwise. *)
 
 val name : t -> string
 val sets : t -> int

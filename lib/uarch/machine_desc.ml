@@ -190,6 +190,8 @@ let validate_level (l : cache_level) =
     err "cache level %S: size_bytes must be positive (got %d)" what l.size_bytes
   else if not (is_pow2 l.line_bytes) then
     err "cache level %S: line_bytes must be a power of two (got %d)" what l.line_bytes
+  else if l.line_bytes < 2 then
+    err "cache level %S: line_bytes must be at least 2 (got %d)" what l.line_bytes
   else if l.assoc <= 0 then err "cache level %S: assoc must be positive (got %d)" what l.assoc
   else if l.size_bytes mod (l.line_bytes * l.assoc) <> 0 then
     err "cache level %S: size_bytes (%d) must be a multiple of line_bytes * assoc (%d)" what
@@ -241,6 +243,7 @@ let validate t =
     if t.tlb_entries <= 0 then err "dtlb.entries must be positive (got %d)" t.tlb_entries
     else if not (is_pow2 t.page_bytes) then
       err "dtlb.page_bytes must be a power of two (got %d)" t.page_bytes
+    else if t.page_bytes < 2 then err "dtlb.page_bytes must be at least 2 (got %d)" t.page_bytes
     else if t.tlb_penalty < 0 then err "dtlb.miss_penalty must be non-negative"
     else Ok ()
   in

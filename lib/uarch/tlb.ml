@@ -12,6 +12,9 @@ let create ~entries ~page_bytes =
   if entries <= 0 then invalid_arg "Tlb.create: entries must be positive";
   if page_bytes <= 0 || page_bytes land (page_bytes - 1) <> 0 then
     invalid_arg "Tlb.create: page_bytes must be a power of two";
+  (* with 1-byte pages, address -1 is page -1, the invalid marker, and
+     would hit in a cold TLB *)
+  if page_bytes < 2 then invalid_arg "Tlb.create: page_bytes must be at least 2";
   let rec log2 n acc = if n = 1 then acc else log2 (n lsr 1) (acc + 1) in
   {
     page_shift = log2 page_bytes 0;
@@ -25,9 +28,10 @@ let create ~entries ~page_bytes =
 
 (* Entry holding [page] in [pages.(i .. n - 1)], or -1.  A page is
    installed only on a miss, so it sits in at most one entry and the first
-   match is the only one; the invalid marker -1 never equals the page of a
-   traced (non-negative) address.  [int array] and [int] are pinned so the
-   compare is an integer one, not [caml_equal]. *)
+   match is the only one; the invalid marker -1 never equals a page, since
+   pages of at least 2 bytes shift every address right by at least 1.
+   [int array] and [int] are pinned so the compare is an integer one, not
+   [caml_equal]. *)
 let rec find_entry (pages : int array) (page : int) (i : int) (n : int) =
   if i >= n then -1
   else if Array.unsafe_get pages i = page then i

@@ -3,7 +3,8 @@
 type t
 
 val create : entries:int -> page_bytes:int -> t
-(** [page_bytes] must be a power of two; [entries] positive. *)
+(** [page_bytes] must be a power of two of at least 2 (with 1-byte pages
+    address -1 would be the invalid page -1); [entries] positive. *)
 
 val access : t -> int -> bool
 (** [access t addr] translates the page containing [addr]; returns [true]

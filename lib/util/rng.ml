@@ -237,24 +237,28 @@ let pick t a =
   assert (Array.length a > 0);
   a.(int t (Array.length a))
 
-let rec pick_weighted_from choices r i acc =
-  if i = Array.length choices - 1 then snd choices.(i)
-  else
-    let w, x = choices.(i) in
-    let acc = acc +. w in
-    if r < acc then x else pick_weighted_from choices r (i + 1) acc
-
-(* The weights' sum in array order from 0.0, the same float as a left fold,
-   without the fold's per-call closure. *)
-let total_weight (choices : (float * _) array) =
+(* One pass sums the weights in array order from 0.0 (the same float as a
+   left fold), one draw, then one scan that stops at the first running
+   sum above the draw, or at the last choice.  The float refs never
+   escape, so they stay unboxed and a call allocates nothing. *)
+let pick_weighted t (choices : (float * _) array) =
+  let n = Array.length choices in
   let total = ref 0.0 in
-  for i = 0 to Array.length choices - 1 do
+  for i = 0 to n - 1 do
     total := !total +. fst choices.(i)
   done;
-  !total
-
-let pick_weighted t choices =
-  let total = total_weight choices in
-  assert (total > 0.);
-  let r = float t total in
-  pick_weighted_from choices r 0 0.0
+  assert (!total > 0.);
+  (* [float t !total], written out: a call would box its result *)
+  step t;
+  let r = !total *. (float_of_int ((t.rh lsl 21) lor (t.rl lsr 11)) *. 0x1.0p-53) in
+  let i = ref 0 and acc = ref 0.0 in
+  while
+    !i < n - 1
+    && begin
+         acc := !acc +. fst choices.(!i);
+         not (r < !acc)
+       end
+  do
+    incr i
+  done;
+  snd choices.(!i)

@@ -133,6 +133,32 @@ let test_regtraffic_vector_shape () =
   Alcotest.(check int) "9 values" 9
     (Array.length (A.Regtraffic.to_vector (A.Regtraffic.result t)))
 
+(* Register ids outside [-1, Reg.count) reach the ILP and register-traffic
+   kernels only through hand-built chunks (replay rejects them); each must
+   raise [Invalid_argument] in either operand position, never index
+   outside an array. *)
+let test_kernels_reject_bad_registers () =
+  let sinks () =
+    [
+      ("ilp", A.Ilp.sink (A.Ilp.create ~windows:[| 2 |] ()));
+      ("regtraffic", A.Regtraffic.sink (A.Regtraffic.create ()));
+    ]
+  in
+  List.iter
+    (fun (what, ins) ->
+      List.iter
+        (fun (name, sink) ->
+          match Tutil.run_sink sink [ Tutil.alu ~dst:1 (); ins ] with
+          | () -> Alcotest.failf "%s accepted %s" name what
+          | exception Invalid_argument _ -> ())
+        (sinks ()))
+    [
+      ("source 64", Tutil.alu ~src1:64 ());
+      ("source -2", Tutil.alu ~src2:(-2) ());
+      ("destination 200", Tutil.alu ~dst:200 ());
+      ("destination -7", Tutil.alu ~dst:(-7) ());
+    ]
+
 (* ---------------- working set ---------------- *)
 
 let test_working_set_counts () =
@@ -345,6 +371,7 @@ let suite =
         test_regtraffic_dependency_distance;
       Alcotest.test_case "regtraffic r31 excluded" `Quick test_regtraffic_zero_reg_excluded;
       Alcotest.test_case "regtraffic vector shape" `Quick test_regtraffic_vector_shape;
+      Alcotest.test_case "kernels reject bad registers" `Quick test_kernels_reject_bad_registers;
       Alcotest.test_case "working set counts" `Quick test_working_set_counts;
       Alcotest.test_case "working set idempotent" `Quick test_working_set_idempotent_touch;
       Alcotest.test_case "strides local vs global" `Quick test_strides_local_vs_global;

@@ -119,6 +119,14 @@ let test_reject_zero_tlb_entries () =
   expect_error "zero tlb entries" ~contains:"entries"
     (patch ~pattern:{|"entries": 64|} ~with_:{|"entries": 0|} valid_json)
 
+let test_reject_one_byte_lines () =
+  expect_error "1-byte cache lines" ~contains:"line_bytes"
+    (patch ~pattern:{|"line_bytes": 32|} ~with_:{|"line_bytes": 1|} valid_json)
+
+let test_reject_one_byte_pages () =
+  expect_error "1-byte pages" ~contains:"page_bytes"
+    (patch ~pattern:{|"page_bytes": 8192|} ~with_:{|"page_bytes": 1|} valid_json)
+
 let test_load_missing_file () =
   match Desc.load "no/such/machine.json" with
   | Ok _ -> Alcotest.fail "expected Error"
@@ -311,6 +319,8 @@ let suite =
       Alcotest.test_case "reject malformed json" `Quick test_reject_bad_json;
       Alcotest.test_case "reject non-pow2 predictor" `Quick test_reject_non_pow2_predictor;
       Alcotest.test_case "reject zero tlb entries" `Quick test_reject_zero_tlb_entries;
+      Alcotest.test_case "reject 1-byte cache lines" `Quick test_reject_one_byte_lines;
+      Alcotest.test_case "reject 1-byte pages" `Quick test_reject_one_byte_pages;
       Alcotest.test_case "load missing file" `Quick test_load_missing_file;
       Alcotest.test_case "preset round trip" `Quick test_roundtrip_presets;
       Alcotest.test_case "json text round trip" `Quick test_json_text_roundtrip;

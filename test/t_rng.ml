@@ -150,6 +150,45 @@ let test_pick_weighted () =
   Alcotest.(check int) "zero-weight never chosen" 0 (get "c");
   Alcotest.(check bool) "weights respected" true (get "a" > 7 * get "b")
 
+(* The definition every pinned trace was generated with: sum the weights
+   left to right from 0.0, draw [float total], return the first choice
+   whose running sum exceeds the draw, or the last one. *)
+let reference_pick rng choices =
+  let total = Array.fold_left (fun acc (w, _) -> acc +. w) 0.0 choices in
+  let r = Rng.float rng total in
+  let n = Array.length choices in
+  let rec go i acc =
+    if i = n - 1 then snd choices.(i)
+    else
+      let acc = acc +. fst choices.(i) in
+      if r < acc then snd choices.(i) else go (i + 1) acc
+  in
+  go 0 0.0
+
+let test_pick_weighted_exact () =
+  let a = Rng.create ~seed:53L and b = Rng.create ~seed:53L in
+  let sets =
+    [|
+      [| (1.0, 0) |];
+      [| (0.5, 0); (0.3, 1); (0.2, 2) |];
+      [| (0.1, 0); (2.5, 1); (0.0, 2); (1e-3, 3); (7.0, 4) |];
+      [| (0.0, 0); (1.0, 1); (0.0, 2) |];
+    |]
+  in
+  for i = 1 to 20_000 do
+    let c = sets.(i mod Array.length sets) in
+    let x = Rng.pick_weighted a c and y = reference_pick b c in
+    if x <> y then Alcotest.failf "draw %d: picked %d, reference %d" i x y
+  done;
+  Alcotest.(check int64) "same state afterwards" (Rng.bits64 b) (Rng.bits64 a);
+  let c = sets.(2) in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    ignore (Rng.pick_weighted a c : int)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  if words > 100.0 then Alcotest.failf "%.0f minor words over 100000 picks" words
+
 let test_hash_string () =
   Alcotest.(check bool) "distinct strings hash apart"
     true
@@ -238,6 +277,8 @@ let suite =
       Alcotest.test_case "zipf harmonic case" `Quick test_zipf_harmonic_case;
       Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
       Alcotest.test_case "pick_weighted" `Quick test_pick_weighted;
+      Alcotest.test_case "pick_weighted exact and allocation-free" `Quick
+        test_pick_weighted_exact;
       Alcotest.test_case "hash_string" `Quick test_hash_string;
       Alcotest.test_case "matches boxed int64 reference" `Quick test_matches_int64_reference;
       prop_int_bound;

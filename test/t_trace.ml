@@ -441,6 +441,108 @@ let test_trace_io_binary_rejects_garbage () =
         Alcotest.fail "garbage accepted"
       with Failure _ -> ())
 
+(* ---------------- replay rejects registers it cannot hold ---------------- *)
+
+(* Analyzers index per-register state by id, so a register outside
+   [-1, Reg.count) must stop replay with the reader's [Failure] before any
+   analyzer sees it, never as an analyzer's [Invalid_argument]. *)
+
+let expect_failure what f =
+  match f () with _ -> Alcotest.failf "%s accepted" what | exception Failure _ -> ()
+
+let test_trace_io_line_register_range () =
+  List.iter
+    (fun (what, line) ->
+      expect_failure what (fun () -> Trace_io.instr_of_line line))
+    [
+      ("src1 64", "40 int_alu 64 -1 3 0 N 0");
+      ("src2 -2", "40 int_alu 1 -2 3 0 N 0");
+      ("dst 1000", "40 int_alu 1 2 1000 0 N 0");
+    ];
+  let i = Trace_io.instr_of_line "40 int_alu -1 63 31 0 N 0" in
+  Alcotest.(check (list int)) "range edges are registers" [ -1; 63; 31 ]
+    [ i.Instr.src1; i.Instr.src2; i.Instr.dst ]
+
+(* A recorded trace of [n] instructions with [corrupt] applied to its bytes. *)
+let with_corrupted_trace ~binary ~n corrupt f =
+  let p = P.single ~name:"trace-io-corrupt" K.default in
+  let path = Filename.temp_file "mica_trace" (if binary then ".bin" else ".txt") in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      ignore
+        (if binary then Trace_io.write_binary ~path p ~icount:n
+         else Trace_io.write_text ~path p ~icount:n
+          : int);
+      let data = In_channel.with_open_bin path In_channel.input_all in
+      Out_channel.with_open_bin path (fun oc -> output_string oc (corrupt data));
+      f path)
+
+(* record [i]'s byte at [offset] set to [v]; records follow the 8-byte magic *)
+let set_record_byte i offset v data =
+  let b = Bytes.of_string data in
+  Bytes.set_uint8 b (8 + (28 * i) + offset) v;
+  Bytes.to_string b
+
+let replay_into_analyzer ~binary path =
+  let sink = Mica_analysis.Analyzer.sink (Mica_analysis.Analyzer.create ()) in
+  if binary then Trace_io.replay_binary ~path ~sink else Trace_io.replay_text ~path ~sink
+
+let test_trace_io_binary_register_range () =
+  List.iter
+    (fun (what, offset, v) ->
+      with_corrupted_trace ~binary:true ~n:500 (set_record_byte 300 offset v) (fun path ->
+          expect_failure what (fun () -> replay_into_analyzer ~binary:true path)))
+    [ ("src1 byte 200", 25, 200); ("src2 register 64", 26, 65); ("dst register 126", 27, 0xFF) ]
+
+let test_trace_io_text_register_range () =
+  let bad_dst data =
+    let lines = String.split_on_char '\n' data in
+    String.concat "\n"
+      (List.mapi
+         (fun i l ->
+           if i <> 300 then l
+           else
+             match String.split_on_char ' ' l with
+             | [ pc; op; s1; s2; _; addr; taken; target ] ->
+               String.concat " " [ pc; op; s1; s2; "64"; addr; taken; target ]
+             | _ -> Alcotest.failf "unexpected trace line %S" l)
+         lines)
+  in
+  with_corrupted_trace ~binary:false ~n:500 bad_dst (fun path ->
+      match replay_into_analyzer ~binary:false path with
+      | (_ : int) -> Alcotest.fail "register 64 accepted"
+      | exception Failure msg ->
+        if not (String.starts_with ~prefix:"line 301:" msg) then
+          Alcotest.failf "message %S does not name line 301" msg)
+
+(* The CLI turns a replay [Failure] into a message and exit 2, not an
+   uncaught exception (cmdliner's exit 125). *)
+let run_mica args =
+  let err = Filename.temp_file "mica_err" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      let mica = "../bin/mica.exe" in
+      let code = Sys.command (Filename.quote_command mica args ~stdout:Filename.null ~stderr:err) in
+      (code, In_channel.with_open_text err In_channel.input_all))
+
+let test_characterize_trace_exit_codes () =
+  let expect what ~binary corrupt want =
+    with_corrupted_trace ~binary ~n:500 corrupt (fun path ->
+        let args =
+          [ "characterize-trace"; path; "--format"; (if binary then "binary" else "text") ]
+        in
+        let code, err = run_mica args in
+        Alcotest.(check int) (what ^ ": exit code") want code;
+        if want <> 0 && String.length err = 0 then Alcotest.failf "%s: no message" what)
+  in
+  expect "intact binary" ~binary:true Fun.id 0;
+  expect "intact text" ~binary:false Fun.id 0;
+  expect "bad source register" ~binary:true (set_record_byte 10 25 200) 2;
+  expect "truncated record" ~binary:true (fun d -> String.sub d 0 (String.length d - 5)) 2;
+  expect "garbage text" ~binary:false (fun d -> d ^ "not a trace line\n") 2
+
 let test_trace_io_analysis_equivalence () =
   (* analyzing a replayed trace gives the same characteristics as live *)
   let p = P.single ~name:"trace-io-analysis" K.default in
@@ -496,4 +598,9 @@ let suite =
       Alcotest.test_case "trace io binary file" `Quick test_trace_io_binary_file;
       Alcotest.test_case "trace io rejects garbage" `Quick test_trace_io_binary_rejects_garbage;
       Alcotest.test_case "trace io analysis equivalence" `Quick test_trace_io_analysis_equivalence;
+      Alcotest.test_case "trace io line register range" `Quick test_trace_io_line_register_range;
+      Alcotest.test_case "trace io binary register range" `Quick
+        test_trace_io_binary_register_range;
+      Alcotest.test_case "trace io text register range" `Quick test_trace_io_text_register_range;
+      Alcotest.test_case "characterize-trace exit codes" `Quick test_characterize_trace_exit_codes;
     ] )

@@ -165,6 +165,25 @@ let test_tlb_invalid () =
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
+(* -1 is the invalid tag and page: with 1-byte lines or pages address -1
+   would map onto it and hit in a cold cache or TLB, so both sizes are
+   rejected, and from 2 bytes up -1 misses like any other address. *)
+let test_one_byte_blocks_rejected () =
+  (try
+     ignore (U.Cache.create ~name:"c" ~size_bytes:4 ~line_bytes:1 ~assoc:4);
+     Alcotest.fail "1-byte cache lines accepted"
+   with Invalid_argument _ -> ());
+  (try
+     ignore (U.Tlb.create ~entries:4 ~page_bytes:1);
+     Alcotest.fail "1-byte pages accepted"
+   with Invalid_argument _ -> ());
+  let c = U.Cache.create ~name:"c" ~size_bytes:2 ~line_bytes:2 ~assoc:1 in
+  Alcotest.(check bool) "cold cache misses address -1" false (U.Cache.access c (-1));
+  Alcotest.(check bool) "then hits it" true (U.Cache.access c (-1));
+  let t = U.Tlb.create ~entries:4 ~page_bytes:2 in
+  Alcotest.(check bool) "cold tlb misses address -1" false (U.Tlb.access t (-1));
+  Alcotest.(check bool) "then hits it" true (U.Tlb.access t (-1))
+
 let test_tlb_access_range () =
   let t = U.Tlb.create ~entries:4 ~page_bytes:4096 in
   (* 4 bytes at 4094 straddle pages 0 and 1: two lookups, two misses *)
@@ -778,6 +797,7 @@ let suite =
       Alcotest.test_case "cache reset" `Quick test_cache_reset_counters;
       prop_cache_miss_rate_bounds;
       Alcotest.test_case "tlb basics" `Quick test_tlb_basic;
+      Alcotest.test_case "1-byte lines and pages rejected" `Quick test_one_byte_blocks_rejected;
       Alcotest.test_case "tlb LRU" `Quick test_tlb_lru_eviction;
       Alcotest.test_case "tlb invalid" `Quick test_tlb_invalid;
       Alcotest.test_case "tlb access range" `Quick test_tlb_access_range;

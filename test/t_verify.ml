@@ -168,6 +168,80 @@ let test_reference_catches_drift () =
   | [ m ] -> Alcotest.(check int) "drift localized" 0 m.V.Reference.index
   | ms -> Alcotest.failf "expected one mismatch, got %d" (List.length ms)
 
+(* ---------------- exact differential: the three tight kernels ----------------
+
+   PPM, ILP and register traffic against their oracles at every PPM order
+   and window size that exercises a distinct edge (order 0 has only the
+   empty context, 16 the full history; windows 1-3 wrap on almost every
+   instruction), compared by [Int64.bits_of_float]: both sides divide the
+   same integer counts, so any difference is a counting bug. *)
+
+let ppm_orders = [ 0; 1; 4; 8; 16 ]
+let ilp_windows = [| 1; 2; 3; 32; 256 |]
+
+let bits_mismatch what got oracle =
+  let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  if Array.length got = Array.length oracle && Array.for_all2 same got oracle then []
+  else
+    let show a = String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") a)) in
+    [ Printf.sprintf "%s: kernel [%s], oracle [%s]" what (show got) (show oracle) ]
+
+(* A small chunk capacity carries every kernel's state across chunk
+   boundaries as well. *)
+let kernel_mismatches ?(capacity = 97) instrs =
+  let module A = Mica_analysis in
+  let ppm order =
+    let t = A.Ppm.create ~order () in
+    Tutil.run_sink ~capacity (A.Ppm.sink t) instrs;
+    bits_mismatch (Printf.sprintf "ppm order %d" order) (A.Ppm.to_vector t)
+      (V.Reference.ppm ~order instrs)
+  in
+  let ilp = A.Ilp.create ~windows:ilp_windows () in
+  Tutil.run_sink ~capacity (A.Ilp.sink ilp) instrs;
+  let reg = A.Regtraffic.create () in
+  Tutil.run_sink ~capacity (A.Regtraffic.sink reg) instrs;
+  List.concat_map ppm ppm_orders
+  @ bits_mismatch "ilp" (A.Ilp.ipc ilp) (V.Reference.ilp ~windows:ilp_windows instrs)
+  @ bits_mismatch "regtraffic"
+      (A.Regtraffic.to_vector (A.Regtraffic.result reg))
+      (V.Reference.regtraffic instrs)
+
+let check_kernels what instrs =
+  match kernel_mismatches instrs with
+  | [] -> ()
+  | m :: _ -> Alcotest.failf "%s: %s" what m
+
+let test_kernels_exact_on_golden_workloads () =
+  List.iter
+    (fun (w : Workload.t) -> check_kernels (Workload.id w) (G.preview w.Workload.model ~n:1_500))
+    (golden_trio ())
+
+let prop_kernels_exact_on_random_specs =
+  Tutil.qcheck_case ~count:10 "kernels exact on random specs" T_fuzz.spec_gen (fun spec ->
+      kernel_mismatches (G.preview (T_fuzz.program_of_spec spec) ~n:700) = [])
+
+(* Hand-built: [Reg.none] (-1), the zero register (31) and the last FP
+   register (63) as sources and destinations, chains through 63 and
+   through ordinary registers, and branches at two sites with different
+   patterns; 300 instructions cross the first wrap of every window. *)
+let hand_chunk () =
+  List.init 300 (fun i ->
+      let pc = 0x1000 + (4 * (i mod 50)) in
+      match i mod 6 with
+      | 0 -> Tutil.branch ~pc ~src1:63 ~taken:(i mod 4 = 0) ()
+      | 1 -> Tutil.alu ~pc ~src1:31 ~src2:(-1) ~dst:63 ()
+      | 2 -> Tutil.fp ~pc ~src1:63 ~src2:63 ~dst:(32 + (i mod 5)) ()
+      | 3 -> Tutil.alu ~pc ~src1:(32 + (i mod 7)) ~src2:31 ~dst:31 ()
+      | 4 -> Tutil.branch ~pc:(pc + 2) ~src1:(i mod 3) ~taken:(i mod 18 <> 4) ()
+      | _ -> Tutil.alu ~pc ~src1:(-1) ~src2:(i mod 3) ~dst:(i mod 3) ())
+
+let test_kernels_exact_on_hand_chunk () =
+  check_kernels "hand chunk" (hand_chunk ());
+  (* the same stream one instruction per chunk *)
+  match kernel_mismatches ~capacity:1 (hand_chunk ()) with
+  | [] -> ()
+  | m :: _ -> Alcotest.failf "hand chunk, 1-element chunks: %s" m
+
 (* ---------------- differential laws ---------------- *)
 
 let test_differential_laws () =
@@ -978,6 +1052,10 @@ let suite =
       Alcotest.test_case "reference: golden workloads" `Quick test_reference_on_golden_workloads;
       Alcotest.test_case "reference: chunked transport" `Quick
         test_chunked_transport_matches_reference;
+      Alcotest.test_case "kernels: exact on golden workloads" `Quick
+        test_kernels_exact_on_golden_workloads;
+      prop_kernels_exact_on_random_specs;
+      Alcotest.test_case "kernels: exact on hand chunk" `Quick test_kernels_exact_on_hand_chunk;
       Alcotest.test_case "reference: empty trace" `Quick test_reference_empty_trace;
       Alcotest.test_case "reference: catches drift" `Quick test_reference_catches_drift;
       Alcotest.test_case "differential: laws" `Quick test_differential_laws;
