@@ -1375,6 +1375,7 @@ let profile_expected_spans stage =
   let characterize =
     [
       "pipeline.characterize";
+      "trace.setup";
       "trace.gen";
       "analyzer.mix";
       "analyzer.ilp";

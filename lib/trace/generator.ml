@@ -9,6 +9,7 @@ module Obs = Mica_obs.Obs
 
 let m_chunks = Obs.counter "trace.chunks"
 let m_instrs = Obs.counter "trace.instrs"
+let m_static_slots = Obs.counter "trace.static_slots"
 
 type state = {
   rng : Rng.t;
@@ -75,85 +76,102 @@ let mix_int x =
   let x = Int64.logxor x (Int64.shift_right_logical x 31) in
   Int64.to_int (Int64.shift_right_logical x 2)
 
-(* [Int.max]/[Int.min], not the polymorphic [max]/[min]: those are calls to
+(* The image's per-slot arrays are read with [unsafe_get] below: every
+   slot index comes from a loop bounded by [body_len] or by one helper
+   region, and [Kernel.instantiate] sizes the arrays to cover both.
+   [Int.max]/[Int.min], not the polymorphic [max]/[min]: those are calls to
    a generic compare on every Random or Chase access. *)
-let next_addr st (m : Kernel.mem_state) =
-  match m.m_pattern with
-  | Kernel.Fixed -> m.m_base + m.m_cursor
-  | Kernel.Seq { stride } | Kernel.Strided { stride } ->
-    let a = m.m_base + m.m_cursor in
-    let next = m.m_cursor + stride in
-    m.m_cursor <- (if next >= m.m_span || next < 0 then (next mod m.m_span + m.m_span) mod m.m_span else next);
-    a
-  | Kernel.Random ->
+let next_addr st (k : Kernel.instance) s =
+  let span = k.spec.Kernel.data_bytes in
+  match Array.unsafe_get k.mem_access s with
+  | Kernel.No_access -> 0
+  | Kernel.Fixed_access -> k.data_base + Array.unsafe_get k.mem_cursor s
+  | Kernel.Stride_access ->
+    let cursor = Array.unsafe_get k.mem_cursor s in
+    let next = cursor + Array.unsafe_get k.mem_stride s in
+    Array.unsafe_set k.mem_cursor s
+      (if next >= span || next < 0 then ((next mod span) + span) mod span else next);
+    k.data_base + cursor
+  | Kernel.Random_access ->
     (* Random accesses are zipf-like in real programs: most hit a hot
-       window ([m_aux] marks its start), the tail roams the whole region. *)
+       window ([mem_aux] marks its start), the tail roams the whole region. *)
     if Rng.bernoulli st.rng ~p:0.9 then
-      let hot_span = Int.max 64 (m.m_span / 64) in
-      m.m_base + ((m.m_aux + (Rng.int st.rng (hot_span / 8) * 8)) mod m.m_span)
-    else m.m_base + (Rng.int st.rng (Int.max 1 (m.m_span / 8)) * 8)
-  | Kernel.Chase ->
+      let hot_span = Int.max 64 (span / 64) in
+      k.data_base + ((Array.unsafe_get k.mem_aux s + (Rng.int st.rng (hot_span / 8) * 8)) mod span)
+    else k.data_base + (Rng.int st.rng (Int.max 1 (span / 8)) * 8)
+  | Kernel.Chase_access ->
     (* Dependent walks have temporal locality: the chase scrambles inside a
        window that occasionally relocates, so the full region is covered
        over time without thrashing the TLB on every access. *)
-    let window = Int.max 4096 (Int.min (m.m_span / 8) 131072) in
+    let window = Int.max 4096 (Int.min (span / 8) 131072) in
     if Rng.bernoulli st.rng ~p:0.03 then
-      m.m_aux <- Rng.int st.rng (Int.max 1 (m.m_span / 8)) * 8 mod m.m_span;
-    let a = m.m_base + ((m.m_aux + m.m_cursor) mod m.m_span) in
-    m.m_cursor <- mix_int m.m_cursor mod window land lnot 7;
-    a
+      Array.unsafe_set k.mem_aux s (Rng.int st.rng (Int.max 1 (span / 8)) * 8 mod span);
+    let cursor = Array.unsafe_get k.mem_cursor s in
+    Array.unsafe_set k.mem_cursor s (mix_int cursor mod window land lnot 7);
+    k.data_base + ((Array.unsafe_get k.mem_aux s + cursor) mod span)
 
-let branch_outcome st (b : Kernel.br_state) =
+let rec parity x acc = if x = 0 then acc else parity (x lsr 1) (acc lxor (x land 1))
+
+let branch_outcome st (k : Kernel.instance) s =
+  let execs = Array.unsafe_get k.br_execs s in
   let outcome =
-    match b.b_kind with
-    | Kernel.Loop_like { period } -> b.b_execs mod period <> period - 1
-    | Kernel.Periodic { period; taken_in_period } -> b.b_execs mod period < taken_in_period
-    | Kernel.Biased { taken_prob } -> Rng.bernoulli st.rng ~p:taken_prob
-    | Kernel.History { depth } ->
+    match Array.unsafe_get k.br_rule s with
+    | Kernel.Loop_rule ->
+      let period = Array.unsafe_get k.br_param s in
+      execs mod period <> period - 1
+    | Kernel.Periodic_rule ->
+      execs mod Array.unsafe_get k.br_param s < Array.unsafe_get k.br_taken s
+    | Kernel.Biased_rule -> Rng.bernoulli st.rng ~p:(Array.unsafe_get k.br_prob s)
+    | Kernel.History_rule ->
       (* parity of the last [depth] global outcomes *)
-      let mask = (1 lsl depth) - 1 in
-      let rec parity x acc = if x = 0 then acc else parity (x lsr 1) (acc lxor (x land 1)) in
+      let mask = (1 lsl Array.unsafe_get k.br_param s) - 1 in
       parity (st.ghist land mask) 0 = 1
+    | Kernel.No_rule -> invalid_arg "Generator: branch slot without a rule"
   in
-  b.b_execs <- b.b_execs + 1;
+  Array.unsafe_set k.br_execs s (execs + 1);
   st.ghist <- ((st.ghist lsl 1) lor Bool.to_int outcome) land 0xFFFF;
   outcome
 
-let emit_slot st (slot : Kernel.slot) =
-  let addr = match slot.s_mem with Some m -> next_addr st m | None -> 0 in
-  emit st ~pc:slot.s_pc ~op:(Opcode.to_int slot.s_op) ~src1:slot.s_src1 ~src2:slot.s_src2
-    ~dst:slot.s_dst ~addr ~taken:false ~target:0
+let emit_slot st (k : Kernel.instance) s ~pc =
+  let addr = next_addr st k s in
+  emit st ~pc ~op:(Array.unsafe_get k.op s) ~src1:(Array.unsafe_get k.src1 s)
+    ~src2:(Array.unsafe_get k.src2 s) ~dst:(Array.unsafe_get k.dst s) ~addr ~taken:false
+    ~target:0
 
 (* Execute one loop iteration of the body; returns unit.  Taken body
    branches skip slots; a skip past the end jumps to the loop back-edge. *)
-let run_iteration st (inst : Kernel.instance) =
-  let body = inst.i_body in
-  let n = Array.length body in
+let run_iteration st (k : Kernel.instance) =
+  let n = k.body_len in
   let i = ref 0 in
   while !i < n do
-    let slot = body.(!i) in
-    match slot.s_br with
-    | None ->
-      emit_slot st slot;
-      incr i
-    | Some br ->
-      let taken = branch_outcome st br in
-      let skip_target = !i + 1 + br.b_skip in
-      let target = if skip_target >= n then inst.i_loop_pc else body.(skip_target).s_pc in
-      emit st ~pc:slot.s_pc ~op:op_branch ~src1:slot.s_src1 ~src2:slot.s_src2 ~dst:Reg.none
-        ~addr:0 ~taken ~target;
-      i := (if taken then skip_target else !i + 1)
+    let s = !i in
+    let pc = k.code_base + (4 * s) in
+    if Array.unsafe_get k.op s <> op_branch then begin
+      emit_slot st k s ~pc;
+      i := s + 1
+    end
+    else begin
+      let taken = branch_outcome st k s in
+      let skip_target = s + 1 + Array.unsafe_get k.br_skip s in
+      let target = if skip_target >= n then k.loop_pc else k.code_base + (4 * skip_target) in
+      emit st ~pc ~op:op_branch ~src1:(Array.unsafe_get k.src1 s)
+        ~src2:(Array.unsafe_get k.src2 s) ~dst:Reg.none ~addr:0 ~taken ~target;
+      i := if taken then skip_target else s + 1
+    end
   done
 
-let run_helper st (inst : Kernel.instance) =
-  if Array.length inst.i_helpers > 0 then begin
-    let idx = Rng.pick_weighted st.rng inst.i_helper_weights in
-    let helper = inst.i_helpers.(idx) in
-    let call_pc = inst.i_loop_pc + 4 in
+let run_helper st (k : Kernel.instance) =
+  if Array.length k.helper_bases > 0 then begin
+    let idx = Rng.pick_weighted st.rng k.helper_weights in
+    let base = k.helper_bases.(idx) in
+    let first = k.body_len + (idx * k.helper_len) in
+    let call_pc = k.loop_pc + 4 in
     emit st ~pc:call_pc ~op:op_call ~src1:Reg.none ~src2:Reg.none ~dst:Reg.none ~addr:0
-      ~taken:true ~target:helper.h_base;
-    Array.iter (emit_slot st) helper.h_body;
-    let ret_pc = helper.h_base + (4 * Array.length helper.h_body) in
+      ~taken:true ~target:base;
+    for j = 0 to k.helper_len - 1 do
+      emit_slot st k (first + j) ~pc:(base + (4 * j))
+    done;
+    let ret_pc = base + (4 * k.helper_len) in
     emit st ~pc:ret_pc ~op:op_return ~src1:Reg.none ~src2:Reg.none ~dst:Reg.none ~addr:0
       ~taken:true ~target:(call_pc + 4)
   end
@@ -162,19 +180,18 @@ let run_helper st (inst : Kernel.instance) =
    If control is not already at the kernel entry (the previous visit ended
    elsewhere), an explicit jump connects the flow, as a real caller
    would. *)
-let run_visit st (inst : Kernel.instance) =
-  let spec = inst.i_spec in
-  if st.next_pc <> 0 && st.next_pc <> inst.i_code_base then
+let run_visit st (k : Kernel.instance) =
+  let spec = k.spec in
+  if st.next_pc <> 0 && st.next_pc <> k.code_base then
     emit st ~pc:st.next_pc ~op:op_jump ~src1:Reg.none ~src2:Reg.none ~dst:Reg.none ~addr:0
-      ~taken:true ~target:inst.i_code_base;
-  inst.i_visits <- inst.i_visits + 1;
+      ~taken:true ~target:k.code_base;
   for it = 1 to spec.trip_count do
-    run_iteration st inst;
+    run_iteration st k;
     let taken = it < spec.trip_count in
-    emit st ~pc:inst.i_loop_pc ~op:op_branch ~src1:0 ~src2:Reg.none ~dst:Reg.none ~addr:0 ~taken
-      ~target:inst.i_code_base
+    emit st ~pc:k.loop_pc ~op:op_branch ~src1:0 ~src2:Reg.none ~dst:Reg.none ~addr:0 ~taken
+      ~target:k.code_base
   done;
-  if Rng.bernoulli st.rng ~p:spec.helper_call_prob then run_helper st inst
+  if Rng.bernoulli st.rng ~p:spec.helper_call_prob then run_helper st k
 
 (* Address-space layout: each kernel instance gets a private code region and
    a private data region.  The spacing is deliberately not a power of two:
@@ -185,22 +202,29 @@ let data_base_for idx = 0x4000_0000 + (idx * 0x1010_4c80)
 
 type phase_rt = { kernels : (float * Kernel.instance) array; length : int }
 
+(* Instantiate every kernel, in program order, before the first
+   instruction: the one cost that grows with the program's static size
+   rather than its trace length. *)
 let build_phases program rng =
-  let idx = ref 0 in
-  List.map
-    (fun (ph : Program.phase) ->
-      let kernels =
-        List.map
-          (fun (w, spec) ->
-            let k = !idx in
-            incr idx;
-            ( w,
-              Kernel.instantiate spec ~rng ~code_base:(code_base_for k)
-                ~data_base:(data_base_for k) ))
-          ph.ph_kernels
-      in
-      { kernels = Array.of_list kernels; length = ph.ph_length })
-    program.Program.phases
+  Obs.span "trace.setup" (fun () ->
+      let idx = ref 0 in
+      List.map
+        (fun (ph : Program.phase) ->
+          let kernels =
+            List.map
+              (fun (w, spec) ->
+                let i = !idx in
+                incr idx;
+                let k =
+                  Kernel.instantiate spec ~rng ~code_base:(code_base_for i)
+                    ~data_base:(data_base_for i)
+                in
+                Obs.add m_static_slots (float_of_int (Array.length k.Kernel.op));
+                (w, k))
+              ph.ph_kernels
+          in
+          { kernels = Array.of_list kernels; length = ph.ph_length })
+        program.Program.phases)
 
 let run program ~icount ~sink =
   (match Program.validate program with Ok () -> () | Error msg -> invalid_arg msg);

@@ -81,44 +81,58 @@ val validate : spec -> (unit, string) result
     The instantiation freezes the static structure: concrete slot opcodes,
     dependency edges, register assignment, per-slot pattern state and code
     addresses.  Mutable state (pattern cursors, branch execution counters)
-    lives inside and advances as the generator executes the instance. *)
+    lives inside and advances as the generator executes the instance.
 
-type slot = {
-  s_pc : int;
-  s_op : Mica_isa.Opcode.t;
-  s_dst : int;
-  s_src1 : int;  (** register id or {!Mica_isa.Reg.none} *)
-  s_src2 : int;
-  s_mem : mem_state option;
-  s_br : br_state option;
-}
+    An instance is one flat code image: parallel arrays indexed by slot,
+    the body's [body_len] slots first, then each helper region's
+    [helper_len] slots in turn.  Slot [i] of the body sits at
+    [code_base + 4 i] and slot [j] of helper [h] at
+    [helper_bases.(h) + 4 j]; pcs are computed, not stored.  Memory state
+    is meaningful only where [mem_access] is not [No_access] (exactly the
+    load and store slots), branch state only where [br_rule] is not
+    [No_rule] (exactly the body's branch slots; the branch arrays span the
+    body only, since helpers are straight-line code). *)
 
-and mem_state = {
-  m_pattern : mem_pattern;
-  m_base : int;
-  m_span : int;
-  mutable m_cursor : int;
-  mutable m_aux : int;
+(** How a memory slot forms its next address.  [Seq] and [Strided] both
+    walk by their stride. *)
+type access = No_access | Fixed_access | Stride_access | Random_access | Chase_access
+
+(** How a branch slot decides its outcome: one rule per {!branch_kind}. *)
+type rule = No_rule | Loop_rule | Periodic_rule | Biased_rule | History_rule
+
+type instance = private {
+  spec : spec;
+  code_base : int;
+  loop_pc : int;  (** pc of the loop back-edge branch *)
+  data_base : int;
+  body_len : int;  (** [spec.body_slots] *)
+  helper_len : int;  (** slots per helper region; 0 without helpers *)
+  helper_bases : int array;  (** code address of each helper region *)
+  helper_weights : (float * int) array;  (** zipf-ish popularity, index *)
+  op : int array;  (** {!Mica_isa.Opcode.to_int} codes *)
+  dst : int array;
+  src1 : int array;  (** register id or {!Mica_isa.Reg.none} *)
+  src2 : int array;
+  mem_access : access array;
+  mem_stride : int array;  (** of [Stride_access] slots *)
+  mem_cursor : int array;  (** offset of the next access within the data region *)
+  mem_aux : int array;
       (** start of the current locality window for Random/Chase patterns *)
-}
-
-and br_state = { b_kind : branch_kind; b_skip : int; mutable b_execs : int }
-
-type helper = { h_base : int; h_body : slot array }
-
-type instance = {
-  i_spec : spec;
-  i_code_base : int;
-  i_body : slot array;
-  i_loop_pc : int;  (** pc of the loop back-edge branch *)
-  i_helpers : helper array;
-  i_helper_weights : (float * int) array;  (** zipf-ish popularity, index *)
-  mutable i_visits : int;
+  br_rule : rule array;
+  br_param : int array;  (** period of Loop_like/Periodic, depth of History *)
+  br_taken : int array;  (** [taken_in_period] of Periodic *)
+  br_prob : float array;  (** [taken_prob] of Biased *)
+  br_skip : int array;  (** slots a taken branch skips *)
+  br_execs : int array;  (** executions so far *)
 }
 
 val instantiate : spec -> rng:Mica_util.Rng.t -> code_base:int -> data_base:int -> instance
 (** Freeze a spec into an executable instance.  Raises [Invalid_argument]
     if [validate spec] fails. *)
+
+val slot_pc : instance -> int -> int
+(** Code address of image slot [i].  Raises [Invalid_argument] outside
+    [0, Array.length op). *)
 
 val code_bytes : spec -> int
 (** Static code footprint implied by the spec (body + loop branch + helpers),

@@ -24,12 +24,18 @@ let reg_of_string s =
   let r = int_of_string s in
   if valid_reg r then r else failwith (Printf.sprintf "register %d out of range" r)
 
+(* Analyzers key per-site tables by pc, and those keys must be
+   non-negative; a hex pc of 2^62 or more parses to a negative int. *)
+let pc_of_string s =
+  let pc = int_of_string ("0x" ^ s) in
+  if pc >= 0 then pc else failwith (Printf.sprintf "pc %s out of range" s)
+
 let instr_of_line line =
   match String.split_on_char ' ' (String.trim line) with
   | [ pc; op; src1; src2; dst; addr; taken; target ] -> (
     try
       Instr.make
-        ~pc:(int_of_string ("0x" ^ pc))
+        ~pc:(pc_of_string pc)
         ~op:(opcode_of_string op) ~src1:(reg_of_string src1) ~src2:(reg_of_string src2)
         ~dst:(reg_of_string dst)
         ~addr:(int_of_string ("0x" ^ addr))
@@ -93,8 +99,14 @@ let encode buf (i : Instr.t) =
   Bytes.set_uint8 buf 26 (i.src2 + 1);
   Bytes.set_uint8 buf 27 ((i.dst + 1) lor if i.taken then 0x80 else 0)
 
+(* [Int64.to_int] keeps the low 63 bits, so an int64 pc outside
+   [0, 2^62) would silently become another pc or a negative one. *)
+let max_pc = Int64.of_int max_int
+
 let decode buf =
-  let pc = Int64.to_int (Bytes.get_int64_le buf 0) in
+  let pc64 = Bytes.get_int64_le buf 0 in
+  if pc64 < 0L || pc64 > max_pc then failwith "corrupt trace: pc out of range";
+  let pc = Int64.to_int pc64 in
   let addr = Int64.to_int (Bytes.get_int64_le buf 8) in
   let target = Int64.to_int (Bytes.get_int64_le buf 16) in
   let op_idx = Bytes.get_uint8 buf 24 in

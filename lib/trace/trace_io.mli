@@ -25,14 +25,15 @@ val replay_text : path:string -> sink:Sink.t -> int
 (** Feed a recorded text trace into a sink; returns the instruction count.
     Raises [Failure] with a line number on malformed input, including a
     register below [Mica_isa.Reg.none] or at or above
-    [Mica_isa.Reg.count]. *)
+    [Mica_isa.Reg.count] and a pc that does not fit a non-negative int. *)
 
 val replay_binary : path:string -> sink:Sink.t -> int
 (** Raises [Failure] on a bad header, a truncated record or a record
     naming a register below [Mica_isa.Reg.none] or at or above
-    [Mica_isa.Reg.count]. *)
+    [Mica_isa.Reg.count], or a pc outside [0, 2^62). *)
 
 val instr_to_line : Mica_isa.Instr.t -> string
 val instr_of_line : string -> Mica_isa.Instr.t
 (** Single-record text conversions (exposed for tests and tooling).
-    @raise Failure on malformed input, including an out-of-range register. *)
+    @raise Failure on malformed input, including an out-of-range register
+    or a negative pc. *)

@@ -42,11 +42,17 @@ let rec probe keys mask key i =
   let k = Array.unsafe_get keys i in
   if k = key || k = -1 then i else probe keys mask key ((i + 1) land mask)
 
+(* A negative key is never bound.  It must not reach [probe]: the probe
+   stops at the first empty slot, whose marker -1 would match key -1. *)
 let find t key ~default =
-  let i = probe t.keys t.mask key (slot_of_key t.shift key) in
-  if Array.unsafe_get t.keys i = key then Array.unsafe_get t.vals i else default
+  if key < 0 then default
+  else
+    let i = probe t.keys t.mask key (slot_of_key t.shift key) in
+    if Array.unsafe_get t.keys i = key then Array.unsafe_get t.vals i else default
 
 let mem t key =
+  key >= 0
+  &&
   let i = probe t.keys t.mask key (slot_of_key t.shift key) in
   Array.unsafe_get t.keys i = key
 

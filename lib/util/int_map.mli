@@ -17,9 +17,11 @@ val length : t -> int
 (** Number of distinct keys present. *)
 
 val find : t -> int -> default:int -> int
-(** [find t key ~default] is the value bound to [key], or [default]. *)
+(** [find t key ~default] is the value bound to [key], or [default].  A
+    negative key is never bound. *)
 
 val mem : t -> int -> bool
+(** [mem t key] is whether [key] is bound; [false] for a negative key. *)
 
 val set : t -> int -> int -> unit
 (** [set t key v] binds [key] to [v], replacing any previous binding. *)

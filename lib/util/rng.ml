@@ -1,32 +1,26 @@
 (* xoshiro256** with SplitMix64 seeding.  See Blackman & Vigna,
    "Scrambled linear pseudorandom number generators".
 
-   The 256-bit state lives in eight untagged [int] fields, each holding one
-   32-bit half of a state word.  Plain [int64] state would box a fresh
-   Int64 for every field store and most intermediates on the non-flambda
-   compiler, which puts ~15 minor words on every draw — and the trace
-   generator draws on the hot path.  The step function only ever multiplies
-   by the constants 5 and 9, so full 64-bit arithmetic reduces to
-   shift-and-add on (hi, lo) pairs and the split-word form is bit-exact
-   with the reference implementation (asserted by the pinned golden
-   vectors in the test suite). *)
+   The 256-bit state lives in a 40-byte buffer as four native 64-bit
+   words, followed by the output of the last step.  The [%caml_bytes_*64u]
+   primitives read and write those words unboxed, so the step function is
+   plain 64-bit arithmetic in registers.  A record of [int64] fields would
+   box a fresh Int64 on every field store on the non-flambda compiler (~15
+   minor words per draw), and the trace generator draws on the hot path.
+   The stream is bit-exact with the reference implementation (asserted by
+   the pinned golden vectors in the test suite). *)
 
-type t = {
-  mutable s0h : int;
-  mutable s0l : int;
-  mutable s1h : int;
-  mutable s1l : int;
-  mutable s2h : int;
-  mutable s2l : int;
-  mutable s3h : int;
-  mutable s3l : int;
-  (* 64-bit output of the last step, as (hi, lo); scratch fields so [step]
-     can hand both halves back without allocating a pair *)
-  mutable rh : int;
-  mutable rl : int;
-}
+type t = Bytes.t
 
-let mask32 = 0xFFFFFFFF
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* byte offsets of the state words and of the last output *)
+let w0 = 0
+let w1 = 8
+let w2 = 16
+let w3 = 24
+let out = 32
 
 (* SplitMix64 step: used only for seeding and [split], so boxed [int64]
    arithmetic is fine here. *)
@@ -37,27 +31,11 @@ let splitmix64 state =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let hi64 x = Int64.to_int (Int64.shift_right_logical x 32)
-let lo64 x = Int64.to_int (Int64.logand x 0xFFFFFFFFL)
-
 let create ~seed =
   let st = ref seed in
-  let s0 = splitmix64 st in
-  let s1 = splitmix64 st in
-  let s2 = splitmix64 st in
-  let s3 = splitmix64 st in
-  {
-    s0h = hi64 s0;
-    s0l = lo64 s0;
-    s1h = hi64 s1;
-    s1l = lo64 s1;
-    s2h = hi64 s2;
-    s2l = lo64 s2;
-    s3h = hi64 s3;
-    s3l = lo64 s3;
-    rh = 0;
-    rl = 0;
-  }
+  let t = Bytes.make 40 '\000' in
+  List.iter (fun w -> set64 t w (splitmix64 st)) [ w0; w1; w2; w3 ];
+  t
 
 let hash_string s =
   let h = ref 0xCBF29CE484222325L in
@@ -70,106 +48,91 @@ let hash_string s =
 
 let of_string s = create ~seed:(hash_string s)
 
-(* One xoshiro256** step on split words.  64-bit ops on (hi, lo):
-   - xor and shifts act componentwise with carry across the halves;
-   - rotl by k < 32 moves each half's top k bits into the other's bottom;
-   - rotl by 32 + k swaps the halves first;
-   - mul by a small constant c is exact: lo * c fits far below 2^62, its
-     bits above 32 carry into hi, and truncation mod 2^64 is the mask. *)
+(* One xoshiro256** step; its output goes to [out].  Every intermediate is
+   a let-bound [int64] consumed only by [Int64] primitives, which the
+   compiler keeps unboxed. *)
 let step t =
-  let s1h = t.s1h and s1l = t.s1l in
-  (* m = s1 * 5 *)
-  let p = s1l * 5 in
-  let ml = p land mask32 in
-  let mh = ((s1h * 5) + (p lsr 32)) land mask32 in
-  (* r = rotl m 7 *)
-  let rh = ((mh lsl 7) lor (ml lsr 25)) land mask32 in
-  let rl = ((ml lsl 7) lor (mh lsr 25)) land mask32 in
-  (* result = r * 9 *)
-  let q = rl * 9 in
-  t.rl <- q land mask32;
-  t.rh <- ((rh * 9) + (q lsr 32)) land mask32;
-  (* tmp = s1 lsl 17 *)
-  let th = ((s1h lsl 17) lor (s1l lsr 15)) land mask32 in
-  let tl = (s1l lsl 17) land mask32 in
-  let s2h = t.s2h lxor t.s0h and s2l = t.s2l lxor t.s0l in
-  let s3h = t.s3h lxor s1h and s3l = t.s3l lxor s1l in
-  let s1h = s1h lxor s2h and s1l = s1l lxor s2l in
-  let s0h = t.s0h lxor s3h and s0l = t.s0l lxor s3l in
-  let s2h = s2h lxor th and s2l = s2l lxor tl in
-  (* s3 = rotl s3 45 = rotl (swapped halves) 13 *)
-  let n3h = ((s3l lsl 13) lor (s3h lsr 19)) land mask32 in
-  let n3l = ((s3h lsl 13) lor (s3l lsr 19)) land mask32 in
-  t.s3h <- n3h;
-  t.s3l <- n3l;
-  t.s0h <- s0h;
-  t.s0l <- s0l;
-  t.s1h <- s1h;
-  t.s1l <- s1l;
-  t.s2h <- s2h;
-  t.s2l <- s2l
+  let s0 = get64 t w0 and s1 = get64 t w1 and s2 = get64 t w2 and s3 = get64 t w3 in
+  (* result = rotl (s1 * 5) 7 * 9 *)
+  let m = Int64.mul s1 5L in
+  let r = Int64.logor (Int64.shift_left m 7) (Int64.shift_right_logical m 57) in
+  set64 t out (Int64.mul r 9L);
+  let tmp = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  let s1 = Int64.logxor s1 s2 in
+  let s0 = Int64.logxor s0 s3 in
+  let s2 = Int64.logxor s2 tmp in
+  (* s3 = rotl s3 45 *)
+  let s3 = Int64.logor (Int64.shift_left s3 45) (Int64.shift_right_logical s3 19) in
+  set64 t w0 s0;
+  set64 t w1 s1;
+  set64 t w2 s2;
+  set64 t w3 s3
 
 let bits64 t =
   step t;
-  Int64.logor (Int64.shift_left (Int64.of_int t.rh) 32) (Int64.of_int t.rl)
+  get64 t out
 
 let split t = create ~seed:(bits64 t)
 
-let copy t =
-  {
-    s0h = t.s0h;
-    s0l = t.s0l;
-    s1h = t.s1h;
-    s1l = t.s1l;
-    s2h = t.s2h;
-    s2l = t.s2l;
-    s3h = t.s3h;
-    s3l = t.s3l;
-    rh = t.rh;
-    rl = t.rl;
-  }
+let copy = Bytes.copy
 
 (* Non-negative 62-bit int from the high bits. *)
 let bits_int t =
   step t;
-  (t.rh lsl 30) lor (t.rl lsr 2)
+  Int64.to_int (Int64.shift_right_logical (get64 t out) 2)
 
-let rec int_reject t n bound =
+(* Rejection to avoid modulo bias: a draw [v] is kept when it lies below
+   the largest multiple of [n] that fits in [0, max_int], that is when
+   [v / n < max_int / n].  With [r = v mod n] that is [v - r + n <= max_int],
+   so the bound costs no division of its own; written [v - r <= max_int - n]
+   it cannot overflow. *)
+let rec int_reject t n =
   let v = bits_int t in
-  if v < bound then v mod n else int_reject t n bound
+  let r = v mod n in
+  if v - r <= max_int - n then r else int_reject t n
 
 let int t n =
   assert (n > 0);
-  (* Rejection to avoid modulo bias. *)
-  let bound = 0x3FFF_FFFF_FFFF_FFFF / n * n in
-  int_reject t n bound
+  int_reject t n
 
 let int_in t lo hi =
   assert (lo <= hi);
   lo + int t (hi - lo + 1)
 
-let float t x =
-  (* 53 uniform mantissa bits: bits64 lsr 11, i.e. rh:21 over rl:21..31. *)
+(* A uniform float in [0, 1) from 53 mantissa bits: bits64 lsr 11.
+   Inlined, so callers get it unboxed; a call would box the result (2
+   minor words per draw). *)
+let[@inline] unit_float t =
   step t;
-  let v = float_of_int ((t.rh lsl 21) lor (t.rl lsr 11)) in
-  x *. (v *. 0x1.0p-53)
+  Int64.to_float (Int64.shift_right_logical (get64 t out) 11) *. 0x1.0p-53
+
+let float t x = x *. unit_float t
 
 let bool t =
   step t;
-  t.rh land 0x80000000 <> 0
+  get64 t out < 0L
 
+(* [unit_float t] is the same float as [float t 1.0]: multiplying by 1.0
+   is exact. *)
 let bernoulli t ~p =
   if p <= 0. then false
   else if p >= 1. then true
-  else float t 1.0 < p
+  else unit_float t < p
+
+(* [log_q = log (1 - p)] is [neg_infinity] exactly when [p = 1]: then the
+   first trial succeeds and nothing is drawn. *)
+let[@inline] geometric_log t ~log_q =
+  if log_q = Float.neg_infinity then 0
+  else
+    let u = 1.0 -. unit_float t in
+    (* inverse CDF; [u] in (0,1] so log is finite *)
+    int_of_float (floor (log u /. log_q))
 
 let geometric t ~p =
   assert (p > 0. && p <= 1.);
-  if p >= 1. then 0
-  else
-    let u = 1.0 -. float t 1.0 in
-    (* inverse CDF; [u] in (0,1] so log is finite *)
-    int_of_float (Float.of_int 0 +. floor (log u /. log (1. -. p)))
+  geometric_log t ~log_q:(log (1. -. p))
 
 let gaussian t ~mu ~sigma =
   let rec nonzero () =
@@ -233,6 +196,18 @@ let shuffle t a =
     a.(j) <- tmp
   done
 
+(* [shuffle]'s loop again, monomorphic: a store into an ['a array] goes
+   through the write barrier ([caml_modify]), a store into an [int array]
+   is a plain move. *)
+let shuffle_ints t (a : int array) ~pos ~len =
+  if pos < 0 || len < 0 || pos > Array.length a - len then invalid_arg "Rng.shuffle_ints";
+  for i = len - 1 downto 1 do
+    let j = int t (i + 1) in
+    let tmp = a.(pos + i) in
+    a.(pos + i) <- a.(pos + j);
+    a.(pos + j) <- tmp
+  done
+
 let pick t a =
   assert (Array.length a > 0);
   a.(int t (Array.length a))
@@ -248,9 +223,7 @@ let pick_weighted t (choices : (float * _) array) =
     total := !total +. fst choices.(i)
   done;
   assert (!total > 0.);
-  (* [float t !total], written out: a call would box its result *)
-  step t;
-  let r = !total *. (float_of_int ((t.rh lsl 21) lor (t.rl lsr 11)) *. 0x1.0p-53) in
+  let r = !total *. unit_float t in
   let i = ref 0 and acc = ref 0.0 in
   while
     !i < n - 1

@@ -45,6 +45,11 @@ val geometric : t -> p:float -> int
 (** [geometric t ~p] counts Bernoulli(p) failures before the first success;
     support 0, 1, 2, ...  Requires [0 < p <= 1]. *)
 
+val geometric_log : t -> log_q:float -> int
+(** [geometric_log t ~log_q] is [geometric t ~p] for [log_q = log (1. -. p)]:
+    the same value from the same draws, for callers that draw many times at
+    one [p] and take the logarithm once. *)
+
 val gaussian : t -> mu:float -> sigma:float -> float
 (** Normal deviate via Box-Muller. *)
 
@@ -59,6 +64,12 @@ val zipf : t -> n:int -> s:float -> int
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
+
+val shuffle_ints : t -> int array -> pos:int -> len:int -> unit
+(** [shuffle_ints t a ~pos ~len] shuffles [a.(pos) .. a.(pos + len - 1)] in
+    place, drawing exactly as [shuffle] does on an array of [len]
+    elements, without [shuffle]'s write barrier per store.  Raises
+    [Invalid_argument] if the range is not within [a]. *)
 
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)

@@ -189,6 +189,81 @@ let test_pick_weighted_exact () =
   let words = Gc.minor_words () -. w0 in
   if words > 100.0 then Alcotest.failf "%.0f minor words over 100000 picks" words
 
+(* The definitions every pinned trace was generated with, written from raw
+   64-bit draws: [int] rejects draws at or above [max_int / n * n] and
+   reduces the rest mod [n]; [bernoulli] compares one [float 1.0] draw with
+   [p]; [geometric] inverts the CDF with [log (1 - p)] taken per call. *)
+let reference_int rng n =
+  let bound = max_int / n * n in
+  let rec go () =
+    let v = Int64.to_int (Int64.shift_right_logical (Rng.bits64 rng) 2) in
+    if v < bound then v mod n else go ()
+  in
+  go ()
+
+let reference_unit rng =
+  Int64.to_float (Int64.shift_right_logical (Rng.bits64 rng) 11) *. 0x1.0p-53
+
+let reference_bernoulli rng p =
+  if p <= 0. then false else if p >= 1. then true else reference_unit rng < p
+
+let reference_geometric rng p =
+  if p >= 1. then 0
+  else
+    let u = 1.0 -. reference_unit rng in
+    int_of_float (Float.of_int 0 +. floor (log u /. log (1. -. p)))
+
+let test_draws_exact_and_allocation_free () =
+  let a = Rng.create ~seed:59L and b = Rng.create ~seed:59L in
+  (* bounds near max_int / 2 reject almost half their draws *)
+  let bounds = [| 1; 2; 3; 7; 1000; (max_int / 2) + 2; (max_int / 3) + 1; max_int |] in
+  let probs = [| 0.0; 1e-300; 0.1; 0.35; 0.9; 1.0 -. epsilon_float; 1.0 |] in
+  for i = 1 to 20_000 do
+    let n = bounds.(i mod Array.length bounds) and p = probs.(i mod Array.length probs) in
+    let x = Rng.int a n and y = reference_int b n in
+    if x <> y then Alcotest.failf "int %d, draw %d: %d, reference %d" n i x y;
+    let x = Rng.bernoulli a ~p and y = reference_bernoulli b p in
+    if x <> y then Alcotest.failf "bernoulli %h, draw %d: %b, reference %b" p i x y;
+    if p > 0. then begin
+      let x = Rng.geometric a ~p and y = reference_geometric b p in
+      if x <> y then Alcotest.failf "geometric %h, draw %d: %d, reference %d" p i x y;
+      let x = Rng.geometric_log a ~log_q:(log (1. -. p)) and y = reference_geometric b p in
+      if x <> y then Alcotest.failf "geometric_log %h, draw %d: %d, reference %d" p i x y
+    end
+  done;
+  Alcotest.(check int64) "same state afterwards" (Rng.bits64 b) (Rng.bits64 a);
+  (* boxed once here, as a caller keeping it in a record would hold it *)
+  let log_q = Sys.opaque_identity (log (1. -. 0.35)) in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    ignore (Rng.int a 1000 : int);
+    ignore (Rng.bernoulli a ~p:0.35 : bool);
+    ignore (Rng.geometric a ~p:0.35 : int);
+    ignore (Rng.geometric_log a ~log_q : int)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  if words > 100.0 then Alcotest.failf "%.0f minor words over 100000 rounds of draws" words
+
+let test_shuffle_ints () =
+  let a = Rng.create ~seed:61L and b = Rng.create ~seed:61L in
+  let whole = Array.init 40 Fun.id in
+  let part = Array.sub whole 7 25 in
+  Rng.shuffle_ints a whole ~pos:7 ~len:25;
+  Rng.shuffle b part;
+  Alcotest.(check (array int)) "same permutation as shuffling the range alone" part
+    (Array.sub whole 7 25);
+  Alcotest.(check (array int)) "outside the range untouched"
+    (Array.append (Array.init 7 Fun.id) (Array.init 8 (fun i -> 32 + i)))
+    (Array.append (Array.sub whole 0 7) (Array.sub whole 32 8));
+  Alcotest.(check int64) "same draws" (Rng.bits64 b) (Rng.bits64 a);
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "range %d+%d" pos len)
+        (Invalid_argument "Rng.shuffle_ints")
+        (fun () -> Rng.shuffle_ints a whole ~pos ~len))
+    [ (-1, 3); (0, 41); (38, 3); (2, -1) ]
+
 let test_hash_string () =
   Alcotest.(check bool) "distinct strings hash apart"
     true
@@ -279,6 +354,9 @@ let suite =
       Alcotest.test_case "pick_weighted" `Quick test_pick_weighted;
       Alcotest.test_case "pick_weighted exact and allocation-free" `Quick
         test_pick_weighted_exact;
+      Alcotest.test_case "int, bernoulli, geometric exact and allocation-free" `Quick
+        test_draws_exact_and_allocation_free;
+      Alcotest.test_case "shuffle_ints" `Quick test_shuffle_ints;
       Alcotest.test_case "hash_string" `Quick test_hash_string;
       Alcotest.test_case "matches boxed int64 reference" `Quick test_matches_int64_reference;
       prop_int_bound;

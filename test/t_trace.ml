@@ -177,37 +177,94 @@ let test_kernel_validate () =
 let test_kernel_instantiate_structure () =
   let rng = Rng.create ~seed:1L in
   let inst = K.instantiate K.default ~rng ~code_base:0x1000 ~data_base:0x100000 in
-  Alcotest.(check int) "body size" K.default.K.body_slots (Array.length inst.K.i_body);
-  Alcotest.(check int) "loop pc after body" (0x1000 + (4 * K.default.K.body_slots))
-    inst.K.i_loop_pc;
-  (* slot pcs are sequential *)
-  Array.iteri
-    (fun i slot ->
-      Alcotest.(check int) "slot pc" (0x1000 + (4 * i)) slot.K.s_pc)
-    inst.K.i_body;
-  (* memory slots carry state, branch slots carry state *)
-  Array.iter
-    (fun slot ->
-      (match slot.K.s_op with
-      | Opcode.Load | Opcode.Store ->
-        if slot.K.s_mem = None then Alcotest.fail "mem slot without state"
-      | _ -> if slot.K.s_mem <> None then Alcotest.fail "non-mem slot with state");
-      match slot.K.s_op with
-      | Opcode.Branch -> if slot.K.s_br = None then Alcotest.fail "branch without state"
-      | _ -> if slot.K.s_br <> None then Alcotest.fail "non-branch with state")
-    inst.K.i_body;
+  let n = K.default.K.body_slots in
+  Alcotest.(check int) "body size" n inst.K.body_len;
+  Alcotest.(check int) "loop pc after body" (0x1000 + (4 * n)) inst.K.loop_pc;
   Alcotest.(check int) "helper regions" K.default.K.helper_regions
-    (Array.length inst.K.i_helpers)
+    (Array.length inst.K.helper_bases);
+  let slots = Array.length inst.K.op in
+  Alcotest.(check int) "image size" (n + (K.default.K.helper_regions * inst.K.helper_len)) slots;
+  (* body slot pcs are sequential from the code base *)
+  for i = 0 to n - 1 do
+    Alcotest.(check int) "body slot pc" (0x1000 + (4 * i)) (K.slot_pc inst i)
+  done;
+  (* each helper's slots are sequential from its base, past the loop
+     branch and the previous helper's return *)
+  let prev_end = ref inst.K.loop_pc in
+  Array.iteri
+    (fun h base ->
+      if base <= !prev_end then Alcotest.failf "helper %d overlaps earlier code" h;
+      for j = 0 to inst.K.helper_len - 1 do
+        Alcotest.(check int) "helper slot pc" (base + (4 * j))
+          (K.slot_pc inst (n + (h * inst.K.helper_len) + j))
+      done;
+      prev_end := base + (4 * inst.K.helper_len))
+    inst.K.helper_bases;
+  (* memory state exactly on memory slots, branch state exactly on body
+     branch slots, and no branch outside the body *)
+  for s = 0 to slots - 1 do
+    let op = Opcode.of_int inst.K.op.(s) in
+    (match op with
+    | Opcode.Load | Opcode.Store ->
+      if inst.K.mem_access.(s) = K.No_access then Alcotest.fail "mem slot without state"
+    | _ -> if inst.K.mem_access.(s) <> K.No_access then Alcotest.fail "non-mem slot with state");
+    if s < n then begin
+      match op with
+      | Opcode.Branch -> if inst.K.br_rule.(s) = K.No_rule then Alcotest.fail "branch without state"
+      | _ -> if inst.K.br_rule.(s) <> K.No_rule then Alcotest.fail "non-branch with state"
+    end
+    else if op = Opcode.Branch then Alcotest.fail "branch in a helper"
+  done;
+  Alcotest.(check int) "branch state spans the body" n (Array.length inst.K.br_rule);
+  Alcotest.check_raises "no slot past the image" (Invalid_argument "Kernel.slot_pc: no such slot")
+    (fun () -> ignore (K.slot_pc inst slots : int))
+
+(* The generator reads the image as [Kernel] lays it out.  Instantiating a
+   one-kernel program's spec from the program's seed rebuilds the
+   generator's own image (the code base is the first pc, since the first
+   visit starts at slot 0; the data base moves no draw), and every
+   instruction emitted from a slot carries that slot's pc, opcode and
+   registers.  The loop branch, calls, returns and jumps sit at no slot's
+   pc. *)
+let test_generator_emits_image () =
+  let spec = { K.default with K.helper_call_prob = 1.0 } in
+  let p = P.single ~name:"image" spec in
+  let trace = G.preview p ~n:20_000 in
+  let code_base = (List.hd trace).Instr.pc in
+  let inst = K.instantiate spec ~rng:(Rng.create ~seed:p.P.seed) ~code_base ~data_base:0 in
+  let slot_at = Hashtbl.create 1024 in
+  Array.iteri (fun s _ -> Hashtbl.replace slot_at (K.slot_pc inst s) s) inst.K.op;
+  let seen = Array.make (Array.length inst.K.op) false in
+  List.iter
+    (fun (i : Instr.t) ->
+      match Hashtbl.find_opt slot_at i.pc with
+      | None ->
+        if not (Opcode.is_control i.op) then
+          Alcotest.failf "%s at pc %x: no slot" (Opcode.to_string i.op) i.pc
+      | Some s ->
+        seen.(s) <- true;
+        let want = [ inst.K.op.(s); inst.K.src1.(s); inst.K.src2.(s); inst.K.dst.(s) ]
+        and got = [ Opcode.to_int i.op; i.src1; i.src2; i.dst ] in
+        if got <> want then
+          Alcotest.failf "slot %d: emitted op/src1/src2/dst %s, image %s" s
+            (String.concat " " (List.map string_of_int got))
+            (String.concat " " (List.map string_of_int want)))
+    trace;
+  for s = 0 to inst.K.body_len - 1 do
+    if not seen.(s) then Alcotest.failf "body slot %d never emitted" s
+  done;
+  if not (Array.exists Fun.id (Array.sub seen inst.K.body_len (Array.length seen - inst.K.body_len)))
+  then Alcotest.fail "no helper slot emitted"
+
+let body_ops inst = Array.to_list (Array.sub inst.K.op 0 inst.K.body_len)
 
 let test_kernel_mix_rounding () =
   let spec = { K.default with K.body_slots = 100 } in
   let rng = Rng.create ~seed:2L in
   let inst = K.instantiate spec ~rng ~code_base:0x1000 ~data_base:0x100000 in
-  let count pred = Array.length (Array.of_list (List.filter pred (Array.to_list inst.K.i_body))) in
-  let loads = count (fun s -> s.K.s_op = Opcode.Load) in
-  let stores = count (fun s -> s.K.s_op = Opcode.Store) in
-  Alcotest.(check int) "load slots match mix" 25 loads;
-  Alcotest.(check int) "store slots match mix" 10 stores
+  let count op = List.length (List.filter (fun o -> o = Opcode.to_int op) (body_ops inst)) in
+  Alcotest.(check int) "load slots match mix" 25 (count Opcode.Load);
+  Alcotest.(check int) "store slots match mix" 10 (count Opcode.Store)
 
 let test_kernel_chase_self_dependence () =
   let spec =
@@ -220,11 +277,16 @@ let test_kernel_chase_self_dependence () =
   in
   let rng = Rng.create ~seed:3L in
   let inst = K.instantiate spec ~rng ~code_base:0x1000 ~data_base:0x100000 in
-  Array.iter
-    (fun slot ->
-      if slot.K.s_op = Opcode.Load && not (Mica_isa.Reg.is_none slot.K.s_dst) then
-        Alcotest.(check int) "chase load reads its own output" slot.K.s_dst slot.K.s_src1)
-    inst.K.i_body
+  let chases = ref 0 in
+  for s = 0 to inst.K.body_len - 1 do
+    if inst.K.op.(s) = Opcode.to_int Opcode.Load && not (Mica_isa.Reg.is_none inst.K.dst.(s))
+    then begin
+      incr chases;
+      Alcotest.(check bool) "chase access" true (inst.K.mem_access.(s) = K.Chase_access);
+      Alcotest.(check int) "chase load reads its own output" inst.K.dst.(s) inst.K.src1.(s)
+    end
+  done;
+  if !chases = 0 then Alcotest.fail "no chasing load in the body"
 
 let test_kernel_code_bytes () =
   Alcotest.(check int) "code bytes"
@@ -484,6 +546,15 @@ let set_record_byte i offset v data =
   Bytes.set_uint8 b (8 + (28 * i) + offset) v;
   Bytes.to_string b
 
+(* record [i]'s 8-byte pc field set to the little-endian [pc] *)
+let set_record_pc i pc data =
+  let b = Bytes.of_string data in
+  Bytes.set_int64_le b (8 + (28 * i)) pc;
+  Bytes.to_string b
+
+(* record [i]'s pc bytes all 0xFF: pc -1 *)
+let set_record_pc_ff i = set_record_pc i (-1L)
+
 let replay_into_analyzer ~binary path =
   let sink = Mica_analysis.Analyzer.sink (Mica_analysis.Analyzer.create ()) in
   if binary then Trace_io.replay_binary ~path ~sink else Trace_io.replay_text ~path ~sink
@@ -516,6 +587,35 @@ let test_trace_io_text_register_range () =
         if not (String.starts_with ~prefix:"line 301:" msg) then
           Alcotest.failf "message %S does not name line 301" msg)
 
+(* A pc must fit a non-negative int: analyzers key per-site tables by pc.
+   Before the check, a text pc of 2^62 or more parsed to a negative int and
+   a binary pc lost its top bit. *)
+let test_trace_io_line_pc_range () =
+  List.iter
+    (fun (what, line) -> expect_failure what (fun () -> Trace_io.instr_of_line line))
+    [
+      ("pc 2^63 - 256", "7fffffffffffff00 load 1 -1 3 40 N 0");
+      ("pc 2^62", "4000000000000000 int_alu 1 2 3 0 N 0");
+      ("pc 2^63 + 5", "8000000000000005 int_alu 1 2 3 0 N 0");
+    ];
+  let i = Trace_io.instr_of_line "3fffffffffffffff int_alu 1 2 3 0 N 0" in
+  Alcotest.(check int) "largest pc" max_int i.Instr.pc
+
+let test_trace_io_binary_pc_range () =
+  List.iter
+    (fun (what, pc) ->
+      with_corrupted_trace ~binary:true ~n:500 (set_record_pc 300 pc) (fun path ->
+          expect_failure what (fun () -> replay_into_analyzer ~binary:true path)))
+    [
+      ("pc -1", -1L);
+      ("pc 2^62", 0x4000_0000_0000_0000L);
+      ("pc 2^63 + 5 (once read as 5)", 0x8000_0000_0000_0005L);
+    ];
+  with_corrupted_trace ~binary:true ~n:500 (set_record_pc 300 (Int64.of_int max_int)) (fun path ->
+      let collected, read = Sink.collect ~limit:500 () in
+      ignore (Trace_io.replay_binary ~path ~sink:collected : int);
+      Alcotest.(check int) "largest pc" max_int (List.nth (read ()) 300).Instr.pc)
+
 (* The CLI turns a replay [Failure] into a message and exit 2, not an
    uncaught exception (cmdliner's exit 125). *)
 let run_mica args =
@@ -541,7 +641,9 @@ let test_characterize_trace_exit_codes () =
   expect "intact text" ~binary:false Fun.id 0;
   expect "bad source register" ~binary:true (set_record_byte 10 25 200) 2;
   expect "truncated record" ~binary:true (fun d -> String.sub d 0 (String.length d - 5)) 2;
-  expect "garbage text" ~binary:false (fun d -> d ^ "not a trace line\n") 2
+  expect "garbage text" ~binary:false (fun d -> d ^ "not a trace line\n") 2;
+  expect "negative pc" ~binary:true (set_record_pc_ff 10) 2;
+  expect "pc past 2^62" ~binary:false (fun d -> d ^ "7fffffffffffff00 load 1 -1 3 40 N 0\n") 2
 
 let test_trace_io_analysis_equivalence () =
   (* analyzing a replayed trace gives the same characteristics as live *)
@@ -575,6 +677,7 @@ let suite =
       Alcotest.test_case "collect across chunks" `Quick test_sink_collect_across_chunks;
       Alcotest.test_case "kernel validate" `Quick test_kernel_validate;
       Alcotest.test_case "kernel instantiate structure" `Quick test_kernel_instantiate_structure;
+      Alcotest.test_case "generator emits the image" `Quick test_generator_emits_image;
       Alcotest.test_case "kernel mix rounding" `Quick test_kernel_mix_rounding;
       Alcotest.test_case "kernel chase self-dependence" `Quick test_kernel_chase_self_dependence;
       Alcotest.test_case "kernel code bytes" `Quick test_kernel_code_bytes;
@@ -598,6 +701,8 @@ let suite =
       Alcotest.test_case "trace io binary file" `Quick test_trace_io_binary_file;
       Alcotest.test_case "trace io rejects garbage" `Quick test_trace_io_binary_rejects_garbage;
       Alcotest.test_case "trace io analysis equivalence" `Quick test_trace_io_analysis_equivalence;
+      Alcotest.test_case "trace io line pc range" `Quick test_trace_io_line_pc_range;
+      Alcotest.test_case "trace io binary pc range" `Quick test_trace_io_binary_pc_range;
       Alcotest.test_case "trace io line register range" `Quick test_trace_io_line_register_range;
       Alcotest.test_case "trace io binary register range" `Quick
         test_trace_io_binary_register_range;

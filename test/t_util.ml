@@ -140,6 +140,24 @@ let test_int_map_negative_keys_rejected () =
       (fun () -> Int_map.add_if_absent m (-2));
     ]
 
+(* -1 is the empty-slot marker: a lookup of a negative key must find no
+   binding, on an empty map and on a full one. *)
+let test_int_map_negative_keys_absent () =
+  let m = Int_map.create () in
+  let check what =
+    List.iter
+      (fun k ->
+        Alcotest.(check bool) (Printf.sprintf "%s: mem %d" what k) false (Int_map.mem m k);
+        Alcotest.(check int) (Printf.sprintf "%s: find %d" what k) 42 (Int_map.find m k ~default:42))
+      [ -1; -2; min_int ]
+  in
+  check "empty";
+  for k = 0 to 99 do
+    Int_map.set m k (k + 1)
+  done;
+  check "100 bindings";
+  Alcotest.(check int) "non-negative keys still found" 100 (Int_map.find m 99 ~default:0)
+
 let prop_int_map_growth =
   (* dense sequential insertion forces repeated rehashing past [initial] *)
   Tutil.qcheck_case ~count:50 "int_map growth preserves bindings"
@@ -471,6 +489,7 @@ let suite =
       prop_ring_interleaved_model;
       prop_int_map_matches_hashtbl;
       Alcotest.test_case "int_map negative keys" `Quick test_int_map_negative_keys_rejected;
+      Alcotest.test_case "int_map negative keys absent" `Quick test_int_map_negative_keys_absent;
       prop_int_map_growth;
       Alcotest.test_case "csv escaping" `Quick test_csv_escape;
       Alcotest.test_case "csv parsing" `Quick test_csv_parse;
