@@ -1368,7 +1368,8 @@ let verify_cmd =
 module Obs = Mica_obs.Obs
 
 (* Spans every run of the given stage must have produced.  [--check] (the
-   CI smoke contract) fails if any is missing, if any registered metric is
+   CI smoke contract) fails if any is missing, if a machine-model counter
+   below is missing or inconsistent, if any registered metric is
    non-finite or a negative counter, or, for the GA stages, if the
    per-path evaluation counters do not add up to [ga.evaluations]. *)
 let profile_expected_spans stage =
@@ -1396,6 +1397,12 @@ let profile_expected_spans stage =
 let snapshot_counter (snap : Obs.snapshot) name =
   match List.assoc_opt name snap.Obs.metrics with Some (Obs.Counter c) -> c | _ -> 0.0
 
+(* Every stage characterizes, so the paper's two machine models step every
+   instruction.  The ev67 model has no DTLB, so its DTLB counters do not
+   exist; its step counter must match ev56's, since both see one trace. *)
+let profile_expected_counters =
+  [ "uarch.ev56.instrs"; "uarch.ev56.dtlb_accesses"; "uarch.ev56.dtlb_misses"; "uarch.ev67.instrs" ]
+
 let profile_check stage (snap : Obs.snapshot) =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
@@ -1408,6 +1415,18 @@ let profile_check stage (snap : Obs.snapshot) =
         if not (Float.is_finite s.Obs.sp_total_s && Float.is_finite s.Obs.sp_self_s) then
           err "span %S has non-finite time" name)
     (profile_expected_spans stage);
+  List.iter
+    (fun name ->
+      match List.assoc_opt name snap.Obs.metrics with
+      | Some (Obs.Counter _) -> ()
+      | _ -> err "required counter %S was never recorded" name)
+    profile_expected_counters;
+  let counter = snapshot_counter snap in
+  if counter "uarch.ev56.instrs" <> counter "uarch.ev67.instrs" then
+    err "uarch.ev56.instrs = %g, but uarch.ev67.instrs = %g" (counter "uarch.ev56.instrs")
+      (counter "uarch.ev67.instrs");
+  if counter "uarch.ev56.dtlb_misses" > counter "uarch.ev56.dtlb_accesses" then
+    err "uarch.ev56.dtlb_misses exceeds uarch.ev56.dtlb_accesses";
   (match stage with
   | `Ga | `Cluster ->
     let evals = snapshot_counter snap "ga.evaluations" in

@@ -197,7 +197,10 @@ let parse_exn src =
    manifests and comparison reports.  Key order is preserved exactly as
    given (writers build ordered assoc lists), so serialized documents are
    stable byte-for-byte and can be golden-tested and checksummed.
-   Non-finite floats are emitted as the bare tokens the parser accepts. *)
+   Standard JSON has no non-finite number, so NaN and the infinities are
+   written as [null], unless the caller asks for the bare tokens the
+   parser accepts (the serve wire format, where every float must come back
+   to the bit). *)
 
 let escape_to buf s =
   Buffer.add_char buf '"';
@@ -214,21 +217,23 @@ let escape_to buf s =
     s;
   Buffer.add_char buf '"'
 
-let number_to_string f =
-  if Float.is_nan f then "nan"
-  else if f = Float.infinity then "inf"
-  else if f = Float.neg_infinity then "-inf"
+let number_to_string ~bare_non_finite f =
+  if not (Float.is_finite f) then
+    if not bare_non_finite then "null"
+    else if Float.is_nan f then "nan"
+    else if f > 0.0 then "inf"
+    else "-inf"
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.17g" f
 
-let to_string ?(pretty = false) t =
+let to_string ?(pretty = false) ?(bare_non_finite = false) t =
   let buf = Buffer.create 256 in
   let pad depth = if pretty then Buffer.add_string buf (String.make (2 * depth) ' ') in
   let newline () = if pretty then Buffer.add_char buf '\n' in
   let rec go depth = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Num f -> Buffer.add_string buf (number_to_string f)
+    | Num f -> Buffer.add_string buf (number_to_string ~bare_non_finite f)
     | Str s -> escape_to buf s
     | List [] -> Buffer.add_string buf "[]"
     | List items ->
@@ -271,5 +276,6 @@ let to_string ?(pretty = false) t =
 let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
 
 let to_num = function Num f -> Some f | _ -> None
+let to_float = function Num f -> Some f | Null -> Some Float.nan | _ -> None
 
 let to_str = function Str s -> Some s | _ -> None

@@ -396,11 +396,16 @@ let reset () =
 (* ------------------------------------------------------------------ *)
 (* Exporters                                                          *)
 
-let float_str f =
-  if Float.is_nan f then "nan"
-  else if f = Float.infinity then "inf"
-  else if f = Float.neg_infinity then "-inf"
-  else Printf.sprintf "%.17g" f
+(* JSON has no non-finite number: NaN (an empty histogram's min and max)
+   and the infinities are written as [null].  The Prometheus text format
+   spells them [NaN], [+Inf] and [-Inf]. *)
+let json_float f = if Float.is_finite f then Printf.sprintf "%.17g" f else "null"
+
+let prom_float f =
+  if Float.is_finite f then Printf.sprintf "%.17g" f
+  else if Float.is_nan f then "NaN"
+  else if f > 0.0 then "+Inf"
+  else "-Inf"
 
 let escape_json s =
   let buf = Buffer.create (String.length s + 2) in
@@ -425,16 +430,16 @@ let to_json snap =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf (Printf.sprintf "\n    \"%s\": " (escape_json name));
       (match v with
-      | Counter c -> Buffer.add_string buf (Printf.sprintf "{\"type\": \"counter\", \"value\": %s}" (float_str c))
-      | Gauge g -> Buffer.add_string buf (Printf.sprintf "{\"type\": \"gauge\", \"value\": %s}" (float_str g))
+      | Counter c -> Buffer.add_string buf (Printf.sprintf "{\"type\": \"counter\", \"value\": %s}" (json_float c))
+      | Gauge g -> Buffer.add_string buf (Printf.sprintf "{\"type\": \"gauge\", \"value\": %s}" (json_float g))
       | Histogram h ->
           Buffer.add_string buf
             (Printf.sprintf "{\"type\": \"histogram\", \"count\": %d, \"sum\": %s, \"min\": %s, \"max\": %s, \"buckets\": ["
-               h.h_count (float_str h.h_sum) (float_str h.h_min) (float_str h.h_max));
+               h.h_count (json_float h.h_sum) (json_float h.h_min) (json_float h.h_max));
           Array.iteri
             (fun i (bound, count) ->
               if i > 0 then Buffer.add_string buf ", ";
-              Buffer.add_string buf (Printf.sprintf "[%s, %d]" (float_str bound) count))
+              Buffer.add_string buf (Printf.sprintf "[%s, %d]" (json_float bound) count))
             h.h_buckets;
           Buffer.add_string buf "]}"))
     snap.metrics;
@@ -445,8 +450,8 @@ let to_json snap =
       Buffer.add_string buf
         (Printf.sprintf
            "\n    \"%s\": {\"count\": %d, \"total_s\": %s, \"self_s\": %s, \"minor_words\": %s, \"major_words\": %s}"
-           (escape_json name) s.sp_count (float_str s.sp_total_s) (float_str s.sp_self_s)
-           (float_str s.sp_minor_words) (float_str s.sp_major_words)))
+           (escape_json name) s.sp_count (json_float s.sp_total_s) (json_float s.sp_self_s)
+           (json_float s.sp_minor_words) (json_float s.sp_major_words)))
     snap.spans;
   Buffer.add_string buf "\n  }\n}\n";
   Buffer.contents buf
@@ -469,27 +474,27 @@ let to_prometheus snap =
       let n = prom_name name in
       match v with
       | Counter c ->
-          Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n%s %s\n" n n (float_str c))
+          Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n%s %s\n" n n (prom_float c))
       | Gauge g ->
-          Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n%s %s\n" n n (float_str g))
+          Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n%s %s\n" n n (prom_float g))
       | Histogram h ->
           Buffer.add_string buf (Printf.sprintf "# TYPE %s histogram\n" n);
           Array.iter
             (fun (bound, count) ->
-              let le = if bound = Float.infinity then "+Inf" else float_str bound in
-              Buffer.add_string buf (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" n le count))
+              Buffer.add_string buf
+                (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" n (prom_float bound) count))
             h.h_buckets;
-          Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" n (float_str h.h_sum));
+          Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" n (prom_float h.h_sum));
           Buffer.add_string buf (Printf.sprintf "%s_count %d\n" n h.h_count))
     snap.metrics;
   List.iter
     (fun (name, s) ->
       let n = prom_name ("span_" ^ name) in
       Buffer.add_string buf (Printf.sprintf "# TYPE %s_seconds counter\n" n);
-      Buffer.add_string buf (Printf.sprintf "%s_seconds %s\n" n (float_str s.sp_total_s));
-      Buffer.add_string buf (Printf.sprintf "%s_self_seconds %s\n" n (float_str s.sp_self_s));
+      Buffer.add_string buf (Printf.sprintf "%s_seconds %s\n" n (prom_float s.sp_total_s));
+      Buffer.add_string buf (Printf.sprintf "%s_self_seconds %s\n" n (prom_float s.sp_self_s));
       Buffer.add_string buf (Printf.sprintf "%s_count %d\n" n s.sp_count);
-      Buffer.add_string buf (Printf.sprintf "%s_minor_words %s\n" n (float_str s.sp_minor_words)))
+      Buffer.add_string buf (Printf.sprintf "%s_minor_words %s\n" n (prom_float s.sp_minor_words)))
     snap.spans;
   Buffer.contents buf
 

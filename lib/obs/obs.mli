@@ -107,7 +107,12 @@ val snapshot : unit -> snapshot
     taken while workers run may lag but never corrupts). *)
 
 val to_json : snapshot -> string
+(** Standard JSON: a non-finite value (an empty histogram's [min] and
+    [max], the last bucket bound) is written as [null]. *)
+
 val to_prometheus : snapshot -> string
+(** Prometheus text format, which spells non-finite values [NaN], [+Inf]
+    and [-Inf]. *)
 
 val write_json : string -> snapshot -> unit
 (** Write {!to_json} to a file (atomic tmp+rename). *)

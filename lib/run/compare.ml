@@ -117,7 +117,7 @@ let bench_results json =
     List.filter_map
       (fun item ->
         match (Json.member "name" item, Json.member "ns_per_run" item) with
-        | Some (Json.Str name), Some v -> Option.map (fun ns -> (name, ns)) (Json.to_num v)
+        | Some (Json.Str name), Some v -> Option.map (fun ns -> (name, ns)) (Json.to_float v)
         | _ -> None)
       items
   | _ -> []

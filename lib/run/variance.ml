@@ -39,7 +39,7 @@ let bench_metrics json =
           (* a null measurement (the bench writes null for a failed OLS
              fit) surfaces as a non-finite sample so [analyze] can count
              it as dropped instead of losing it silently *)
-          Some ("bench/" ^ name, Option.value (Json.to_num v) ~default:Float.nan)
+          Some ("bench/" ^ name, Option.value (Json.to_float v) ~default:Float.nan)
         | _ -> None)
       items
   | _ -> []
@@ -50,7 +50,7 @@ let span_metrics json =
     List.filter_map
       (fun (name, v) ->
         match Json.member "total_s" v with
-        | Some t -> Option.map (fun s -> ("span/" ^ name, s)) (Json.to_num t)
+        | Some t -> Option.map (fun s -> ("span/" ^ name, s)) (Json.to_float t)
         | None -> None)
       spans
   | _ -> []

@@ -69,7 +69,7 @@ let encode_request r =
     (("id", Json.Num (float_of_int r.id)) :: encode_op r.op)
     @ match r.deadline_ms with None -> [] | Some d -> [ ("deadline_ms", Json.Num d) ]
   in
-  Json.to_string (Json.Obj fields)
+  Json.to_string ~bare_non_finite:true (Json.Obj fields)
 
 let encode_payload = function
   | Vector { mica; hpc; estimated; cached } ->
@@ -108,7 +108,7 @@ let encode_response r =
     @ [ ("elapsed_ms", Json.Num r.elapsed_ms) ]
     @ opt "retry_after_ms" (fun v -> Json.Num v) r.retry_after_ms
   in
-  Json.to_string (Json.Obj fields)
+  Json.to_string ~bare_non_finite:true (Json.Obj fields)
 
 (* ---------------- decoding ---------------- *)
 

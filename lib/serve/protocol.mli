@@ -2,8 +2,10 @@
     response object per line.
 
     Floats cross the wire through [Mica_obs.Json], whose writer prints
-    [%.17g] (shortest round-trippable form) and whose reader recovers the
-    exact bit pattern — so a served characteristic vector is bit-identical
+    [%.17g] (shortest round-trippable form) and, on this wire, non-finite
+    values as the bare [nan]/[inf]/[-inf] tokens rather than [null]; its
+    reader recovers the exact bit pattern — so a served characteristic
+    vector is bit-identical
     to the daemon's in-memory vector, and the served-vs-direct identity
     law in [Mica_verify] can compare with [Int64.bits_of_float] equality
     across the encode/decode round trip.

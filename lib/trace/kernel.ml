@@ -64,6 +64,25 @@ let default =
 
 let frac_ok f = f >= 0.0 && f <= 1.0
 
+(* [Generator.branch_outcome] takes [execs mod period] and keeps 16 bits of
+   global history, so a period below 1 would divide by zero and a deeper
+   history would read bits that were never kept. *)
+let branch_kind_error = function
+  | Loop_like { period } ->
+    if period < 1 then Some (Printf.sprintf "loop period %d must be at least 1" period) else None
+  | Periodic { period; taken_in_period } ->
+    if period < 1 then Some (Printf.sprintf "periodic period %d must be at least 1" period)
+    else if taken_in_period < 0 || taken_in_period > period then
+      Some (Printf.sprintf "periodic taken_in_period %d must lie in [0, %d]" taken_in_period period)
+    else None
+  | Biased { taken_prob } ->
+    (* [frac_ok] is false for NaN *)
+    if frac_ok taken_prob then None
+    else Some (Printf.sprintf "biased taken_prob %g must lie in [0,1]" taken_prob)
+  | History { depth } ->
+    if depth < 0 || depth > 16 then Some (Printf.sprintf "history depth %d must lie in [0, 16]" depth)
+    else None
+
 let validate spec =
   let err msg = Error (Printf.sprintf "kernel %S: %s" spec.name msg) in
   let { load; store; branch; int_mul; fp } = spec.mix in
@@ -92,7 +111,10 @@ let validate spec =
     err "fp split fractions must lie in [0,1]"
   else if spec.fp_mul_frac +. spec.fp_div_frac > 1.0 then
     err "fp_mul_frac + fp_div_frac must not exceed 1"
-  else Ok ()
+  else
+    match List.find_map (fun (_, kind) -> branch_kind_error kind) spec.branch_kinds with
+    | Some msg -> err msg
+    | None -> Ok ()
 
 (* ---------------- the static code image ----------------
 

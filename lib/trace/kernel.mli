@@ -74,7 +74,11 @@ val default : spec
 
 val validate : spec -> (unit, string) result
 (** Checks ranges (fractions in [0,1], positive sizes, non-empty pattern
-    mixtures...).  The generator validates every spec it instantiates. *)
+    mixtures...) and every branch kind's parameters: loop and periodic
+    periods of at least 1 with [taken_in_period] in [\[0, period\]], a
+    biased probability in [\[0, 1\]] (not NaN), and a history depth in
+    [\[0, 16\]] (the generator keeps 16 bits of global history).  The
+    generator validates every spec it instantiates. *)
 
 (** {1 Instantiated kernels}
 

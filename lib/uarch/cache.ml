@@ -8,6 +8,10 @@ type t = {
   tags : int array;  (* n_sets * assoc; -1 = invalid *)
   stamps : int array;  (* LRU timestamps, parallel to [tags] *)
   mutable clock : int;
+  (* the line of the previous access and the slot holding it; -1 after
+     [install] or before any access (a line is never negative) *)
+  mutable last_line : int;
+  mutable last_slot : int;
   mutable accesses : int;
   mutable misses : int;
   line_bytes : int;
@@ -44,6 +48,8 @@ let create ~name ~size_bytes ~line_bytes ~assoc =
     tags = Array.make (n_sets * assoc) (-1);
     stamps = Array.make (n_sets * assoc) 0;
     clock = 0;
+    last_line = -1;
+    last_slot = 0;
     accesses = 0;
     misses = 0;
     line_bytes;
@@ -77,26 +83,42 @@ let rec lru_slot (stamps : int array) (best : int) (i : int) (stop : int) =
       (if Array.unsafe_get stamps i < Array.unsafe_get stamps best then i else best)
       (i + 1) stop
 
-(* Replace the LRU way of the set starting at [base] with [tag]. *)
+(* Replace the LRU way of the set starting at [base] with [tag]; returns
+   the way. *)
 let fill t base tag =
   let victim = lru_slot t.stamps base (base + 1) (base + t.assoc) in
   Array.unsafe_set t.tags victim tag;
-  Array.unsafe_set t.stamps victim t.clock
+  Array.unsafe_set t.stamps victim t.clock;
+  victim
 
+(* Only a fill evicts, and a fill in [access] makes its own line the last
+   one, so the previous access's line stays in [last_slot] until the next
+   access or [install]: a repeat of it is a hit without a set scan.  It
+   still counts, ticks the clock and refreshes the stamp, exactly as the
+   scan's hit would. *)
 let access t addr =
   t.accesses <- t.accesses + 1;
-  t.clock <- t.clock + 1;
+  let clock = t.clock + 1 in
+  t.clock <- clock;
   let line = addr lsr t.line_shift in
-  let base = (line land t.set_mask) * t.assoc and tag = line lsr t.set_shift in
-  let slot = find_slot t.tags tag base (base + t.assoc) in
-  if slot >= 0 then begin
-    Array.unsafe_set t.stamps slot t.clock;
+  if line = t.last_line then begin
+    Array.unsafe_set t.stamps t.last_slot clock;
     true
   end
   else begin
-    t.misses <- t.misses + 1;
-    fill t base tag;
-    false
+    let base = (line land t.set_mask) * t.assoc and tag = line lsr t.set_shift in
+    let slot = find_slot t.tags tag base (base + t.assoc) in
+    t.last_line <- line;
+    if slot >= 0 then begin
+      Array.unsafe_set t.stamps slot clock;
+      t.last_slot <- slot;
+      true
+    end
+    else begin
+      t.misses <- t.misses + 1;
+      t.last_slot <- fill t base tag;
+      false
+    end
   end
 
 let access_range t addr ~bytes =
@@ -113,12 +135,15 @@ let probe t addr =
   let base = (line land t.set_mask) * t.assoc in
   find_slot t.tags (line lsr t.set_shift) base (base + t.assoc) >= 0
 
+(* An install may evict the last line, so it forgets it. *)
 let install t addr =
   t.clock <- t.clock + 1;
+  t.last_line <- -1;
   let line = addr lsr t.line_shift in
   let base = (line land t.set_mask) * t.assoc and tag = line lsr t.set_shift in
   let slot = find_slot t.tags tag base (base + t.assoc) in
-  if slot >= 0 then Array.unsafe_set t.stamps slot t.clock else fill t base tag
+  if slot >= 0 then Array.unsafe_set t.stamps slot t.clock
+  else ignore (fill t base tag : int)
 
 let accesses t = t.accesses
 let misses t = t.misses

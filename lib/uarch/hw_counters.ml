@@ -28,6 +28,8 @@ type result = {
 }
 
 let result t =
+  Inorder.record_events t.inorder ~model:"ev56";
+  Ooo.record_events t.ooo ~model:"ev67";
   let io = Inorder.result t.inorder in
   let oo = Ooo.result t.ooo in
   {

@@ -27,6 +27,10 @@ type result = {
 }
 
 val result : t -> result
+(** The seven counters.  With metrics on, each call also adds both
+    models' event counts to the [uarch.ev56.*] and [uarch.ev67.*]
+    counters ({!Events.record}). *)
+
 val to_vector : result -> float array
 
 val measure : Mica_trace.Program.t -> icount:int -> result

@@ -93,6 +93,9 @@ let sink t =
           ~taken:(Bytes.unsafe_get taken i <> '\000')
       done)
 
+let record_events t ~model =
+  Events.record ~model ~instrs:t.instrs ~l1i:t.l1i ~l1d:t.l1d ~l2:t.l2 ~dtlb:t.dtlb t.pred
+
 type result = {
   instructions : int;
   cycles : int;

@@ -29,6 +29,9 @@ val step_instr : t -> Mica_isa.Instr.t -> unit
     the instruction through {!sink}; for consumers (interval sampling) that
     must observe model state between individual instructions. *)
 
+val record_events : t -> model:string -> unit
+(** {!Events.record} of this model's counts so far, under [model]. *)
+
 type result = {
   instructions : int;
   cycles : int;

@@ -259,7 +259,8 @@ let redirect_fetch t cycle =
 
 (* Per instruction: int comparisons only (the polymorphic [max] is an
    out-of-line generic compare), no closure, and a ring wrap without a
-   division. *)
+   division.  The register tests spell out [Reg.carries_dependency]: a
+   cross-module call is indirect under dune's default [-opaque] build. *)
 let step_out_of_order t ~width ~window ~pc ~code ~src1 ~src2 ~dst ~addr ~taken =
   let fetch_cycle = t.fetch_cycle in
   let slot = t.fetch_slot + 1 in
@@ -270,8 +271,8 @@ let step_out_of_order t ~width ~window ~pc ~code ~src1 ~src2 ~dst ~addr ~taken =
   else t.fetch_slot <- slot;
   let ic = icache_extra t pc in
   if ic > 0 then redirect_fetch t (fetch_cycle + ic);
-  let a = if Reg.carries_dependency src1 then t.reg_ready.(src1) else 0 in
-  let b = if Reg.carries_dependency src2 then t.reg_ready.(src2) else 0 in
+  let a = if src1 >= 0 && src1 <> Reg.zero then t.reg_ready.(src1) else 0 in
+  let b = if src2 >= 0 && src2 <> Reg.zero then t.reg_ready.(src2) else 0 in
   let head = t.head in
   let window_free = if t.filled < window then 0 else Array.unsafe_get t.completions head in
   let issue = if a > fetch_cycle then a else fetch_cycle in
@@ -293,7 +294,7 @@ let step_out_of_order t ~width ~window ~pc ~code ~src1 ~src2 ~dst ~addr ~taken =
   Array.unsafe_set t.completions head completion;
   t.head <- (if head + 1 = window then 0 else head + 1);
   if t.filled < window then t.filled <- t.filled + 1;
-  if Reg.carries_dependency dst then t.reg_ready.(dst) <- completion;
+  if dst >= 0 && dst <> Reg.zero then t.reg_ready.(dst) <- completion;
   if completion > t.last_cycle then t.last_cycle <- completion;
   if code = op_branch then begin
     t.cond_branches <- t.cond_branches + 1;
@@ -328,6 +329,8 @@ let sink t =
         done)
 
 let result t =
+  Events.record ~model:("machine." ^ t.cfg.name) ~instrs:t.instrs ~l1i:t.l1i ~l1d:t.l1d ~l2:t.l2
+    ~dtlb:t.dtlb t.pred;
   let ipc =
     match t.cfg.core with
     | In_order { issue_width } ->

@@ -100,6 +100,10 @@ type t
 val create : config -> t
 val sink : t -> Mica_trace.Sink.t
 val result : t -> result
+(** The six metrics.  With metrics on, each call also adds the machine's
+    event counts to the [uarch.machine.<name>.*] counters
+    ({!Events.record}). *)
+
 val to_vector : result -> float array
 
 val measure : config -> Mica_trace.Program.t -> icount:int -> result

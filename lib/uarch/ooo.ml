@@ -72,7 +72,8 @@ let op_branch = Opcode.to_int Opcode.Branch
 
 (* Per instruction: int comparisons only (the polymorphic [max] is an
    out-of-line generic compare), no closure, and a ring wrap without a
-   division. *)
+   division.  The register tests spell out [Reg.carries_dependency]: a
+   cross-module call is indirect under dune's default [-opaque] build. *)
 let step t ~pc ~code ~src1 ~src2 ~dst ~addr ~taken =
   t.instrs <- t.instrs + 1;
   let fetch_cycle = t.fetch_cycle in
@@ -87,8 +88,8 @@ let step t ~pc ~code ~src1 ~src2 ~dst ~addr ~taken =
     let lat = if Cache.access t.l2 pc then t.cfg.l2_latency else t.cfg.mem_latency in
     redirect_fetch t (fetch_cycle + lat)
   end;
-  let a = if Reg.carries_dependency src1 then t.reg_ready.(src1) else 0 in
-  let b = if Reg.carries_dependency src2 then t.reg_ready.(src2) else 0 in
+  let a = if src1 >= 0 && src1 <> Reg.zero then t.reg_ready.(src1) else 0 in
+  let b = if src2 >= 0 && src2 <> Reg.zero then t.reg_ready.(src2) else 0 in
   let window = t.cfg.window in
   let head = t.head in
   let window_free = if t.filled < window then 0 else Array.unsafe_get t.completions head in
@@ -108,7 +109,7 @@ let step t ~pc ~code ~src1 ~src2 ~dst ~addr ~taken =
   Array.unsafe_set t.completions head completion;
   t.head <- (if head + 1 = window then 0 else head + 1);
   if t.filled < window then t.filled <- t.filled + 1;
-  if Reg.carries_dependency dst then t.reg_ready.(dst) <- completion;
+  if dst >= 0 && dst <> Reg.zero then t.reg_ready.(dst) <- completion;
   if completion > t.last_cycle then t.last_cycle <- completion;
   if code = op_branch then begin
     t.cond_branches <- t.cond_branches + 1;
@@ -131,6 +132,10 @@ let sink t =
           ~dst:(Array.unsafe_get dst i) ~addr:(Array.unsafe_get addrs i)
           ~taken:(Bytes.unsafe_get taken i <> '\000')
       done)
+
+(* no DTLB in this model *)
+let record_events t ~model =
+  Events.record ~model ~instrs:t.instrs ~l1i:t.l1i ~l1d:t.l1d ~l2:t.l2 t.pred
 
 type result = { instructions : int; cycles : int; ipc : float; branch_mispredict_rate : float }
 

@@ -24,6 +24,10 @@ type t
 val create : ?config:config -> unit -> t
 val sink : t -> Mica_trace.Sink.t
 
+val record_events : t -> model:string -> unit
+(** {!Events.record} of this model's counts so far, under [model]; the
+    model has no DTLB, so it records no DTLB counters. *)
+
 type result = { instructions : int; cycles : int; ipc : float; branch_mispredict_rate : float }
 
 val result : t -> result

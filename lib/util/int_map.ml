@@ -96,5 +96,31 @@ let add_if_absent t key =
   let i = probe t.keys t.mask key (slot_of_key t.shift key) in
   if Array.unsafe_get t.keys i <> key then insert_at t i key 0
 
+(* Backward-shift deletion.  [hole] has just been vacated; walk the rest of
+   its probe cluster from [j] and pull back every key whose home slot is not
+   cyclically inside [(hole, j]], since a probe for it starts at or before
+   [hole] and would otherwise stop at the hole.  No tombstone is left, so a
+   map that binds and unbinds keys forever never degrades its probes. *)
+let rec shift_back t hole j =
+  let k = Array.unsafe_get t.keys j in
+  if k = -1 then Array.unsafe_set t.keys hole (-1)
+  else
+    let next = (j + 1) land t.mask in
+    if (j - slot_of_key t.shift k) land t.mask >= (j - hole) land t.mask then begin
+      Array.unsafe_set t.keys hole k;
+      Array.unsafe_set t.vals hole (Array.unsafe_get t.vals j);
+      shift_back t j next
+    end
+    else shift_back t hole next
+
+let remove t key =
+  if key >= 0 then begin
+    let i = probe t.keys t.mask key (slot_of_key t.shift key) in
+    if Array.unsafe_get t.keys i = key then begin
+      t.size <- t.size - 1;
+      shift_back t i ((i + 1) land t.mask)
+    end
+  end
+
 let iter t f =
   Array.iteri (fun i k -> if k >= 0 then f k (Array.unsafe_get t.vals i)) t.keys

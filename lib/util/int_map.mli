@@ -34,6 +34,12 @@ val add_if_absent : t -> int -> unit
 (** [add_if_absent t key] inserts [key] with value [0] if absent; used as
     a set. *)
 
+val remove : t -> int -> unit
+(** [remove t key] unbinds [key]; a no-op if it is absent or negative.  The
+    slot is freed by shifting the rest of its probe cluster back, not
+    marked with a tombstone, so the table never holds more keys than are
+    bound. *)
+
 val iter : t -> (int -> int -> unit) -> unit
 (** [iter t f] applies [f key value] to every binding, in no particular
     order. *)

@@ -33,6 +33,8 @@ let m_basic = Obs.counter "t_obs.basic"
 let m_gauge = Obs.gauge "t_obs.gauge"
 let m_hist = Obs.histogram "t_obs.hist"
 let m_hist_empty = Obs.histogram "t_obs.hist_empty"
+let m_gauge_inf = Obs.gauge "t_obs.gauge_inf"
+let m_gauge_ninf = Obs.gauge "t_obs.gauge_ninf"
 let m_cross = Obs.counter "t_obs.cross"
 let m_off = Obs.counter "t_obs.off"
 let m_overhead = Obs.counter "t_obs.overhead"
@@ -295,14 +297,15 @@ let test_json_roundtrip () =
       Alcotest.(check (float 1e-9)) "hist count" 2.0
         (num [ "metrics"; "t_obs.hist"; "count" ] doc);
       Alcotest.(check (float 1e-9)) "hist sum" 4.25 (num [ "metrics"; "t_obs.hist"; "sum" ] doc);
-      Alcotest.(check bool) "empty hist min is bare nan, parsed back" true
-        (Float.is_nan (num [ "metrics"; "t_obs.hist_empty"; "min" ] doc));
+      Alcotest.(check bool) "empty hist min is null, read back as nan" true
+        (get [ "metrics"; "t_obs.hist_empty"; "min" ] doc = Json.Null
+        && Option.map Float.is_nan (Json.to_float (get [ "metrics"; "t_obs.hist_empty"; "min" ] doc))
+           = Some true);
       (match get [ "metrics"; "t_obs.hist"; "buckets" ] doc with
       | Json.List (_ :: _ as buckets) -> (
         match List.rev buckets with
         | Json.List [ bound; count ] :: _ ->
-          Alcotest.(check bool) "inf bound parsed back" true
-            (Json.to_num bound = Some Float.infinity);
+          Alcotest.(check bool) "inf bound written as null" true (bound = Json.Null);
           Alcotest.(check (float 1e-9)) "tail bucket count" 2.0 (Option.get (Json.to_num count))
         | _ -> Alcotest.fail "malformed bucket")
       | _ -> Alcotest.fail "buckets not a list");
@@ -329,6 +332,80 @@ let test_write_json_file () =
             Alcotest.(check (float 1e-9)) "file parses to same counter" 3.0
               (num [ "metrics"; "t_obs.basic"; "value" ] doc)
           | Error msg -> Alcotest.failf "written file unparseable: %s" msg))
+
+(* The words outside string literals of a JSON text, e.g. [true] or a bare
+   [nan]; digits, signs and points are skipped, so an exponent's [e] shows
+   up as a word of its own. *)
+let bare_words text =
+  let words = ref [] and word = Buffer.create 8 in
+  let flush () =
+    if Buffer.length word > 0 then words := Buffer.contents word :: !words;
+    Buffer.clear word
+  in
+  let in_string = ref false and escaped = ref false in
+  String.iter
+    (fun ch ->
+      if !in_string then begin
+        if !escaped then escaped := false
+        else if ch = '\\' then escaped := true
+        else if ch = '"' then in_string := false
+      end
+      else
+        match ch with
+        | '"' ->
+          flush ();
+          in_string := true
+        | 'a' .. 'z' | 'A' .. 'Z' -> Buffer.add_char word ch
+        | _ -> flush ())
+    text;
+  flush ();
+  List.sort_uniq compare !words
+
+(* Standard JSON has no NaN or infinity: the exporter writes them as null,
+   which Python's json.load and the metrics readers accept.  Prometheus
+   text spells them NaN, +Inf and -Inf. *)
+let test_non_finite_export () =
+  with_obs (fun () ->
+      Obs.set m_gauge_inf Float.infinity;
+      Obs.set m_gauge_ninf Float.neg_infinity;
+      let snap = Obs.snapshot () in
+      let text = Obs.to_json snap in
+      List.iter
+        (fun w ->
+          if not (List.mem w [ "true"; "false"; "null"; "e"; "E" ]) then
+            Alcotest.failf "bare token %S in metrics JSON" w)
+        (bare_words text);
+      match Json.parse text with
+      | Error msg -> Alcotest.failf "metrics JSON does not parse: %s" msg
+      | Ok doc ->
+        let read path =
+          match Json.to_float (get path doc) with
+          | Some v -> v
+          | None -> Alcotest.failf "unreadable %s" (String.concat "/" path)
+        in
+        List.iter
+          (fun path ->
+            if not (Float.is_nan (read path)) then
+              Alcotest.failf "%s not read back as nan" (String.concat "/" path))
+          [
+            [ "metrics"; "t_obs.gauge_inf"; "value" ];
+            [ "metrics"; "t_obs.gauge_ninf"; "value" ];
+            [ "metrics"; "t_obs.hist_empty"; "min" ];
+            [ "metrics"; "t_obs.hist_empty"; "max" ];
+          ];
+        Alcotest.(check (float 0.0)) "empty hist sum stays a number" 0.0
+          (read [ "metrics"; "t_obs.hist_empty"; "sum" ]);
+        let prom = Obs.to_prometheus snap in
+        List.iter
+          (fun line ->
+            if not (List.mem line (String.split_on_char '\n' prom)) then
+              Alcotest.failf "prometheus text lacks %S" line)
+          [ "mica_t_obs_gauge_inf +Inf"; "mica_t_obs_gauge_ninf -Inf" ];
+        (* [Json]'s writer too; the serve wire asks for the bare tokens *)
+        let v = Json.List [ Json.Num Float.nan; Json.Num Float.infinity; Json.Num (-0.5) ] in
+        Alcotest.(check string) "json writer" "[null,null,-0.5]" (Json.to_string v);
+        Alcotest.(check string) "json writer, bare tokens" "[nan,inf,-0.5]"
+          (Json.to_string ~bare_non_finite:true v))
 
 let test_prometheus_output () =
   with_obs (fun () ->
@@ -425,6 +502,7 @@ let suite =
       Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
       Alcotest.test_case "write_json file" `Quick test_write_json_file;
       Alcotest.test_case "prometheus output" `Quick test_prometheus_output;
+      Alcotest.test_case "non-finite export" `Quick test_non_finite_export;
       Alcotest.test_case "reset" `Quick test_reset;
       Alcotest.test_case "disabled overhead bound" `Quick test_disabled_overhead;
     ] )

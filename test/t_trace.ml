@@ -172,7 +172,42 @@ let test_kernel_validate () =
     "fp split over 1";
   expect_invalid
     { K.default with K.load_patterns = [] }
-    "no load patterns with loads in mix"
+    "no load patterns with loads in mix";
+  (* branch-kind parameters: each of these once reached the generator and
+     divided by zero or read history bits it never kept *)
+  let with_kind kind = { K.default with K.branch_kinds = [ (0.5, K.Loop_like { period = 8 }); (0.5, kind) ] } in
+  List.iter
+    (fun (kind, name) ->
+      match K.validate (with_kind kind) with
+      | Ok () -> Alcotest.failf "%s should be invalid" name
+      | Error msg ->
+        if not (String.starts_with ~prefix:"kernel \"default\"" msg) then
+          Alcotest.failf "%s: error %S does not name the kernel" name msg)
+    [
+      (K.Loop_like { period = 0 }, "loop period 0");
+      (K.Loop_like { period = -3 }, "negative loop period");
+      (K.Periodic { period = 0; taken_in_period = 0 }, "periodic period 0");
+      (K.Periodic { period = 4; taken_in_period = 5 }, "taken above period");
+      (K.Periodic { period = 4; taken_in_period = -1 }, "negative taken");
+      (K.Biased { taken_prob = 1.5 }, "probability above 1");
+      (K.Biased { taken_prob = -0.1 }, "negative probability");
+      (K.Biased { taken_prob = Float.nan }, "NaN probability");
+      (K.History { depth = 17 }, "history deeper than 16");
+      (K.History { depth = -1 }, "negative history depth");
+    ];
+  (* the edges of every range are valid *)
+  List.iter
+    (fun kind ->
+      if K.validate (with_kind kind) <> Ok () then Alcotest.fail "edge kind rejected")
+    [
+      K.Loop_like { period = 1 };
+      K.Periodic { period = 1; taken_in_period = 0 };
+      K.Periodic { period = 4; taken_in_period = 4 };
+      K.Biased { taken_prob = 0.0 };
+      K.Biased { taken_prob = 1.0 };
+      K.History { depth = 0 };
+      K.History { depth = 16 };
+    ]
 
 let test_kernel_instantiate_structure () =
   let rng = Rng.create ~seed:1L in

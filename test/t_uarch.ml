@@ -201,9 +201,10 @@ let test_tlb_access_range () =
 
 (* Cache and TLB written the plain way: a scan over every way (entry) for
    the hit, and the first way with the strictly smallest stamp as the LRU
-   victim.  The library's lookups stop early and check the last TLB hit
-   first; driven with the same random streams, both must agree on every
-   call's result and on the counters. *)
+   victim.  The library's cache stops its scan early and answers a repeat
+   of the last line without one; its TLB is a hash map and a recency list.
+   Driven with the same random streams, both must agree on every call's
+   result and on the counters. *)
 module Ref_cache = struct
   type t = {
     line_bytes : int;
@@ -319,16 +320,26 @@ module Ref_tlb = struct
       (List.init (last - first + 1) (fun k -> first + k))
 end
 
-type model_op = Access of int | Probe of int | Install of int | Range of int * int
+type model_op =
+  | Access of int
+  | Probe of int
+  | Install of int
+  | Range of int * int
+  | Run of int * int  (* [n] accesses inside the line of an address *)
+  | Evict of int * int  (* access, [n] installs into its set, access again *)
 
 let show_op = function
   | Access a -> Printf.sprintf "access %d" a
   | Probe a -> Printf.sprintf "probe %d" a
   | Install a -> Printf.sprintf "install %d" a
   | Range (a, b) -> Printf.sprintf "range %d+%d" a b
+  | Run (a, n) -> Printf.sprintf "run %d x%d" a n
+  | Evict (a, n) -> Printf.sprintf "evict %d x%d" a n
 
 (* Addresses come from a universe a little larger than the structure, so
-   streams mix hits, cold misses and LRU evictions. *)
+   streams mix hits, cold misses and LRU evictions.  The cache streams add
+   runs inside one line (the repeat of the last line takes no scan) and
+   installs into the set of the line just accessed, which may evict it. *)
 let gen_op ~block ~universe ~with_probe =
   QCheck2.Gen.(
     let addr = int_bound ((universe * block) - 1) in
@@ -340,7 +351,13 @@ let gen_op ~block ~universe ~with_probe =
     in
     frequency
       (if with_probe then
-         kinds @ [ (1, map (fun a -> Probe a) addr); (1, map (fun a -> Install a) addr) ]
+         kinds
+         @ [
+             (1, map (fun a -> Probe a) addr);
+             (1, map (fun a -> Install a) addr);
+             (2, map2 (fun a n -> Run (a, n)) addr (int_range 2 6));
+             (2, map2 (fun a n -> Evict (a, n)) addr (int_range 1 3));
+           ]
        else kinds))
 
 let gen_cache_case =
@@ -365,29 +382,43 @@ let prop_cache_matches_reference =
       let same_counts () =
         U.Cache.accesses c = r.Ref_cache.accesses && U.Cache.misses c = r.Ref_cache.misses
       in
+      let access a = U.Cache.access c a = Ref_cache.access r a && same_counts () in
+      let install a =
+        U.Cache.install c a;
+        Ref_cache.install r a;
+        same_counts ()
+      in
+      let line_start a = a / line_bytes * line_bytes in
       List.for_all
         (fun op ->
-          let same =
-            match op with
-            | Access a -> U.Cache.access c a = Ref_cache.access r a
-            | Probe a -> U.Cache.probe c a = Ref_cache.probe r a
-            | Install a ->
-              U.Cache.install c a;
-              Ref_cache.install r a;
-              true
-            | Range (a, bytes) -> U.Cache.access_range c a ~bytes = Ref_cache.access_range r a ~bytes
-          in
-          same && same_counts ())
+          match op with
+          | Access a -> access a
+          | Probe a -> U.Cache.probe c a = Ref_cache.probe r a && same_counts ()
+          | Install a -> install a
+          | Range (a, bytes) ->
+            U.Cache.access_range c a ~bytes = Ref_cache.access_range r a ~bytes && same_counts ()
+          | Run (a, n) ->
+            List.for_all (fun k -> access (line_start a + (k * 7 mod line_bytes))) (List.init n Fun.id)
+          | Evict (a, n) ->
+            (* other lines of [a]'s set: at assoc [<= n] the installs evict it *)
+            let set_span = n_sets * line_bytes in
+            access a
+            && List.for_all (fun k -> install (a + ((k + 1) * set_span))) (List.init n Fun.id)
+            && access a)
         ops
       (* the resident lines match exactly, not just the outcomes so far *)
       && List.for_all
            (fun line -> U.Cache.probe c (line * line_bytes) = Ref_cache.probe r (line * line_bytes))
            (List.init (n_sets * (assoc + 2)) Fun.id))
 
+(* Every TLB size in machines/ (32, 64, 128, 256) and the degenerate ones.
+   A page pool of half the entries only hits once warm, and its hits land
+   anywhere in the recency order; larger pools evict, and the evicted pages
+   come back. *)
 let gen_tlb_case =
   QCheck2.Gen.(
-    let* entries = oneofl [ 1; 2; 64; 256 ] and* page_bytes = oneofl [ 4096; 8192 ] in
-    let universe = entries + (entries / 4) + 2 in
+    let* entries = oneofl [ 1; 2; 32; 64; 128; 256 ] and* page_bytes = oneofl [ 4096; 8192 ] in
+    let* universe = oneofl [ (entries / 2) + 1; entries + (entries / 4) + 2; 2 * entries ] in
     let* ops =
       list_size (int_range 1 (8 * universe)) (gen_op ~block:page_bytes ~universe ~with_probe:false)
     in
@@ -407,7 +438,7 @@ let prop_tlb_matches_reference =
           (match op with
           | Access a -> U.Tlb.access t a = Ref_tlb.access r a
           | Range (a, bytes) -> U.Tlb.access_range t a ~bytes = Ref_tlb.access_range r a ~bytes
-          | Probe _ | Install _ -> true)
+          | Probe _ | Install _ | Run _ | Evict _ -> true)
           && U.Tlb.accesses t = r.Ref_tlb.accesses
           && U.Tlb.misses t = r.Ref_tlb.misses)
         ops)

@@ -173,6 +173,61 @@ let prop_int_map_growth =
       done;
       !ok && not (Int_map.mem m n))
 
+(* [remove] shifts the rest of a probe cluster back instead of leaving a
+   tombstone, so the keys that matter are ones sharing home slots.  The
+   pool holds keys that [Int_map]'s multiplicative hash sends to two
+   adjacent home slots of its 16-slot table, and still to a few slots after
+   growth (were the hash to change, they would merely collide less), plus
+   some spread-out keys.  Interleaved set/remove/find must agree with
+   [Hashtbl] at every step and in the final binding set. *)
+let colliding_keys =
+  let home k = ((k * 0x2545F4914F6CDD1D) land max_int) lsr 58 in
+  let rec go k acc n =
+    if n = 0 then List.rev acc
+    else if home k = 5 || home k = 6 then go (k + 1) (k :: acc) (n - 1)
+    else go (k + 1) acc n
+  in
+  Array.of_list (go 0 [] 24 @ List.init 8 (fun i -> (i * 7919) + 3))
+
+let prop_int_map_remove_matches_hashtbl =
+  let op_gen =
+    QCheck2.Gen.(
+      let key = map (fun i -> colliding_keys.(i)) (int_bound (Array.length colliding_keys - 1)) in
+      frequency
+        [
+          (4, map2 (fun k v -> `Set (k, v)) key (int_range 0 50));
+          (3, map (fun k -> `Remove k) key);
+          (3, map (fun k -> `Find k) key);
+        ])
+  in
+  Tutil.qcheck_case "int_map remove matches hashtbl reference"
+    QCheck2.Gen.(list_size (int_range 0 300) op_gen)
+    (fun ops ->
+      let m = Int_map.create ~initial:16 () in
+      let h : (int, int) Hashtbl.t = Hashtbl.create 16 in
+      let agrees k =
+        Int_map.find m k ~default:(-1) = Option.value (Hashtbl.find_opt h k) ~default:(-1)
+        && Int_map.mem m k = Hashtbl.mem h k
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Set (k, v) ->
+            Int_map.set m k v;
+            Hashtbl.replace h k v
+          | `Remove k ->
+            Int_map.remove m k;
+            Hashtbl.remove h k
+          | `Find _ -> ());
+          (match op with `Set (k, _) | `Remove k | `Find k -> agrees k)
+          && Int_map.length m = Hashtbl.length h)
+        ops
+      && Array.for_all agrees colliding_keys
+      &&
+      let seen = ref 0 in
+      Int_map.iter m (fun k v -> if Hashtbl.find_opt h k = Some v then incr seen);
+      !seen = Hashtbl.length h)
+
 (* ---------------- Csv ---------------- *)
 
 let test_csv_escape () =
@@ -491,6 +546,7 @@ let suite =
       Alcotest.test_case "int_map negative keys" `Quick test_int_map_negative_keys_rejected;
       Alcotest.test_case "int_map negative keys absent" `Quick test_int_map_negative_keys_absent;
       prop_int_map_growth;
+      prop_int_map_remove_matches_hashtbl;
       Alcotest.test_case "csv escaping" `Quick test_csv_escape;
       Alcotest.test_case "csv parsing" `Quick test_csv_parse;
       Alcotest.test_case "csv file roundtrip" `Quick test_csv_file_roundtrip;

@@ -25,6 +25,43 @@ let test_all_models_valid () =
       | Error msg -> Alcotest.failf "%s invalid: %s" (W.Workload.id w) msg)
     W.Registry.all
 
+(* The scale-out corpus families must pass the same validation as the
+   registry (ten members of each). *)
+let test_corpus_models_valid () =
+  List.iter
+    (fun (w : W.Workload.t) ->
+      match Mica_trace.Program.validate w.W.Workload.model with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "%s invalid: %s" (W.Workload.id w) msg)
+    (W.Corpus.members ~size:30)
+
+(* A spec file whose branch kind would divide by zero or read unkept
+   history is refused at load with a message naming the kernel, so
+   [mica place] exits 2 instead of dying in the generator. *)
+let test_spec_file_rejects_bad_branch_kinds () =
+  let good = "branches biased:0.35:0.5 loop:12:0.5" in
+  let contains ~sub s =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  if not (contains ~sub:good W.Spec_file.example) then Alcotest.fail "example spec changed";
+  List.iter
+    (fun bad ->
+      let text =
+        String.concat "\n"
+          (List.map
+             (fun line -> if line = good then "branches " ^ bad else line)
+             (String.split_on_char '\n' W.Spec_file.example))
+      in
+      match W.Spec_file.parse text with
+      | Ok _ -> Alcotest.failf "branches %s accepted" bad
+      | Error msg ->
+        if not (contains ~sub:"probe" msg) then
+          Alcotest.failf "branches %s: error %S does not name the kernel" bad msg)
+    [ "loop:0:0.5"; "periodic:0:0:0.5"; "periodic:4:5:0.5"; "biased:1.5:0.5"; "biased:nan:0.5";
+      "history:17:0.5"; "history:-1:0.5" ]
+
 let test_all_models_generate () =
   (* every model must actually produce a trace *)
   List.iter
@@ -118,6 +155,9 @@ let suite =
       Alcotest.test_case "suite counts" `Quick test_suite_counts;
       Alcotest.test_case "unique ids" `Quick test_unique_ids;
       Alcotest.test_case "models valid" `Quick test_all_models_valid;
+      Alcotest.test_case "corpus models valid" `Quick test_corpus_models_valid;
+      Alcotest.test_case "spec file rejects bad branch kinds" `Quick
+        test_spec_file_rejects_bad_branch_kinds;
       Alcotest.test_case "models generate" `Slow test_all_models_generate;
       Alcotest.test_case "icounts positive" `Quick test_icounts_positive;
       Alcotest.test_case "paper icounts" `Quick test_paper_icounts_spotcheck;
