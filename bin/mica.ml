@@ -1436,7 +1436,8 @@ let profile_check stage (snap : Obs.snapshot) =
     if evals <= 0.0 then err "the GA recorded no evaluations"
     else if paths <> evals then
       err "ga.rebuild_evals + ga.delta_evals = %g, but ga.evaluations = %g" paths evals
-  | `Characterize | `Classify | `Ce -> ());
+  | `Ce -> if snapshot_counter snap "ce.steps" <= 0.0 then err "CE recorded no elimination steps"
+  | `Characterize | `Classify -> ());
   List.iter
     (fun (name, v) ->
       match v with
@@ -1516,8 +1517,9 @@ let profile_cmd =
   in
   let check =
     let doc =
-      "Validate the snapshot: fail if any required span is missing or any registered \
-       counter is NaN or negative."
+      "Validate the snapshot: fail if any required span is missing, any registered \
+       counter is NaN or negative, or the stage's own counters disagree (the GA's \
+       evaluation paths must add up; CE must record its elimination steps)."
     in
     Arg.(value & flag & info [ "check" ] ~doc)
   in

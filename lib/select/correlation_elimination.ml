@@ -7,26 +7,20 @@ let m_steps = Obs.counter "ce.steps"
 type step = { removed : int; avg_abs_corr : float; remaining : int array; rho : float }
 
 (* Which characteristic to remove is decided on the full-set correlation
-   matrix (computed once; sub-matrices are index restrictions of it).  The
-   per-step rho is evaluated incrementally: a running per-pair sum of
-   squared differences for the surviving subset is maintained, each
-   removal subtracts one component column in O(pairs), and rho is one
-   fused pass over the sums — instead of re-deriving the subset distances
-   from scratch (O(k * pairs) plus a fresh vector) every step.
-   [exact_rho] rebuilds the sums in-order before each rho for callers that
-   need the drift-free value; the removal sequence is identical either
-   way, and the rho drift is bounded by the tolerance differential law in
-   the test suite. *)
+   matrix (computed once; sub-matrices are index restrictions of it), so
+   the whole removal sequence, and with it every step's surviving subset,
+   is known before any rho is taken.  The steps' rhos are then one batch
+   of rebuild jobs: each is the in-order rho of its subset, exactly as
+   [Fitness.rho] computes it. *)
 (* Kept as a plain function (the [select.ce] span wraps a call to it in
    [run]) so the body's free variables stay ordinary arguments rather than
    closure-environment fields. *)
-let run_body ~pool ~exact_rho ~down_to ~data fitness =
+let run_body ~pool ~down_to ~data fitness =
   let _, n = Stats.Matrix.dims data in
   let down_to = max 1 down_to in
   let corr = Stats.Matrix.correlation_matrix data in
   let alive = Array.make n true in
   let alive_count = ref n in
-  let state = Fitness.Subset.of_cols ~pool fitness (Array.init n Fun.id) in
   let steps = ref [] in
   while !alive_count > down_to do
     (* average |r| of each live characteristic against the other live ones *)
@@ -50,37 +44,39 @@ let run_body ~pool ~exact_rho ~down_to ~data fitness =
     alive.(!best) <- false;
     decr alive_count;
     Obs.incr m_steps;
-    Fitness.Subset.remove ~pool state !best;
-    if exact_rho then Fitness.Subset.rebuild ~pool state;
-    let remaining = Fitness.Subset.cols state in
-    steps :=
-      { removed = !best;
-        avg_abs_corr = !best_avg;
-        remaining;
-        rho = Fitness.Subset.rho ~pool state }
-      :: !steps
+    let remaining = Array.of_list (List.filter (fun c -> alive.(c)) (List.init n Fun.id)) in
+    steps := (!best, !best_avg, remaining) :: !steps
   done;
-  List.rev !steps
+  let steps = Array.of_list (List.rev !steps) in
+  let rhos =
+    Fitness.eval ~pool fitness
+      (Array.map (fun (_, _, cols) -> { Fitness.cols; base = None; keep = None }) steps)
+  in
+  Array.to_list
+    (Array.map2
+       (fun (removed, avg_abs_corr, remaining) rho -> { removed; avg_abs_corr; remaining; rho })
+       steps rhos)
 
-let run ?(pool = Pool.sequential) ?(exact_rho = false) ?(down_to = 1) ~data fitness =
-  Obs.span "select.ce" (fun () -> run_body ~pool ~exact_rho ~down_to ~data fitness)
+let run ?(pool = Pool.sequential) ?(down_to = 1) ~data fitness =
+  Obs.span "select.ce" (fun () -> run_body ~pool ~down_to ~data fitness)
 
 let subset_of_size steps k =
   match List.find_opt (fun s -> Array.length s.remaining = k) steps with
   | Some s -> s.remaining
   | None -> raise Not_found
 
-(* Score every candidate removal of the given subset: rho of the subset
-   with that column left out, each in O(pairs) off the shared running
-   sums.  Candidates are independent, so the sweep fans out over the pool
-   (per-block distance buffers); results come back in column order. *)
+(* Score every candidate removal: rho of the subset with that column left
+   out, each a one-column delta job off the subset's shared sums, so the
+   sweep is O(k * pairs) rather than O(k^2 * pairs).  The jobs fan out
+   over the pool; results come back in [subset] order. *)
 let leave_one_out ?(pool = Pool.sequential) fitness subset =
-  let state = Fitness.Subset.of_cols fitness subset in
-  let k = Array.length subset in
-  let out = Array.make k 0.0 in
-  Pool.run_blocks pool k (fun _ lo hi ->
-      let buf = Array.make (Fitness.n_pairs fitness) 0.0 in
-      for i = lo to hi do
-        out.(i) <- Fitness.Subset.rho_without ~buf state subset.(i)
-      done);
-  Array.map2 (fun c r -> (c, r)) subset out
+  let members = List.sort_uniq compare (Array.to_list subset) in
+  let sums = Array.make (Fitness.n_pairs fitness) 0.0 in
+  ignore
+    (Fitness.eval fitness
+       [| { Fitness.cols = Array.of_list members; base = None; keep = Some sums } |]);
+  let rhos =
+    Fitness.eval ~pool fitness
+      (Array.map (fun c -> { Fitness.cols = [| lnot c |]; base = Some sums; keep = None }) subset)
+  in
+  Array.map2 (fun c r -> (c, r)) subset rhos

@@ -7,9 +7,10 @@
     full-space distances.
 
     The removal order is decided on the full-set correlation matrix
-    (computed once); the per-step rho is evaluated incrementally off a
-    running per-pair sum-of-squares (see {!Mica_select.Fitness.Subset}),
-    making each step O(pairs) instead of O(k * pairs). *)
+    (computed once), so every step's surviving subset is known up front;
+    their rhos are then evaluated as one batch (see
+    {!Mica_select.Fitness.eval}), each exactly as {!Mica_select.Fitness.rho}
+    computes it. *)
 
 type step = {
   removed : int;  (** index of the characteristic dropped at this step *)
@@ -20,7 +21,6 @@ type step = {
 
 val run :
   ?pool:Mica_util.Pool.t ->
-  ?exact_rho:bool ->
   ?down_to:int ->
   data:Mica_stats.Matrix.t ->
   Fitness.t ->
@@ -29,13 +29,9 @@ val run :
     [down_to] remain (default 1).  [data] is the raw (unnormalized)
     observations matrix — correlations between characteristics are scale
     invariant; [fitness] must come from the normalized version of the same
-    matrix.  Steps are returned in elimination order.
-
-    The removal sequence is independent of [exact_rho] and of the pool
-    size.  [exact_rho] (default false) rebuilds the running sums in-order
-    before each rho, trading the incremental O(pairs) step for a
-    drift-free value; the drift between the two is bounded by the
-    tolerance differential law in the test suite. *)
+    matrix.  Steps are returned in elimination order.  Each step's [rho]
+    is bit-identical to [Fitness.rho fitness remaining], and the whole
+    result is bit-identical at any pool size. *)
 
 val subset_of_size : step list -> int -> int array
 (** [subset_of_size steps k] is the surviving subset after elimination has
@@ -46,5 +42,7 @@ val leave_one_out :
   ?pool:Mica_util.Pool.t -> Fitness.t -> int array -> (int * float) array
 (** [leave_one_out fitness subset] scores every candidate removal: for
     each member column [c], the rho of [subset] without [c], evaluated in
-    O(pairs) off shared running sums.  Candidates fan out over the pool
-    (results in [subset] order, identical at any pool size). *)
+    O(pairs) as a delta job off the subset's shared per-pair sums (so it
+    carries the delta tolerance of DESIGN.md §9).  Candidates fan out
+    over the pool (results in [subset] order, identical at any pool
+    size). *)

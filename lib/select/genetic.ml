@@ -5,8 +5,9 @@ module Obs = Mica_obs.Obs
 let m_generations = Obs.counter "ga.generations"
 let m_evaluations = Obs.counter "ga.evaluations"
 
-(* Which path each evaluation took: a full in-order [Subset.set_cols], or
-   the parent's sums plus per-column deltas.  They sum to [ga.evaluations]. *)
+(* Which path each evaluation took: a rebuild from the genome's columns,
+   or the parent's sums plus per-column deltas.  They sum to
+   [ga.evaluations]. *)
 let m_rebuild_evals = Obs.counter "ga.rebuild_evals"
 let m_delta_evals = Obs.counter "ga.delta_evals"
 
@@ -56,40 +57,53 @@ let subset_of_genome genome =
   done;
   Array.of_list !out
 
-(* bits where the genome disagrees with the subset state's membership *)
-let diff_to_state st genome =
+let cardinal genome = Array.fold_left (fun k b -> if b then k + 1 else k) 0 genome
+
+(* bits where two genomes disagree *)
+let distance a b =
   let d = ref 0 in
-  Array.iteri (fun c b -> if b <> Fitness.Subset.mem st c then incr d) genome;
+  Array.iteri (fun c x -> if x <> b.(c) then incr d) a;
   !d
+
+(* The columns that turn [parent] into [genome], ascending: [c] where
+   only the genome has it, [lnot c] where only the parent has it. *)
+let delta_cols parent genome =
+  let out = ref [] in
+  for c = Array.length genome - 1 downto 0 do
+    if genome.(c) <> parent.(c) then out := (if genome.(c) then c else lnot c) :: !out
+  done;
+  Array.of_list !out
 
 (* Kept as a plain function (the [select.ga] span wraps a call to it in
    [run]) so the body's free variables stay ordinary arguments rather than
    closure-environment fields. *)
 let run_body ~config ~pool ~rng fitness =
   let n = Fitness.n_characteristics fitness in
+  let n_pairs = Fitness.n_pairs fitness in
   let pop = config.population in
   let cache : (string, float) Hashtbl.t = Hashtbl.create 1024 in
   let evaluations = ref 0 in
-  (* All state below is preallocated once and reused every generation, so
-     the steady-state loop does not allocate per evaluation.  Each
-     population slot owns two subset states (previous and next
-     generation); a slot's state is valid when it holds the running
-     per-pair sums for the genome currently in that slot. *)
-  let states_prev = Array.init pop (fun _ -> Fitness.Subset.make fitness) in
-  let states_next = Array.init pop (fun _ -> Fitness.Subset.make fitness) in
+  (* All per-pair storage is allocated once and reused every generation.
+     Each population slot owns two rows of running per-pair sums
+     (previous and next generation); a slot's row is valid when it holds
+     the sums of the genome currently in that slot.  [scratch] holds the
+     distance rows of one generation's batch. *)
+  let sums_prev = Array.init pop (fun _ -> Array.make n_pairs 0.0) in
+  let sums_next = Array.init pop (fun _ -> Array.make n_pairs 0.0) in
   let valid_prev = Array.make pop false in
   let valid_next = Array.make pop false in
+  let scratch = Fitness.scratch fitness pop in
   let parents = Array.make pop (-1) in
   let keys = Array.make pop "" in
   let scores = Array.make pop 0.0 in
-  let via_delta = Array.make pop false in
-  (* Evaluate one generation.  The grouping pass is sequential and keyed
+  (* Evaluate one generation, whose slot [i] descends from slot
+     [parents.(i)] of [elders].  The grouping pass is sequential and keyed
      on genome content, so which genomes get evaluated — and through which
      path — depends only on the genomes and the cache, never on the pool
-     size; the parallel phase evaluates each distinct new genome exactly
-     once, independently, with per-block scratch.  Results are therefore
-     bit-identical at any [jobs]. *)
-  let eval_batch population (states_prev, valid_prev) (states_next, valid_next) =
+     size; [Fitness.eval] then scores every distinct new genome exactly
+     once, as one batch.  Results are therefore bit-identical at any
+     [jobs]. *)
+  let eval_batch population ~elders (sums_prev, valid_prev) (sums_next, valid_next) =
     Array.iteri (fun i g -> keys.(i) <- genome_key g) population;
     Array.fill valid_next 0 pop false;
     let first_slot : (string, int) Hashtbl.t = Hashtbl.create (2 * pop) in
@@ -102,55 +116,47 @@ let run_body ~config ~pool ~rng fitness =
       end
     done;
     let fresh = Array.of_list !fresh in
-    let out = Array.make (Array.length fresh) 0.0 in
-    Pool.run_blocks pool (Array.length fresh) (fun _ lo hi ->
-        for u = lo to hi do
-          let i = fresh.(u) in
-          let g = population.(i) in
-          let st = states_next.(i) in
-          let p = parents.(i) in
+    let jobs =
+      Array.map
+        (fun i ->
+          let g = population.(i) and p = parents.(i) in
+          valid_next.(i) <- true;
           let delta =
             config.delta_eval && p >= 0 && valid_prev.(p)
             &&
-            let d = diff_to_state states_prev.(p) g in
-            let card = ref 0 in
-            Array.iter (fun b -> if b then incr card) g;
-            d > 0 && 2 * d < !card
+            let d = distance elders.(p) g in
+            d > 0 && 2 * d < cardinal g
           in
-          if delta then begin
-            (* close descendant of an evaluated parent: carry the parent's
-               running sums over and flip only the differing columns *)
-            Fitness.Subset.blit ~src:states_prev.(p) ~dst:st;
-            Array.iteri
-              (fun c b ->
-                if b <> Fitness.Subset.mem st c then
-                  if b then Fitness.Subset.add st c else Fitness.Subset.remove st c)
-              g
-          end
-          else Fitness.Subset.set_cols st (subset_of_genome g);
-          via_delta.(i) <- delta;
-          valid_next.(i) <- true;
-          out.(u) <- Fitness.Subset.fitness st
-        done);
+          (* a close descendant of an evaluated parent starts from the
+             parent's sums and flips only the differing columns *)
+          if delta then
+            { Fitness.cols = delta_cols elders.(p) g; base = Some sums_prev.(p);
+              keep = Some sums_next.(i) }
+          else { Fitness.cols = subset_of_genome g; base = None; keep = Some sums_next.(i) })
+        fresh
+    in
+    let rhos = Fitness.eval ~pool ~scratch fitness jobs in
     Array.iteri
       (fun u i ->
         incr evaluations;
         Obs.incr m_evaluations;
-        Obs.incr (if via_delta.(i) then m_delta_evals else m_rebuild_evals);
-        Hashtbl.add cache keys.(i) out.(u))
+        Obs.incr
+          (match jobs.(u).Fitness.base with None -> m_rebuild_evals | Some _ -> m_delta_evals);
+        Hashtbl.add cache keys.(i)
+          (Fitness.of_rho fitness ~size:(cardinal population.(i)) rhos.(u)))
       fresh;
     for i = 0 to pop - 1 do
       scores.(i) <- Hashtbl.find cache keys.(i);
       (* cache-hit slot whose genome is unchanged from its parent (an
          elite, or an unmutated copy): keep its sums alive so its own
          children can still take the delta path next generation *)
+      let p = parents.(i) in
       if
         config.delta_eval && (not valid_next.(i))
-        && parents.(i) >= 0
-        && valid_prev.(parents.(i))
-        && diff_to_state states_prev.(parents.(i)) population.(i) = 0
+        && p >= 0 && valid_prev.(p)
+        && distance elders.(p) population.(i) = 0
       then begin
-        Fitness.Subset.blit ~src:states_prev.(parents.(i)) ~dst:states_next.(i);
+        Array.blit sums_prev.(p) 0 sums_next.(i) 0 n_pairs;
         valid_next.(i) <- true
       end
     done
@@ -163,8 +169,8 @@ let run_body ~config ~pool ~rng fitness =
   in
   let population = ref (Array.init pop (fun _ -> random_genome ())) in
   Array.fill parents 0 pop (-1);
-  eval_batch !population (states_prev, valid_prev) (states_next, valid_next);
-  let prev = ref (states_next, valid_next) and next = ref (states_prev, valid_prev) in
+  eval_batch !population ~elders:!population (sums_prev, valid_prev) (sums_next, valid_next);
+  let prev = ref (sums_next, valid_next) and next = ref (sums_prev, valid_prev) in
   let tournament () =
     let best = ref (Rng.int rng pop) in
     for _ = 2 to config.tournament_size do
@@ -220,7 +226,7 @@ let run_body ~config ~pool ~rng fitness =
       end
     in
     let children = Array.init pop make_child in
-    eval_batch children !prev !next;
+    eval_batch children ~elders:!population !prev !next;
     population := children;
     let tmp = !prev in
     prev := !next;

@@ -652,14 +652,21 @@ let test_trace_io_binary_pc_range () =
       Alcotest.(check int) "largest pc" max_int (List.nth (read ()) 300).Instr.pc)
 
 (* The CLI turns a replay [Failure] into a message and exit 2, not an
-   uncaught exception (cmdliner's exit 125). *)
+   uncaught exception (cmdliner's exit 125).  The binary is found next to
+   this test executable's build directory, so the test runs from any
+   working directory. *)
+let mica_exe =
+  Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name))
+    (Filename.concat "bin" "mica.exe")
+
 let run_mica args =
   let err = Filename.temp_file "mica_err" ".txt" in
   Fun.protect
     ~finally:(fun () -> Sys.remove err)
     (fun () ->
-      let mica = "../bin/mica.exe" in
-      let code = Sys.command (Filename.quote_command mica args ~stdout:Filename.null ~stderr:err) in
+      let code =
+        Sys.command (Filename.quote_command mica_exe args ~stdout:Filename.null ~stderr:err)
+      in
       (code, In_channel.with_open_text err In_channel.input_all))
 
 let test_characterize_trace_exit_codes () =

@@ -275,7 +275,7 @@ let test_differential_cache_roundtrip () =
 
    The fused fitness kernel must agree with the naive
    subset_distances + pearson reference *exactly* (same operations, same
-   order); the incremental Subset delta path may drift but only within the
+   order); the batch evaluator's delta path may drift but only within the
    DESIGN.md §9 tolerance; and every pooled kernel must give bit-identical
    results at jobs = 1 and jobs = 4. *)
 
@@ -348,30 +348,17 @@ let test_fused_fitness_matches_naive_reference () =
             if d <> naive_distances.(p) then
               fail "trial %d (k=%d): distances_for pair %d not bit-identical" trial k p)
           (Select.Fitness.distances_for fit subset);
-        (* the subset state sums in ascending column order, so its
-           reference is the sorted subset; drift from a delta walk must
-           vanish on rebuild, at any pool size *)
-        let sorted = Array.copy subset in
-        Array.sort compare sorted;
-        let want_sorted = naive sorted in
+        (* the same subset as a rebuild job of the batch evaluator, at
+           any pool size *)
         List.iter
           (fun jobs ->
-            Pool.with_pool ~jobs (fun pool ->
-                let st = Select.Fitness.Subset.of_cols ~pool fit subset in
-                if Select.Fitness.Subset.rho ~pool st <> want_sorted then
-                  fail "trial %d (k=%d): of_cols rho not bit-identical at jobs %d" trial k jobs;
-                let other = (sorted.(0) + 1) mod cols in
-                if Select.Fitness.Subset.mem st other then begin
-                  Select.Fitness.Subset.remove ~pool st other;
-                  Select.Fitness.Subset.add ~pool st other
-                end
-                else begin
-                  Select.Fitness.Subset.add ~pool st other;
-                  Select.Fitness.Subset.remove ~pool st other
-                end;
-                Select.Fitness.Subset.rebuild ~pool st;
-                if Select.Fitness.Subset.rho ~pool st <> want_sorted then
-                  fail "trial %d (k=%d): rebuilt rho not bit-identical at jobs %d" trial k jobs))
+            let got =
+              Pool.with_pool ~jobs (fun pool ->
+                  Select.Fitness.eval ~pool fit
+                    [| { Select.Fitness.cols = subset; base = None; keep = None } |])
+            in
+            if got.(0) <> want then
+              fail "trial %d (k=%d): eval rho not bit-identical at jobs %d" trial k jobs)
           [ 1; 4 ])
       subsets;
     List.iter
@@ -383,28 +370,182 @@ let test_fused_fitness_matches_naive_reference () =
   in
   List.iter (fun rows -> check_shape ~rows) [ 25; 45; 46; 91 ]
 
+let ascending members =
+  let out = ref [] in
+  for c = Array.length members - 1 downto 0 do
+    if members.(c) then out := c :: !out
+  done;
+  Array.of_list !out
+
+(* A 200-step add/remove walk in which every step is a one-column delta
+   job off the previous step's sums, so the drift accumulates as it does
+   along a GA lineage; a rebuild job clears it. *)
 let test_subset_delta_within_tolerance () =
   let rng = Rng.create ~seed:0xDE17AL in
   let cols = 10 in
   let normalized = random_normalized rng ~rows:20 ~cols in
   let fit = Select.Fitness.create normalized in
-  let state = Select.Fitness.Subset.of_cols fit (random_subset rng ~cols) in
+  let members = Array.make cols false in
+  Array.iter (fun c -> members.(c) <- true) (random_subset rng ~cols);
+  let sums = Array.make (Select.Fitness.n_pairs fit) 0.0 in
+  let eval ~base cols =
+    (Select.Fitness.eval fit [| { Select.Fitness.cols; base; keep = Some sums } |]).(0)
+  in
+  ignore (eval ~base:None (ascending members) : float);
   for _ = 1 to 200 do
-    (* random add/remove walk, accumulating delta updates *)
     let c = Rng.int rng cols in
-    if Select.Fitness.Subset.mem state c && Select.Fitness.Subset.cardinal state > 1 then
-      Select.Fitness.Subset.remove state c
-    else Select.Fitness.Subset.add state c;
-    let via_delta = Select.Fitness.Subset.rho state in
-    let exact = Select.Fitness.rho fit (Select.Fitness.Subset.cols state) in
+    let step =
+      if members.(c) && Array.length (ascending members) > 1 then begin
+        members.(c) <- false;
+        [| lnot c |]
+      end
+      else if not members.(c) then begin
+        members.(c) <- true;
+        [| c |]
+      end
+      else [||]
+    in
+    let via_delta = eval ~base:(Some sums) step in
+    let exact = Select.Fitness.rho fit (ascending members) in
     if Float.abs (via_delta -. exact) > delta_tol then
       Alcotest.failf "delta drift %g exceeds %g" (Float.abs (via_delta -. exact)) delta_tol
   done;
-  (* rebuild clears the drift entirely *)
-  Select.Fitness.Subset.rebuild state;
-  let exact = Select.Fitness.rho fit (Select.Fitness.Subset.cols state) in
-  if Select.Fitness.Subset.rho state <> exact then
+  let exact = Select.Fitness.rho fit (ascending members) in
+  if eval ~base:None (ascending members) <> exact then
     Alcotest.fail "rebuilt rho not bit-identical to the fused recompute"
+
+(* The delta path clamps a sum that rounding drove below zero.  Pair
+   (0, 1) has components 1, 2^-54 and 2^-60: summed in order they round
+   to 1.0, and taking columns 0 and 1 back out leaves -2^-54, whose
+   unclamped root (NaN) used to zero the whole rho.  The exact rho of
+   column 2 alone is 0.974. *)
+let test_delta_clamps_negative_sums () =
+  let normalized =
+    [|
+      [| 0.0; 0.0; 0.0 |];
+      [| 1.0; ldexp 1.0 (-27); ldexp 1.0 (-30) |];
+      [| 0.5; 1.0; 1.5 |];
+      [| 2.0; 0.5; 3.0 |];
+    |]
+  in
+  let fit = Select.Fitness.create normalized in
+  let sums = Array.make (Select.Fitness.n_pairs fit) 0.0 in
+  ignore
+    (Select.Fitness.eval fit
+       [| { Select.Fitness.cols = [| 0; 1; 2 |]; base = None; keep = Some sums } |]);
+  if sums.(0) -. 1.0 -. ldexp 1.0 (-54) >= 0.0 then
+    Alcotest.fail "fixture no longer drives the pair (0, 1) sum below zero";
+  let exact = Select.Fitness.rho fit [| 2 |] in
+  Alcotest.(check (float 1e-3)) "exact rho" 0.974 exact;
+  let via_delta =
+    (Select.Fitness.eval fit
+       [| { Select.Fitness.cols = [| lnot 0; lnot 1 |]; base = Some sums; keep = None } |]).(0)
+  in
+  if Float.abs (via_delta -. exact) > delta_tol then
+    Alcotest.failf "delta rho %.17g, exact %.17g" via_delta exact
+
+(* [Fitness.eval] against a per-genome reference: for a rebuild job the
+   naive in-order sums, for a delta job the parent's sums and then one
+   +/- pass per column in order, as one-genome-at-a-time evaluation did;
+   then the clamped roots and [Correlation.pearson].  rho and the kept
+   sums must agree by bits for batches of 1 to 9 mixed rebuild and
+   mixed-sign delta jobs (across the 4-wide Pearson groups), on pair
+   counts below, just above and well past the 1024-pair block, at jobs 1
+   and 4. *)
+let test_batch_eval_matches_reference () =
+  let rng = Rng.create ~seed:0xBA7C4L in
+  let cols = 11 in
+  let bits = Int64.bits_of_float in
+  let check_shape ~rows =
+    let normalized = random_normalized rng ~rows ~cols in
+    let fit = Select.Fitness.create normalized in
+    let comp = Stats.Distance.condensed_squared_components normalized in
+    let full = Stats.Distance.condensed normalized in
+    let n = Array.length full in
+    let reference ~base signed =
+      let sums = match base with Some b -> Array.copy b | None -> Array.make n 0.0 in
+      Array.iter
+        (fun c ->
+          for p = 0 to n - 1 do
+            sums.(p) <-
+              (if c >= 0 then sums.(p) +. comp.(p).(c) else sums.(p) -. comp.(p).(lnot c))
+          done)
+        signed;
+      let dist = Array.map (fun s -> sqrt (Float.max 0.0 s)) sums in
+      (sums, Stats.Correlation.pearson dist full)
+    in
+    let job () =
+      let parent = random_subset rng ~cols in
+      if Rng.bool rng then (parent, None)
+      else begin
+        let member = Array.make cols false in
+        Array.iter (fun c -> member.(c) <- true) parent;
+        let flip = Array.make cols false in
+        for _ = 0 to Rng.int rng 5 do
+          flip.(Rng.int rng cols) <- true
+        done;
+        let signed =
+          List.filter_map
+            (fun c -> if flip.(c) then Some (if member.(c) then lnot c else c) else None)
+            (List.init cols Fun.id)
+        in
+        (Array.of_list signed, Some (fst (reference ~base:None parent)))
+      end
+    in
+    for size = 1 to 9 do
+      let specs = Array.init size (fun _ -> job ()) in
+      let want = Array.map (fun (signed, base) -> reference ~base signed) specs in
+      let check ~pool jobs =
+        let keeps = Array.map (fun _ -> Array.make n Float.nan) specs in
+        let got =
+          Select.Fitness.eval ~pool fit
+            (Array.mapi
+               (fun u (cols, base) -> { Select.Fitness.cols; base; keep = Some keeps.(u) })
+               specs)
+        in
+        Array.iteri
+          (fun u (sums, rho) ->
+            let fail what =
+              Alcotest.failf "%d pairs, batch of %d, job %d, jobs %d: %s" n size u jobs what
+            in
+            if bits got.(u) <> bits rho then fail "rho not bit-identical";
+            Array.iteri (fun p s -> if bits keeps.(u).(p) <> bits s then fail "sums differ") sums)
+          want
+      in
+      check ~pool:Pool.sequential 1;
+      (* pool blocks run concurrently only when their workers overlap in
+         time, so a block that wrote another block's scratch shows only
+         in some runs: repeat *)
+      Pool.with_pool ~jobs:4 (fun pool ->
+          for _ = 1 to 8 do
+            check ~pool 4
+          done)
+    done
+  in
+  List.iter (fun rows -> check_shape ~rows) [ 25; 46; 91 ];
+  (* the sweep reads columns, sums and scratch unchecked: [eval] must
+     refuse anything out of shape *)
+  let fit = Select.Fitness.create (random_normalized rng ~rows:6 ~cols) in
+  let other = Select.Fitness.create (random_normalized rng ~rows:7 ~cols) in
+  let job cols = { Select.Fitness.cols; base = None; keep = None } in
+  List.iter
+    (fun (what, f) ->
+      match f () with
+      | exception Invalid_argument _ -> ()
+      | (_ : float array) -> Alcotest.failf "%s was accepted" what)
+    [
+      ("column past the end", fun () -> Select.Fitness.eval fit [| job [| cols |] |]);
+      ("removed column past the end", fun () -> Select.Fitness.eval fit [| job [| lnot cols |] |]);
+      ( "short base",
+        fun () -> Select.Fitness.eval fit [| { (job [| 0 |]) with base = Some [| 0.0 |] } |] );
+      ( "scratch too small",
+        fun () ->
+          Select.Fitness.eval ~scratch:(Select.Fitness.scratch fit 1) fit
+            [| job [| 0 |]; job [| 1 |] |] );
+      ( "scratch of another fitness",
+        fun () ->
+          Select.Fitness.eval ~scratch:(Select.Fitness.scratch other 1) fit [| job [| 0 |] |] );
+    ]
 
 let test_ce_leave_one_out_matches_naive () =
   let rng = Rng.create ~seed:0xCE100L in
@@ -475,19 +616,37 @@ let test_ce_matches_naive_elimination () =
         Alcotest.(check int) (label ^ ": same removal") nr s.Select.Correlation_elimination.removed;
         Alcotest.(check (array int)) (label ^ ": same remaining") nrem
           s.Select.Correlation_elimination.remaining;
-        if Float.abs (nrho -. s.Select.Correlation_elimination.rho) > delta_tol then
-          Alcotest.failf "%s: step rho drifts %g from naive reference" label
-            (Float.abs (nrho -. s.Select.Correlation_elimination.rho)))
+        if nrho <> s.Select.Correlation_elimination.rho then
+          Alcotest.failf "%s: step rho %.17g, naive reference %.17g" label
+            s.Select.Correlation_elimination.rho nrho)
       naive_steps steps
   in
-  check "incremental" (Select.Correlation_elimination.run ~data fit);
-  (* with exact_rho the in-order rebuild makes every step rho bit-identical *)
-  List.iter2
-    (fun (_, _, nrho) (s : Select.Correlation_elimination.step) ->
-      if nrho <> s.Select.Correlation_elimination.rho then
-        Alcotest.fail "exact_rho step not bit-identical to naive reference")
-    naive_steps
-    (Select.Correlation_elimination.run ~exact_rho:true ~data fit)
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun pool ->
+          check
+            (Printf.sprintf "jobs %d" jobs)
+            (Select.Correlation_elimination.run ~pool ~data fit)))
+    [ 1; 4 ]
+
+(* On the committed baseline dataset every step's rho is its subset's
+   exact rho.  Running sums carried from step to step drift below zero
+   there and read 0.000 for k <= 5, where the exact values are 0.400,
+   0.303, 0.131, -0.042 and -0.014. *)
+let test_ce_steps_exact_on_baseline () =
+  let ds = Mica_core.Dataset.of_csv Tutil.baseline_csv in
+  let fit = Select.Fitness.create (Mica_core.Space.of_dataset ds).Mica_core.Space.normalized in
+  let steps = Select.Correlation_elimination.run ~data:ds.Mica_core.Dataset.data fit in
+  Alcotest.(check int) "steps" 46 (List.length steps);
+  List.iter
+    (fun (s : Select.Correlation_elimination.step) ->
+      let exact = Select.Fitness.rho fit s.Select.Correlation_elimination.remaining in
+      if Int64.bits_of_float s.Select.Correlation_elimination.rho <> Int64.bits_of_float exact
+      then
+        Alcotest.failf "k = %d: step rho %.17g, exact %.17g"
+          (Array.length s.Select.Correlation_elimination.remaining)
+          s.Select.Correlation_elimination.rho exact)
+    steps
 
 let test_selection_jobs_invariance () =
   let rng = Rng.create ~seed:0x10B5L in
@@ -1066,10 +1225,16 @@ let suite =
         test_fused_fitness_matches_naive_reference;
       Alcotest.test_case "kernels: subset delta tolerance" `Quick
         test_subset_delta_within_tolerance;
+      Alcotest.test_case "kernels: delta clamps negative sums" `Quick
+        test_delta_clamps_negative_sums;
+      Alcotest.test_case "kernels: batch eval vs per-genome reference" `Quick
+        test_batch_eval_matches_reference;
       Alcotest.test_case "kernels: leave-one-out vs naive" `Quick
         test_ce_leave_one_out_matches_naive;
       Alcotest.test_case "kernels: CE vs naive elimination" `Quick
         test_ce_matches_naive_elimination;
+      Alcotest.test_case "kernels: CE steps exact on baseline" `Quick
+        test_ce_steps_exact_on_baseline;
       Alcotest.test_case "kernels: selection jobs invariance" `Quick
         test_selection_jobs_invariance;
       Alcotest.test_case "kernels: clustering jobs invariance" `Quick

@@ -3,6 +3,12 @@
 module Instr = Mica_isa.Instr
 module Opcode = Mica_isa.Opcode
 
+(* The committed baseline dataset, from the test directory (dune runtest)
+   or from the repository root. *)
+let baseline_csv =
+  let rel = "results/baseline/mica_dataset.csv" in
+  if Sys.file_exists ("../" ^ rel) then "../" ^ rel else rel
+
 let feq = Alcotest.float 1e-9
 let feq_loose = Alcotest.float 1e-6
 
