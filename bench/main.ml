@@ -95,13 +95,18 @@ let t_fig4 =
          let all = Array.init Mica_analysis.Characteristics.count Fun.id in
          let hpc = Mica_core.Space.of_dataset c.E.Context.hpc in
          Sys.opaque_identity
-           (Stats.Roc.of_spaces ~ref_distances:hpc.Mica_core.Space.distances
-              ~test_distances:(Select.Fitness.distances_for c.E.Context.fitness all)
-              ~frac:0.2)))
+           (Stats.Roc.curve
+              ~labels:(Stats.Roc.positives ~ref_distances:hpc.Mica_core.Space.distances ~frac:0.2)
+              ~scores:(Select.Fitness.distances_for c.E.Context.fitness all))))
 
 let t_fig5_ce =
   Test.make ~name:"fig5_ce_sweep"
-    (Staged.stage (fun () -> Sys.opaque_identity (E.run_ce (Lazy.force ctx))))
+    (Staged.stage (fun () ->
+         (* the sweep itself: [E.run_ce] would return the context's memo *)
+         let c = Lazy.force ctx in
+         Sys.opaque_identity
+           (Select.Correlation_elimination.run ~pool:(Mica_util.Pool.default ())
+              ~data:c.E.Context.mica.Mica_core.Dataset.data c.E.Context.fitness)))
 
 let t_table4_ga =
   Test.make ~name:"table4_ga_select"

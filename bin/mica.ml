@@ -1371,7 +1371,9 @@ module Obs = Mica_obs.Obs
    CI smoke contract) fails if any is missing, if a machine-model counter
    below is missing or inconsistent, if any registered metric is
    non-finite or a negative counter, or, for the GA stages, if the
-   per-path evaluation counters do not add up to [ga.evaluations]. *)
+   per-path evaluation counters do not add up to [ga.evaluations].  The
+   figures stage must also run CE exactly once: Figures 4 and 5 share
+   the context's sweep. *)
 let profile_expected_spans stage =
   let characterize =
     [
@@ -1393,6 +1395,17 @@ let profile_expected_spans stage =
   | `Ga -> [ "select.ga" ]
   | `Ce -> [ "select.ce" ]
   | `Cluster -> [ "select.ga"; "stats.kmeans"; "cluster.bic" ]
+  | `Figures ->
+    [
+      "select.ce";
+      "select.ga";
+      "experiments.fig4";
+      "experiments.fig5";
+      "experiments.fig6";
+      "stats.kmeans";
+      "cluster.bic";
+      "experiments.cost";
+    ]
 
 let snapshot_counter (snap : Obs.snapshot) name =
   match List.assoc_opt name snap.Obs.metrics with Some (Obs.Counter c) -> c | _ -> 0.0
@@ -1428,7 +1441,7 @@ let profile_check stage (snap : Obs.snapshot) =
   if counter "uarch.ev56.dtlb_misses" > counter "uarch.ev56.dtlb_accesses" then
     err "uarch.ev56.dtlb_misses exceeds uarch.ev56.dtlb_accesses";
   (match stage with
-  | `Ga | `Cluster ->
+  | `Ga | `Cluster | `Figures ->
     let evals = snapshot_counter snap "ga.evaluations" in
     let paths =
       snapshot_counter snap "ga.rebuild_evals" +. snapshot_counter snap "ga.delta_evals"
@@ -1436,8 +1449,15 @@ let profile_check stage (snap : Obs.snapshot) =
     if evals <= 0.0 then err "the GA recorded no evaluations"
     else if paths <> evals then
       err "ga.rebuild_evals + ga.delta_evals = %g, but ga.evaluations = %g" paths evals
-  | `Ce -> if snapshot_counter snap "ce.steps" <= 0.0 then err "CE recorded no elimination steps"
-  | `Characterize | `Classify -> ());
+  | `Ce | `Characterize | `Classify -> ());
+  (match stage with
+  | `Ce | `Figures ->
+    if snapshot_counter snap "ce.steps" <= 0.0 then err "CE recorded no elimination steps"
+  | `Ga | `Cluster | `Characterize | `Classify -> ());
+  (match (stage, List.assoc_opt "select.ce" snap.Obs.spans) with
+  | `Figures, Some s when s.Obs.sp_count <> 1 ->
+    err "select.ce ran %d times; Figures 4 and 5 must share one CE sweep" s.Obs.sp_count
+  | _ -> ());
   List.iter
     (fun (name, v) ->
       match v with
@@ -1504,10 +1524,12 @@ let profile_cmd =
         ("select-ga", `Ga);
         ("select-ce", `Ce);
         ("cluster", `Cluster);
+        ("figures", `Figures);
       ]
     in
     let doc =
-      "Pipeline stage to profile: characterize, classify, select-ga, select-ce or cluster."
+      "Pipeline stage to profile: characterize, classify, select-ga, select-ce, cluster or \
+       figures (Figure 1, Table III, CE, GA, Figures 4-6 and the cost model)."
     in
     Arg.(required & pos 0 (some (enum stages)) None & info [] ~docv:"STAGE" ~doc)
   in
@@ -1540,6 +1562,11 @@ let profile_cmd =
         List.filteri (fun i _ -> i < 12) Mica_workloads.Registry.all
       else Mica_workloads.Registry.all
     in
+    let ga_config =
+      if quick then { Select.Genetic.default_config with Select.Genetic.max_generations = 12 }
+      else Select.Genetic.default_config
+    in
+    let k_max = if quick then 6 else 70 in
     let t0 = Unix.gettimeofday () in
     (match stage with
     | `Characterize ->
@@ -1566,24 +1593,25 @@ let profile_cmd =
       ignore (E.table3 ctx)
     | `Ga ->
       let ctx = E.Context.load ~config ~workloads () in
-      let ga_config =
-        if quick then
-          { Select.Genetic.default_config with Select.Genetic.max_generations = 12 }
-        else Select.Genetic.default_config
-      in
       ignore (E.run_ga ~config:ga_config ctx)
     | `Ce ->
       let ctx = E.Context.load ~config ~workloads () in
       ignore (E.run_ce ctx)
     | `Cluster ->
       let ctx = E.Context.load ~config ~workloads () in
-      let ga_config =
-        if quick then
-          { Select.Genetic.default_config with Select.Genetic.max_generations = 12 }
-        else Select.Genetic.default_config
-      in
       let ga = E.run_ga ~config:ga_config ctx in
-      ignore (E.fig6 ~k_max:(if quick then 6 else 70) ctx ~selected:ga.Select.Genetic.selected));
+      ignore (E.fig6 ~k_max ctx ~selected:ga.Select.Genetic.selected)
+    | `Figures ->
+      let ctx = E.Context.load ~config ~workloads () in
+      ignore (E.fig1 ctx : E.fig1);
+      ignore (E.table3 ctx : Mica_core.Classify.counts);
+      let ce = E.run_ce ctx in
+      let ga = E.run_ga ~config:ga_config ctx in
+      ignore (E.fig4 ctx ~ga ~ce : E.roc_entry list);
+      ignore (E.fig5 ctx ~ga : E.fig5);
+      let selected = ga.Select.Genetic.selected in
+      ignore (E.fig6 ~k_max ctx ~selected : E.fig6);
+      ignore (E.cost_model ctx ~selected : E.cost));
     let wall = Unix.gettimeofday () -. t0 in
     let snap = Obs.snapshot () in
     Printf.printf "stage profile (wall %.3f s, %d workloads, %d instructions each):\n%s" wall

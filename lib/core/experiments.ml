@@ -2,6 +2,7 @@ module Stats = Mica_stats
 module Select = Mica_select
 module Workloads = Mica_workloads
 module Analysis = Mica_analysis
+module Obs = Mica_obs.Obs
 
 module Context = struct
   type t = {
@@ -13,7 +14,23 @@ module Context = struct
     hpc_space : Space.t;
     fitness : Select.Fitness.t;
     report : Run_report.t;
+    ce : Select.Correlation_elimination.step list Lazy.t;
   }
+
+  let of_datasets ?(config = Pipeline.default_config) ?(report = Run_report.create []) ~workloads
+      mica hpc =
+    let mica_space = Space.of_dataset mica in
+    let hpc_space = Space.of_dataset hpc in
+    let fitness = Select.Fitness.create mica_space.Space.normalized in
+    (* Figures 4 and 5 both read the CE sweep; it runs once, when first
+       asked for *)
+    let ce =
+      lazy
+        (Select.Correlation_elimination.run
+           ~pool:(Mica_util.Pool.default ())
+           ~data:mica.Dataset.data fitness)
+    in
+    { config; workloads; mica; hpc; mica_space; hpc_space; fitness; report; ce }
 
   (* Graceful degradation: permanently failed workloads are dropped from
      [workloads] (keeping it aligned with the dataset rows) and carried in
@@ -32,10 +49,7 @@ module Context = struct
         (fun w -> Dataset.row_index mica (Workloads.Workload.id w) <> None)
         workloads
     in
-    let mica_space = Space.of_dataset mica in
-    let hpc_space = Space.of_dataset hpc in
-    let fitness = Select.Fitness.create mica_space.Space.normalized in
-    { config; workloads; mica; hpc; mica_space; hpc_space; fitness; report }
+    of_datasets ~config ~report ~workloads mica hpc
 end
 
 (* ---------------- Table I ---------------- *)
@@ -154,10 +168,7 @@ let fig3 ?(a = default_a) ?(b = default_b) (ctx : Context.t) =
 
 (* ---------------- Feature selection ---------------- *)
 
-let run_ce (ctx : Context.t) =
-  Select.Correlation_elimination.run
-    ~pool:(Mica_util.Pool.default ())
-    ~data:ctx.mica.Dataset.data ctx.fitness
+let run_ce (ctx : Context.t) = Lazy.force ctx.ce
 
 let run_ga ?config ?(seed = 0x6A5EEDL) (ctx : Context.t) =
   let rng = Mica_util.Rng.create ~seed in
@@ -167,30 +178,35 @@ let run_ga ?config ?(seed = 0x6A5EEDL) (ctx : Context.t) =
 
 type roc_entry = { label : string; n_features : int; curve : Stats.Roc.curve }
 
-let roc_for (ctx : Context.t) subset =
-  let test_distances = Select.Fitness.distances_for ctx.fitness subset in
-  fun frac ->
-    Stats.Roc.of_spaces ~ref_distances:ctx.hpc_space.Space.distances ~test_distances ~frac
-
 let fig4 ?(frac = 0.2) (ctx : Context.t) ~ga ~ce =
-  let all = Array.init Analysis.Characteristics.count Fun.id in
-  let entry label subset =
-    { label; n_features = Array.length subset; curve = roc_for ctx subset frac }
-  in
+  Obs.span "experiments.fig4" @@ fun () ->
   let ce_subset k =
-    try Some (Select.Correlation_elimination.subset_of_size ce k) with Not_found -> None
+    match Select.Correlation_elimination.subset_of_size ce k with
+    | s -> [ (Printf.sprintf "corr. elimination (%d)" k, s) ]
+    | exception Not_found -> []
   in
-  List.concat
-    [
-      [ entry "all 47 characteristics" all ];
-      (match ce_subset 17 with Some s -> [ entry "corr. elimination (17)" s ] | None -> []);
-      (match ce_subset 12 with Some s -> [ entry "corr. elimination (12)" s ] | None -> []);
-      (match ce_subset 7 with Some s -> [ entry "corr. elimination (7)" s ] | None -> []);
-      [ entry
-          (Printf.sprintf "genetic algorithm (%d)" (Array.length ga.Select.Genetic.selected))
-          ga.Select.Genetic.selected;
-      ];
-    ]
+  let subsets =
+    List.concat
+      [
+        [ ("all 47 characteristics", Array.init Analysis.Characteristics.count Fun.id) ];
+        ce_subset 17;
+        ce_subset 12;
+        ce_subset 7;
+        [
+          ( Printf.sprintf "genetic algorithm (%d)" (Array.length ga.Select.Genetic.selected),
+            ga.Select.Genetic.selected );
+        ];
+      ]
+  in
+  (* every curve is labelled by the same counter-space pairs *)
+  let labels = Stats.Roc.positives ~ref_distances:ctx.hpc_space.Space.distances ~frac in
+  let curves =
+    Stats.Roc.curves ~labels
+      (List.map (fun (_, subset) -> Select.Fitness.distances_for ctx.fitness subset) subsets)
+  in
+  List.map2
+    (fun (label, subset) curve -> { label; n_features = Array.length subset; curve })
+    subsets curves
 
 let render_fig4 entries =
   let buf = Buffer.create 1024 in
@@ -209,6 +225,7 @@ let render_fig4 entries =
 type fig5 = { ce_points : (int * float) array; ga_point : int * float }
 
 let fig5 (ctx : Context.t) ~ga =
+  Obs.span "experiments.fig5" @@ fun () ->
   let ce = run_ce ctx in
   let ce_points =
     Array.of_list
@@ -259,6 +276,7 @@ let render_table4 (ga : Select.Genetic.result) =
 type fig6 = { clustering : Clustering.t; axes : string array; plots : Kiviat.plot list }
 
 let fig6 ?(k_max = 70) (ctx : Context.t) ~selected =
+  Obs.span "experiments.fig6" @@ fun () ->
   let reduced = Dataset.select_features ctx.mica selected in
   let clustering = Clustering.cluster ~k_max ~pool:(Mica_util.Pool.default ()) reduced in
   let unit = Stats.Normalize.unit_range reduced.Dataset.data in
@@ -461,6 +479,7 @@ let time f =
   Unix.gettimeofday () -. t0
 
 let cost_model ?(sample = 8) (ctx : Context.t) ~selected =
+  Obs.span "experiments.cost" @@ fun () ->
   let workloads =
     List.filteri (fun i _ -> i < sample) ctx.workloads
   in

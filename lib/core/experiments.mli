@@ -15,6 +15,9 @@ module Context : sig
     hpc_space : Space.t;
     fitness : Mica_select.Fitness.t;  (** over the normalized MICA space *)
     report : Run_report.t;  (** where each row came from; names any failures *)
+    ce : Mica_select.Correlation_elimination.step list Lazy.t;
+        (** the correlation-elimination sweep, run on first use: {!run_ce},
+            {!fig5} *)
   }
 
   val load : ?config:Pipeline.config -> ?workloads:Mica_workloads.Workload.t list -> unit -> t
@@ -23,6 +26,17 @@ module Context : sig
       characterization fails permanently are dropped from [workloads] and
       the datasets (and reported in [report]) instead of aborting the
       experiment. *)
+
+  val of_datasets :
+    ?config:Pipeline.config ->
+    ?report:Run_report.t ->
+    workloads:Mica_workloads.Workload.t list ->
+    Dataset.t ->
+    Dataset.t ->
+    t
+  (** [of_datasets ~workloads mica hpc] is the context over datasets
+      already at hand (for instance the committed baseline), whose rows
+      are [workloads] in order.  [report] defaults to an empty one. *)
 end
 
 (** {1 Table I — benchmark inventory} *)
@@ -61,6 +75,8 @@ val fig3 : ?a:string -> ?b:string -> Context.t -> Case_study.comparison
 (** {1 Feature selection (sections V-A and V-B)} *)
 
 val run_ce : Context.t -> Mica_select.Correlation_elimination.step list
+(** The context's CE sweep: computed by the first call (or {!fig5}), then
+    shared. *)
 
 val run_ga :
   ?config:Mica_select.Genetic.config -> ?seed:int64 -> Context.t -> Mica_select.Genetic.result
@@ -89,6 +105,8 @@ type fig5 = {
 }
 
 val fig5 : Context.t -> ga:Mica_select.Genetic.result -> fig5
+(** Reads the context's CE sweep ({!run_ce}); it does not run it again. *)
+
 val render_fig5 : fig5 -> string
 
 (** {1 Table IV — the selected key characteristics} *)

@@ -29,13 +29,61 @@ let[@inline] sq_dist a b =
   done;
   !acc
 
-(* Index of the centroid nearest [x], the first on a tie (strict [<]);
-   its squared distance is left in [d.(0)].  A flat float array carries
-   the distance back unboxed, so the assignment, inertia and reseed
-   loops allocate nothing per point. *)
+(* Index of the centroid nearest [x], the first on a tie; its squared
+   distance is left in [d.(0)].  A flat float array carries the distance
+   back unboxed, so the assignment, inertia and reseed loops allocate
+   nothing per point.
+
+   Four centroids per pass: [x.(j)] is loaded once for four independent
+   sums, so four 4-cycle add chains overlap instead of running back to
+   back.  Each sum starts from 0.0 and takes
+   [centroid.(j) -. x.(j)] squared in element order, exactly as
+   [sq_dist centroid x] does, so it is that distance to the bit.  The
+   four are then compared in index order with the strict [<], which is
+   the one-at-a-time scan's sequence of comparisons: the result, ties
+   included, is unchanged.  The last [k mod 4] centroids go one at a
+   time. *)
 let nearest d centroids x =
+  let k = Array.length centroids and dims = Array.length x in
   let best = ref 0 and best_d = ref infinity in
-  for c = 0 to Array.length centroids - 1 do
+  let g = ref 0 in
+  while !g + 4 <= k do
+    let c = !g in
+    let c0 = Array.unsafe_get centroids c
+    and c1 = Array.unsafe_get centroids (c + 1)
+    and c2 = Array.unsafe_get centroids (c + 2)
+    and c3 = Array.unsafe_get centroids (c + 3) in
+    let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
+    for j = 0 to dims - 1 do
+      let xj = Array.unsafe_get x j in
+      let d0 = Array.unsafe_get c0 j -. xj
+      and d1 = Array.unsafe_get c1 j -. xj
+      and d2 = Array.unsafe_get c2 j -. xj
+      and d3 = Array.unsafe_get c3 j -. xj in
+      s0 := !s0 +. (d0 *. d0);
+      s1 := !s1 +. (d1 *. d1);
+      s2 := !s2 +. (d2 *. d2);
+      s3 := !s3 +. (d3 *. d3)
+    done;
+    if !s0 < !best_d then begin
+      best_d := !s0;
+      best := c
+    end;
+    if !s1 < !best_d then begin
+      best_d := !s1;
+      best := c + 1
+    end;
+    if !s2 < !best_d then begin
+      best_d := !s2;
+      best := c + 2
+    end;
+    if !s3 < !best_d then begin
+      best_d := !s3;
+      best := c + 3
+    end;
+    g := c + 4
+  done;
+  for c = !g to k - 1 do
     let dc = sq_dist (Array.unsafe_get centroids c) x in
     if dc < !best_d then begin
       best_d := dc;
@@ -45,16 +93,52 @@ let nearest d centroids x =
   Array.unsafe_set d 0 !best_d;
   !best
 
+(* [d2.(i) <- min d2.(i) (sq_dist m.(i) centroid)] for every point, four
+   points per pass.  As in [nearest], each of the four sums is
+   [sq_dist m.(i) centroid] to the bit, and the points are independent,
+   so the update is the one-point-at-a-time update.  A [d2] filled with
+   [infinity] takes the first centroid's distances unchanged: a sum of
+   squares of finite values is never NaN. *)
+let refresh d2 m centroid =
+  let n = Array.length m and dims = Array.length centroid in
+  let g = ref 0 in
+  while !g + 4 <= n do
+    let i = !g in
+    let p0 = Array.unsafe_get m i
+    and p1 = Array.unsafe_get m (i + 1)
+    and p2 = Array.unsafe_get m (i + 2)
+    and p3 = Array.unsafe_get m (i + 3) in
+    let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
+    for j = 0 to dims - 1 do
+      let cj = Array.unsafe_get centroid j in
+      let e0 = Array.unsafe_get p0 j -. cj
+      and e1 = Array.unsafe_get p1 j -. cj
+      and e2 = Array.unsafe_get p2 j -. cj
+      and e3 = Array.unsafe_get p3 j -. cj in
+      s0 := !s0 +. (e0 *. e0);
+      s1 := !s1 +. (e1 *. e1);
+      s2 := !s2 +. (e2 *. e2);
+      s3 := !s3 +. (e3 *. e3)
+    done;
+    if !s0 < Array.unsafe_get d2 i then Array.unsafe_set d2 i !s0;
+    if !s1 < Array.unsafe_get d2 (i + 1) then Array.unsafe_set d2 (i + 1) !s1;
+    if !s2 < Array.unsafe_get d2 (i + 2) then Array.unsafe_set d2 (i + 2) !s2;
+    if !s3 < Array.unsafe_get d2 (i + 3) then Array.unsafe_set d2 (i + 3) !s3;
+    g := i + 4
+  done;
+  for i = !g to n - 1 do
+    let s = sq_dist (Array.unsafe_get m i) centroid in
+    if s < Array.unsafe_get d2 i then Array.unsafe_set d2 i s
+  done
+
 (* k-means++ seeding: first centroid uniform, then proportional to squared
    distance to the nearest chosen centroid. *)
 let seed rng k m =
   let n = Array.length m in
   let centroids = Array.make k m.(0) in
   centroids.(0) <- Array.copy m.(Rng.int rng n);
-  let d2 = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    d2.(i) <- sq_dist m.(i) centroids.(0)
-  done;
+  let d2 = Array.make n infinity in
+  refresh d2 m centroids.(0);
   for c = 1 to k - 1 do
     let total = ref 0.0 in
     for i = 0 to n - 1 do
@@ -75,11 +159,7 @@ let seed rng k m =
       end
     in
     centroids.(c) <- Array.copy m.(chosen);
-    let centroid = centroids.(c) in
-    for i = 0 to n - 1 do
-      let d = sq_dist m.(i) centroid in
-      if d < d2.(i) then d2.(i) <- d
-    done
+    refresh d2 m centroids.(c)
   done;
   centroids
 
@@ -140,11 +220,25 @@ let lloyd ~max_iters m centroids =
       end
     done
   done;
+  (* A convergence exit means the last assignment step changed nothing
+     and reseeded nothing; it was not the first step, which moves every
+     point off -1.  So every cluster was non-empty in the step before it
+     too, and the update just made recomputed the previous centroids from
+     the same members in the same order: the same centroids to the bit.  Rescanning them would return the assignments
+     already held, with the distances [sq_dist] gives, so the inertia
+     takes one distance per point.  A [max_iters] exit (or a last step
+     that reseeded) has moved the centroids since they were assigned, and
+     must rescan. *)
   let inertia = ref 0.0 in
-  for i = 0 to n - 1 do
-    assignments.(i) <- nearest d centroids m.(i);
-    inertia := !inertia +. d.(0)
-  done;
+  if !changed then
+    for i = 0 to n - 1 do
+      assignments.(i) <- nearest d centroids m.(i);
+      inertia := !inertia +. d.(0)
+    done
+  else
+    for i = 0 to n - 1 do
+      inertia := !inertia +. sq_dist centroids.(assignments.(i)) m.(i)
+    done;
   (assignments, !inertia, !iterations)
 
 (* A NaN anywhere poisons clustering silently: every distance comparison

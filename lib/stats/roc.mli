@@ -21,8 +21,8 @@ val curve : labels:bool array -> scores:float array -> curve
     swept over all distinct score values) against ground-truth [labels].
     Points are ordered by increasing FPR; AUC by trapezoidal rule.
     Requires equal lengths and at least one positive and one negative
-    label. *)
+    label; a NaN score raises [Invalid_argument] naming its index. *)
 
-val of_spaces : ref_distances:float array -> test_distances:float array -> frac:float -> curve
-(** The paper's construction: label with the reference space at [frac] of
-    its max, score with the test-space distances. *)
+val curves : labels:bool array -> float array list -> curve list
+(** [curves ~labels scores] is [List.map (fun scores -> curve ~labels ~scores) scores],
+    with one set of sort buffers shared by all the curves. *)

@@ -203,6 +203,51 @@ let test_selection_golden jobs () =
   Alcotest.(check int) "BIC-chosen K" want.bic_k got.bic_k;
   Alcotest.check ints "Fig 6 assignments" want.assignments got.assignments
 
+(* Figure 4 on the committed baseline datasets: per curve, its label and
+   size, its AUC bits and the MD5 of its points' (threshold, tpr, fpr)
+   bits.  The pins were computed before the ROC's sort became a radix
+   sort and before Figure 4 shared one set of HPC labels across its
+   curves; the GA and CE inputs are [selection_outcome]'s calls. *)
+let fig4_outcome ~pool =
+  let mica = Core.Dataset.of_csv Tutil.baseline_csv in
+  let hpc = Core.Dataset.of_csv Tutil.baseline_hpc_csv in
+  let workloads =
+    List.map Mica_workloads.Registry.find_exn (Array.to_list mica.Core.Dataset.names)
+  in
+  let ctx = Core.Experiments.Context.of_datasets ~workloads mica hpc in
+  let fitness = ctx.Core.Experiments.Context.fitness in
+  let ga = Select.Genetic.run ~pool ~rng:(Mica_util.Rng.create ~seed:0x6A5EEDL) fitness in
+  let ce = Select.Correlation_elimination.run ~pool ~data:mica.Core.Dataset.data fitness in
+  List.map
+    (fun (e : Core.Experiments.roc_entry) ->
+      let points = e.Core.Experiments.curve.Mica_stats.Roc.points in
+      ( e.Core.Experiments.label,
+        e.Core.Experiments.n_features,
+        bits e.Core.Experiments.curve.Mica_stats.Roc.auc,
+        bits_digest
+          (Array.concat
+             (Array.to_list
+                (Array.map
+                   (fun (p : Mica_stats.Roc.point) -> [| p.threshold; p.tpr; p.fpr |])
+                   points))) ))
+    (Core.Experiments.fig4 ctx ~ga ~ce)
+
+let pinned_fig4 =
+  [
+    ("all 47 characteristics", 47, 4605399688839362682L, "f97cfe5dddffae8afe06c2d3f9aa5136");
+    ("corr. elimination (17)", 17, 4604402267191128480L, "565595ef9120d66a24240da1727526d6");
+    ("corr. elimination (12)", 12, 4604402553555450575L, "c931c149c941a41eddffb3d914916d24");
+    ("corr. elimination (7)", 7, 4604496427854983046L, "6fd2b2dfb159ad4de554c45dba074d9d");
+    ("genetic algorithm (6)", 6, 4605146085501213928L, "86371f870bcf545fded75400d1c97471");
+  ]
+
+let test_fig4_golden jobs () =
+  let got = Mica_util.Pool.with_pool ~jobs (fun pool -> fig4_outcome ~pool) in
+  Alcotest.(check (list (pair (pair string int) (pair int64 string))))
+    "Fig 4 curves: label, size, AUC bits, point bits"
+    (List.map (fun (l, n, auc, md5) -> ((l, n), (auc, md5))) pinned_fig4)
+    (List.map (fun (l, n, auc, md5) -> ((l, n), (auc, md5))) got)
+
 (* Trace digests: the MD5 of all eight fields of the first 20k generated
    instructions, pinning the generator's output itself rather than what the
    analyzers make of it.  Any change to how a kernel's static code image is
@@ -440,4 +485,10 @@ let suite =
           Alcotest.test_case
             (Printf.sprintf "pinned GA/CE/BIC on baseline dataset (jobs %d)" jobs)
             `Quick (test_selection_golden jobs))
+        [ 1; 4 ]
+    @ List.map
+        (fun jobs ->
+          Alcotest.test_case
+            (Printf.sprintf "pinned Fig 4 ROC on baseline datasets (jobs %d)" jobs)
+            `Quick (test_fig4_golden jobs))
         [ 1; 4 ] )

@@ -323,6 +323,105 @@ let test_roc_single_class_rejected () =
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
+(* A NaN equals no score, not even itself: the grouping loop used to spin
+   on it forever.  It is rejected, naming its index. *)
+let test_roc_nan_score_rejected () =
+  match S.Roc.curve ~labels:[| true; false; true; false |] ~scores:[| 1.0; nan; 0.5; 0.2 |] with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "message" "Roc.curve: score 1 is NaN" msg
+
+(* The comparison-sorted curve the radix sort replaced: a polymorphic
+   [Array.sort] on descending score, points gathered in a list. *)
+let roc_by_comparison_sort ~labels ~scores =
+  let n = Array.length labels in
+  let total_pos = Array.fold_left (fun acc l -> if l then acc + 1 else acc) 0 labels in
+  let fpos = float_of_int total_pos and fneg = float_of_int (n - total_pos) in
+  let order = Array.init n Fun.id in
+  Array.sort (fun a b -> compare scores.(b) scores.(a)) order;
+  let points = ref [ { S.Roc.threshold = infinity; tpr = 0.0; fpr = 0.0 } ] in
+  let tp = ref 0 and fp = ref 0 and i = ref 0 in
+  while !i < n do
+    let s = scores.(order.(!i)) in
+    while !i < n && scores.(order.(!i)) = s do
+      if labels.(order.(!i)) then incr tp else incr fp;
+      incr i
+    done;
+    points :=
+      { S.Roc.threshold = s; tpr = float_of_int !tp /. fpos; fpr = float_of_int !fp /. fneg }
+      :: !points
+  done;
+  let points = Array.of_list (List.rev !points) in
+  let auc = ref 0.0 in
+  for j = 1 to Array.length points - 1 do
+    let a = points.(j - 1) and b = points.(j) in
+    auc := !auc +. ((b.S.Roc.fpr -. a.S.Roc.fpr) *. (a.S.Roc.tpr +. b.S.Roc.tpr) /. 2.0)
+  done;
+  (points, !auc)
+
+let same_curve label (want_points, want_auc) (got : S.Roc.curve) =
+  let bits = Int64.bits_of_float in
+  let flat ps =
+    Array.concat
+      (Array.to_list
+         (Array.map (fun p -> [| bits p.S.Roc.threshold; bits p.S.Roc.tpr; bits p.S.Roc.fpr |]) ps))
+  in
+  Alcotest.(check (array int64))
+    (label ^ ": point bits") (flat want_points) (flat got.S.Roc.points);
+  Alcotest.(check int64) (label ^ ": AUC bits") (bits want_auc) (bits got.S.Roc.auc)
+
+(* The radix-sorted curve against the comparison sort, by bits: scores
+   drawn from a few values (long runs of ties), with negatives, +0.0,
+   infinities, subnormals and values on both sides of 2.0 (where the
+   exponent's top bit flips); and [curves], whose curves share one set of
+   sort buffers, against the same reference. *)
+let test_roc_radix_matches_comparison_sort () =
+  let rng = Mica_util.Rng.create ~seed:0x50C7L in
+  let pool =
+    [| 0.0; 1.0; 0.5; 2.0; 1.9999999999999998; 3.75; 1e-310; 4e-320; 1e300; infinity;
+       neg_infinity; -0.5; -2.0; -1e-310; -7.25; 1e-3 |]
+  in
+  let case ~n ~values ~negatives =
+    let scores =
+      Array.init n (fun _ ->
+          if values > 0 then begin
+            let x = pool.(Mica_util.Rng.int rng values) in
+            if negatives || x >= 0.0 then x else -.x
+          end
+          else Mica_util.Rng.float rng 20.0)
+    in
+    let labels = Array.init n (fun i -> i mod 3 = 0 || Mica_util.Rng.bool rng) in
+    labels.(0) <- true;
+    labels.(1) <- false;
+    (labels, scores)
+  in
+  let cases =
+    [
+      case ~n:2 ~values:2 ~negatives:false;
+      case ~n:9 ~values:1 ~negatives:false;
+      case ~n:300 ~values:4 ~negatives:false;
+      case ~n:1000 ~values:10 ~negatives:false;
+      case ~n:777 ~values:16 ~negatives:true;
+      case ~n:2049 ~values:0 ~negatives:false;
+      case ~n:5000 ~values:13 ~negatives:true;
+    ]
+  in
+  List.iteri
+    (fun i (labels, scores) ->
+      same_curve (Printf.sprintf "case %d" i) (roc_by_comparison_sort ~labels ~scores)
+        (S.Roc.curve ~labels ~scores))
+    cases;
+  let labels, _ = List.nth cases 4 in
+  let scores =
+    List.map
+      (fun (_, s) -> Array.sub s 0 (Array.length labels))
+      (List.filteri (fun i _ -> i >= 4) cases)
+  in
+  List.iteri
+    (fun i (got, scores) ->
+      same_curve (Printf.sprintf "curves %d" i) (roc_by_comparison_sort ~labels ~scores) got)
+    (List.combine (S.Roc.curves ~labels scores) scores)
+
 (* ---------------- summarize (variance aggregator) ---------------- *)
 
 (* Two-pass reference implementation over the finite samples. *)
@@ -433,6 +532,9 @@ let suite =
       Alcotest.test_case "roc monotone" `Quick test_roc_monotone_points;
       Alcotest.test_case "roc positives" `Quick test_roc_positives_labelling;
       Alcotest.test_case "roc one class" `Quick test_roc_single_class_rejected;
+      Alcotest.test_case "roc NaN score rejected" `Quick test_roc_nan_score_rejected;
+      Alcotest.test_case "roc radix vs comparison sort" `Quick
+        test_roc_radix_matches_comparison_sort;
       Alcotest.test_case "summarize edges" `Quick test_summarize_edges;
       Tutil.qcheck_case "summarize = two-pass reference" sample_gen prop_summarize_matches_naive;
       Tutil.qcheck_case "summarize shift-invariant spread" sample_gen

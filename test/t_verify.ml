@@ -751,6 +751,235 @@ let test_kmeans_ties_match_naive_argmin () =
         [ (1, 1); (2, 1); (3, 1); (4, 1); (2, 4); (4, 4) ])
     cases
 
+(* ---------------- exact k-means differential ---------------- *)
+
+(* [Stats.Kmeans] as it was before its four-lane kernels: one centroid and
+   one point at a time, and a full nearest-centroid rescan after every
+   exit.  It also records what the cases below must reach: each lane of a
+   four-centroid group, and a group boundary, taking an exact tie (which
+   the first index wins), an empty cluster reseeded, and a [max_iters]
+   exit whose rescan moved a point. *)
+module Ref_kmeans = struct
+  let tie_lanes = Array.make 4 0
+  let cross_group_ties = ref 0
+  let reseeds = ref 0
+  let stale_exits = ref 0
+
+  let reset () =
+    Array.fill tie_lanes 0 4 0;
+    cross_group_ties := 0;
+    reseeds := 0;
+    stale_exits := 0
+
+  let sq_dist a b =
+    let acc = ref 0.0 in
+    for i = 0 to Array.length a - 1 do
+      let d = a.(i) -. b.(i) in
+      acc := !acc +. (d *. d)
+    done;
+    !acc
+
+  let nearest centroids x =
+    let best = ref 0 and best_d = ref infinity in
+    Array.iteri
+      (fun c centroid ->
+        let d = sq_dist centroid x in
+        if d < !best_d then begin
+          best_d := d;
+          best := c
+        end
+        else if d = !best_d then begin
+          tie_lanes.(c mod 4) <- tie_lanes.(c mod 4) + 1;
+          if c / 4 <> !best / 4 then incr cross_group_ties
+        end)
+      centroids;
+    (!best, !best_d)
+
+  let seed rng k m =
+    let n = Array.length m in
+    let centroids = Array.make k m.(0) in
+    centroids.(0) <- Array.copy m.(Rng.int rng n);
+    let d2 = Array.map (fun x -> sq_dist x centroids.(0)) m in
+    for c = 1 to k - 1 do
+      let total = Array.fold_left ( +. ) 0.0 d2 in
+      let chosen =
+        if total <= 0.0 then Rng.int rng n
+        else begin
+          let r = Rng.float rng total in
+          let acc = ref 0.0 and pick = ref (-1) in
+          Array.iteri
+            (fun i d ->
+              if !pick < 0 then begin
+                acc := !acc +. d;
+                if r < !acc then pick := i
+              end)
+            d2;
+          if !pick < 0 then n - 1 else !pick
+        end
+      in
+      centroids.(c) <- Array.copy m.(chosen);
+      Array.iteri
+        (fun i x ->
+          let d = sq_dist x centroids.(c) in
+          if d < d2.(i) then d2.(i) <- d)
+        m
+    done;
+    centroids
+
+  let lloyd ~max_iters m centroids =
+    let n = Array.length m and k = Array.length centroids in
+    let dims = Array.length m.(0) in
+    let assignments = Array.make n (-1) in
+    let iterations = ref 0 and changed = ref true in
+    while !changed && !iterations < max_iters do
+      incr iterations;
+      changed := false;
+      Array.iteri
+        (fun i x ->
+          let c, _ = nearest centroids x in
+          if c <> assignments.(i) then begin
+            assignments.(i) <- c;
+            changed := true
+          end)
+        m;
+      let sums = Array.make_matrix k dims 0.0 and counts = Array.make k 0 in
+      Array.iteri
+        (fun i x ->
+          let c = assignments.(i) in
+          counts.(c) <- counts.(c) + 1;
+          Array.iteri (fun j v -> sums.(c).(j) <- sums.(c).(j) +. v) x)
+        m;
+      for c = 0 to k - 1 do
+        if counts.(c) > 0 then
+          Array.iteri (fun j s -> centroids.(c).(j) <- s /. float_of_int counts.(c)) sums.(c)
+        else begin
+          incr reseeds;
+          let far = ref 0 and far_d = ref neg_infinity in
+          Array.iteri
+            (fun i x ->
+              let _, d = nearest centroids x in
+              if d > !far_d then begin
+                far_d := d;
+                far := i
+              end)
+            m;
+          centroids.(c) <- Array.copy m.(!far);
+          changed := true
+        end
+      done
+    done;
+    let last = Array.copy assignments in
+    let inertia = ref 0.0 in
+    Array.iteri
+      (fun i x ->
+        let c, d = nearest centroids x in
+        assignments.(i) <- c;
+        inertia := !inertia +. d)
+      m;
+    if !changed && last <> assignments then incr stale_exits;
+    (assignments, !inertia, !iterations)
+
+  let fit ?(max_iters = 100) ?(restarts = 1) ~rng ~k m =
+    let rngs = Array.init (max 1 restarts) (fun _ -> Rng.split rng) in
+    let results =
+      Array.map
+        (fun rng ->
+          let centroids = seed rng k m in
+          let assignments, inertia, iterations = lloyd ~max_iters m centroids in
+          { Stats.Kmeans.k; assignments; centroids; inertia; iterations })
+        rngs
+    in
+    Array.fold_left
+      (fun best (r : Stats.Kmeans.result) -> if r.inertia < best.Stats.Kmeans.inertia then r else best)
+      results.(0) results
+
+  let sweep ~k_max ~restarts ~rng m =
+    let k_max = min k_max (Array.length m) in
+    let rngs = Array.init k_max (fun _ -> Rng.split rng) in
+    Array.mapi
+      (fun i rng ->
+        let res = fit ~restarts ~rng ~k:(i + 1) m in
+        (i + 1, res, Stats.Bic.score m res))
+      rngs
+end
+
+let same_kmeans label (want : Stats.Kmeans.result) (got : Stats.Kmeans.result) =
+  let bits = Int64.bits_of_float in
+  Alcotest.(check int) (label ^ ": k") want.k got.k;
+  Alcotest.(check (array int)) (label ^ ": assignments") want.assignments got.assignments;
+  Alcotest.(check (array (array int64)))
+    (label ^ ": centroid bits")
+    (Array.map (Array.map bits) want.centroids)
+    (Array.map (Array.map bits) got.centroids);
+  Alcotest.(check int64) (label ^ ": inertia bits") (bits want.inertia) (bits got.inertia);
+  Alcotest.(check int) (label ^ ": iterations") want.iterations got.iterations
+
+(* Three datasets: [dups] repeats three points, so once K passes three,
+   seeding picks coinciding centroids, nearest-centroid searches tie
+   across lanes and groups, and the emptied clusters are reseeded until
+   [max_iters]; [five] repeats five points; [blobs] is 37 noisy points
+   (not a multiple of four, so seeding's last points go one at a time)
+   in 5 dimensions.  K runs over every residue mod 4, below four
+   included, and the blobs are also stopped after one and two
+   iterations. *)
+let test_kmeans_matches_sequential_reference () =
+  Ref_kmeans.reset ();
+  let bases = [| [| 0.0; 0.0; 0.0 |]; [| 1.0; 2.0; 3.0 |]; [| -2.0; 0.5; 1.0 |] |] in
+  let dups = Array.init 22 (fun i -> Array.copy bases.(i * 7 mod 3)) in
+  let five =
+    Array.init 30 (fun i -> [| float_of_int (i mod 5); float_of_int (i * 3 mod 5) /. 2.0 |])
+  in
+  let rng = Rng.create ~seed:0xB10BL in
+  let blobs =
+    Array.init 37 (fun i ->
+        Array.init 5 (fun j ->
+            float_of_int ((i mod 4 * 3) + j) +. Rng.gaussian rng ~mu:0.0 ~sigma:1.5))
+  in
+  let fits =
+    List.concat
+      [
+        List.init 9 (fun k -> ("dups", dups, k + 1, 100));
+        List.init 12 (fun k -> ("five", five, k + 1, 100));
+        List.init 13 (fun k -> ("blobs", blobs, k + 1, 100));
+        List.concat_map (fun k -> [ ("blobs", blobs, k, 1); ("blobs", blobs, k, 2) ]) [ 4; 5; 6; 7; 9 ];
+      ]
+  in
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun pool ->
+          List.iter
+            (fun (name, m, k, max_iters) ->
+              let seed = Int64.of_int ((k * 97) + max_iters) in
+              let label = Printf.sprintf "%s k=%d max_iters=%d jobs %d" name k max_iters jobs in
+              same_kmeans label
+                (Ref_kmeans.fit ~max_iters ~restarts:3 ~rng:(Rng.create ~seed) ~k m)
+                (Stats.Kmeans.fit ~max_iters ~restarts:3 ~pool ~rng:(Rng.create ~seed) ~k m))
+            fits;
+          List.iter
+            (fun (name, m) ->
+              let want = Ref_kmeans.sweep ~k_max:12 ~restarts:2 ~rng:(Rng.create ~seed:0x5EEDL) m in
+              let got =
+                Stats.Bic.sweep ~k_max:12 ~restarts:2 ~pool ~rng:(Rng.create ~seed:0x5EEDL) m
+              in
+              Alcotest.(check int) (name ^ ": sweep length") (Array.length want) (Array.length got);
+              Array.iteri
+                (fun i (k, res, score) ->
+                  let gk, gres, gscore = got.(i) in
+                  let label = Printf.sprintf "%s sweep k=%d jobs %d" name k jobs in
+                  Alcotest.(check int) (label ^ ": K") k gk;
+                  same_kmeans label res gres;
+                  Alcotest.(check int64) (label ^ ": BIC bits") (Int64.bits_of_float score)
+                    (Int64.bits_of_float gscore))
+                want)
+            [ ("dups", dups); ("five", five); ("blobs", blobs) ]))
+    [ 1; 4 ];
+  Array.iteri
+    (fun lane n -> if n = 0 then Alcotest.failf "no exact tie fell in lane %d" lane)
+    Ref_kmeans.tie_lanes;
+  if !Ref_kmeans.cross_group_ties = 0 then Alcotest.fail "no exact tie crossed a group";
+  if !Ref_kmeans.reseeds = 0 then Alcotest.fail "no empty cluster was reseeded";
+  if !Ref_kmeans.stale_exits = 0 then Alcotest.fail "no max_iters exit moved a point"
+
 (* ---------------- pipeline cache staleness and corruption ---------------- *)
 
 let with_temp_cache_dir f =
@@ -1241,6 +1470,8 @@ let suite =
         test_clustering_jobs_invariance;
       Alcotest.test_case "kernels: k-means ties vs naive argmin" `Quick
         test_kmeans_ties_match_naive_argmin;
+      Alcotest.test_case "kernels: k-means vs sequential reference" `Quick
+        test_kmeans_matches_sequential_reference;
       Alcotest.test_case "cache: hit consumed" `Quick test_cache_hit_is_consumed;
       Alcotest.test_case "cache: stale version invalidated" `Quick
         test_cache_stale_version_invalidated;

@@ -3,11 +3,14 @@
 module Instr = Mica_isa.Instr
 module Opcode = Mica_isa.Opcode
 
-(* The committed baseline dataset, from the test directory (dune runtest)
+(* The committed baseline datasets, from the test directory (dune runtest)
    or from the repository root. *)
-let baseline_csv =
-  let rel = "results/baseline/mica_dataset.csv" in
+let baseline_file name =
+  let rel = "results/baseline/" ^ name in
   if Sys.file_exists ("../" ^ rel) then "../" ^ rel else rel
+
+let baseline_csv = baseline_file "mica_dataset.csv"
+let baseline_hpc_csv = baseline_file "hpc_dataset.csv"
 
 let feq = Alcotest.float 1e-9
 let feq_loose = Alcotest.float 1e-6
