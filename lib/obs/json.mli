@@ -12,7 +12,9 @@ type t =
   | Obj of (string * t) list
 
 val parse : string -> (t, string) result
-(** Parse a complete JSON document.  [Error msg] carries a byte offset. *)
+(** Parse a complete JSON document.  [Error msg] carries a byte offset.
+    Never raises: containers are read with an explicit stack, so deep
+    nesting costs heap in proportion, not call stack. *)
 
 val parse_exn : string -> t
 (** Like {!parse} but raises [Failure]. *)
@@ -20,7 +22,8 @@ val parse_exn : string -> t
 val to_string : ?pretty:bool -> ?bare_non_finite:bool -> t -> string
 (** Serialize.  Object key order is preserved exactly as constructed, so
     output is byte-stable and suitable for golden tests and checksumming.
-    Integral floats print without a fractional part.  Non-finite floats
+    Integral floats below 1e15 in magnitude print as integers (as [%.0f]
+    prints them), other finite floats as [%.17g].  Non-finite floats
     print as [null], so the output is standard JSON; with
     [~bare_non_finite:true] they print as the bare [nan]/[inf]/[-inf]
     tokens {!parse} accepts instead, which round-trip to the bit.  With

@@ -2,13 +2,18 @@
     response object per line.
 
     Floats cross the wire through [Mica_obs.Json], whose writer prints
-    [%.17g] (shortest round-trippable form) and, on this wire, non-finite
-    values as the bare [nan]/[inf]/[-inf] tokens rather than [null]; its
-    reader recovers the exact bit pattern — so a served characteristic
-    vector is bit-identical
-    to the daemon's in-memory vector, and the served-vs-direct identity
-    law in [Mica_verify] can compare with [Int64.bits_of_float] equality
-    across the encode/decode round trip.
+    [%.17g] — 17 significant digits, which always read back to the same
+    bits but are not the shortest form that does — and, on this wire,
+    non-finite values as the bare [nan]/[inf]/[-inf] tokens rather than
+    [null]; its reader recovers the exact bit pattern — so a served
+    characteristic vector is bit-identical to the daemon's in-memory
+    vector, and the served-vs-direct identity law in [Mica_verify] can
+    compare with [Int64.bits_of_float] equality across the encode/decode
+    round trip.
+
+    A line is at most [Server.max_line_bytes] long; the daemon answers a
+    longer one with one [Error] reply with [rid = -1] and closes the
+    connection.
 
     Every request carries a client-chosen [id]; the matching response
     echoes it, so a client may pipeline requests over one connection and

@@ -491,8 +491,66 @@ let write_all fd s =
   let rec go off = if off < len then go (off + Unix.write_substring fd s off (len - off)) in
   go 0
 
+(* The longest request line a reader accepts, newline excluded.  A longer
+   line is answered with one [error] reply (rid -1) and its connection is
+   shut down, so no client can make a reader hold more than this. *)
+let max_line_bytes = 1 lsl 20
+
+type reader = {
+  fd : Unix.file_descr;
+  chunk : Bytes.t;
+  mutable off : int;  (* next unread byte of [chunk] *)
+  mutable fill : int;  (* bytes of [chunk] holding data *)
+  partial : Buffer.t;  (* the current line's bytes so far *)
+}
+
+let rec read_chunk r =
+  match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
+  | n -> n
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_chunk r
+
+let rec newline_at chunk i stop =
+  if i >= stop then -1
+  else if Bytes.unsafe_get chunk i = '\n' then i
+  else newline_at chunk (i + 1) stop
+
+let take_partial r =
+  let line = Buffer.contents r.partial in
+  Buffer.reset r.partial;
+  line
+
+(* The next line without its newline; [`Too_long] as soon as it passes
+   [max_line_bytes], with the rest unread.  As with [input_line], a last
+   line that ends without a newline still counts. *)
+let rec read_line r =
+  if r.off >= r.fill then begin
+    let n = read_chunk r in
+    if n = 0 then if Buffer.length r.partial = 0 then `Eof else `Line (take_partial r)
+    else begin
+      r.off <- 0;
+      r.fill <- n;
+      read_line r
+    end
+  end
+  else begin
+    let nl = newline_at r.chunk r.off r.fill in
+    let stop = if nl < 0 then r.fill else nl in
+    if Buffer.length r.partial + (stop - r.off) > max_line_bytes then `Too_long
+    else begin
+      Buffer.add_subbytes r.partial r.chunk r.off (stop - r.off);
+      if nl < 0 then begin
+        r.off <- r.fill;
+        read_line r
+      end
+      else begin
+        r.off <- nl + 1;
+        `Line (take_partial r)
+      end
+    end
+  end
+
 let serve_conn t fd =
-  let ic = Unix.in_channel_of_descr fd in
+  let r = { fd; chunk = Bytes.create 65536; off = 0; fill = 0; partial = Buffer.create 256 } in
   let wmutex = Mutex.create () in
   let send resp =
     let line = Protocol.encode_response resp ^ "\n" in
@@ -500,18 +558,28 @@ let serve_conn t fd =
     (try write_all fd line with Unix.Unix_error _ | Sys_error _ -> ());
     Mutex.unlock wmutex
   in
-  try
-    while true do
-      let line = input_line ic in
+  let rec loop () =
+    match read_line r with
+    | `Eof -> ()
+    | `Too_long ->
+      Obs.incr m_errors;
+      send
+        (Protocol.error_response ~rid:(-1)
+           (Printf.sprintf "request line exceeds %d bytes" max_line_bytes));
+      (* Shut down, not closed: the descriptor stays reserved until drain
+         (see [listen_and_serve]). *)
+      Unix.shutdown fd Unix.SHUTDOWN_ALL
+    | `Line line ->
       if String.trim line <> "" then begin
         match Protocol.decode_request line with
         | Ok req -> submit t req ~reply:send
         | Error msg ->
           Obs.incr m_errors;
           send (Protocol.error_response ~rid:(-1) ("parse error: " ^ msg))
-      end
-    done
-  with End_of_file | Sys_error _ | Unix.Unix_error _ -> ()
+      end;
+      loop ()
+  in
+  try loop () with Sys_error _ | Unix.Unix_error _ -> ()
 
 let listen_and_serve ?(on_ready = fun () -> ()) t address =
   ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);

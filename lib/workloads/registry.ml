@@ -10,27 +10,68 @@ let by_suite suite = List.filter (fun w -> w.Workload.suite = suite) all
 
 let lower = String.lowercase_ascii
 
-let find needle =
-  let n = lower needle in
-  let matches f = List.filter (fun w -> lower (f w) = n) all in
-  match matches Workload.id with
-  | [ w ] -> Some w
-  | _ :: _ :: _ -> None
-  | [] -> (
-    let by_program_input =
-      matches (fun w ->
-          if w.Workload.input = "" then w.Workload.program
-          else Printf.sprintf "%s/%s" w.Workload.program w.Workload.input)
-    in
-    match by_program_input with
-    | [ w ] -> Some w
-    | _ :: _ :: _ -> None
-    | [] -> (
-      match matches Workload.label with
-      | [ w ] -> Some w
-      | _ :: _ :: _ -> None
-      | [] -> (
-        match matches (fun w -> w.Workload.program) with [ w ] -> Some w | _ -> None)))
+(* Name resolution tiers, in precedence order: id, "program/input" (the
+   bare program when there is no input), label, program. *)
+let tiers =
+  [
+    Workload.id;
+    (fun w ->
+      if w.Workload.input = "" then w.Workload.program
+      else w.Workload.program ^ "/" ^ w.Workload.input);
+    Workload.label;
+    (fun w -> w.Workload.program);
+  ]
+
+(* Every lowercased name that resolves, mapped to its workload.  The first
+   tier that knows a name decides it, and a name that names several
+   workloads there resolves to nothing. *)
+let build_index () =
+  let tables =
+    List.map
+      (fun name ->
+        let tbl = Hashtbl.create 256 in
+        List.iter
+          (fun w ->
+            let k = lower (name w) in
+            Hashtbl.replace tbl k (w :: Option.value ~default:[] (Hashtbl.find_opt tbl k)))
+          all;
+        tbl)
+      tiers
+  in
+  let rec decide k = function
+    | [] -> None
+    | tbl :: rest -> (
+      match Hashtbl.find_opt tbl k with
+      | None -> decide k rest
+      | Some [ w ] -> Some w
+      | Some _ -> None)
+  in
+  let index = Hashtbl.create 512 in
+  List.iter
+    (Hashtbl.iter (fun k _ -> Option.iter (Hashtbl.replace index k) (decide k tables)))
+    tables;
+  index
+
+(* Built by the first lookup, under a mutex because the serve dispatcher
+   and reader threads resolve names concurrently; read-only afterwards, so
+   lookups never grow it and a process that resolves nothing never builds
+   it. *)
+let index = Atomic.make None
+let index_mutex = Mutex.create ()
+
+let get_index () =
+  match Atomic.get index with
+  | Some idx -> idx
+  | None ->
+    Mutex.protect index_mutex (fun () ->
+        match Atomic.get index with
+        | Some idx -> idx
+        | None ->
+          let idx = build_index () in
+          Atomic.set index (Some idx);
+          idx)
+
+let find needle = Hashtbl.find_opt (get_index ()) (lower needle)
 
 let find_exn needle = match find needle with Some w -> w | None -> raise Not_found
 

@@ -441,6 +441,89 @@ let test_socket_loadgen_sigterm () =
     (report.Loadgen.cached > 0);
   Alcotest.(check bool) "socket unlinked by drain" true (not (Sys.file_exists path))
 
+(* An over-long request line: one [error] reply with rid -1, then the
+   connection closes without the daemon reading the rest, and a fresh
+   connection is still answered. *)
+let test_socket_overlong_line () =
+  let path = Filename.concat (Filename.get_temp_dir_name ()) "mica-serve-overlong.sock" in
+  let t = Server.create (test_config ()) in
+  let ready = Semaphore.Binary.make false in
+  let server =
+    Thread.create
+      (fun () ->
+        Server.listen_and_serve
+          ~on_ready:(fun () -> Semaphore.Binary.release ready)
+          t (Server.Unix_path path))
+      ()
+  in
+  Semaphore.Binary.acquire ready;
+  (* Timeouts turn a daemon that never answers into a failure, not a hang. *)
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX path);
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+    Unix.setsockopt_float fd Unix.SO_SNDTIMEO 10.0;
+    fd
+  in
+  let read_all fd =
+    let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+    let rec go () =
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> ()
+      | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        go ()
+      | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+    in
+    go ();
+    Buffer.contents buf
+  in
+  let lines s = List.filter (fun l -> l <> "") (String.split_on_char '\n' s) in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.kill (Unix.getpid ()) Sys.sigterm;
+      Thread.join server)
+    (fun () ->
+      let fd = connect () in
+      (* The daemon stops reading past the cap, so the write fails
+         (EPIPE: listen_and_serve ignores SIGPIPE) once it shuts down. *)
+      let big = Bytes.make (2 * Server.max_line_bytes) 'x' in
+      (try ignore (Unix.write fd big 0 (Bytes.length big) : int)
+       with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+      let replies = lines (read_all fd) in
+      Unix.close fd;
+      (match replies with
+      | [ line ] -> (
+        match Protocol.decode_response line with
+        | Ok r ->
+          Alcotest.(check int) "rid" (-1) r.Protocol.rid;
+          Alcotest.(check bool) "error status" true (r.Protocol.status = Protocol.Error);
+          Alcotest.(check bool) "names the cap" true
+            (match r.Protocol.error with
+            | Some e -> contains ~sub:(string_of_int Server.max_line_bytes) e
+            | None -> false)
+        | Error e -> Alcotest.failf "undecodable reply: %s" e)
+      | ls -> Alcotest.failf "expected one reply, got %d" (List.length ls));
+      (* The daemon keeps a finished connection's descriptor until drain,
+         so this reply is read up to its newline, not to end of stream. *)
+      let fd = connect () in
+      let req =
+        Protocol.encode_request { Protocol.id = 5; op = Protocol.Health; deadline_ms = None }
+      in
+      ignore (Unix.write_substring fd (req ^ "\n") 0 (String.length req + 1) : int);
+      let reply = Buffer.create 256 and byte = Bytes.create 1 in
+      while Unix.read fd byte 0 1 = 1 && Bytes.get byte 0 <> '\n' do
+        Buffer.add_bytes reply byte
+      done;
+      Unix.close fd;
+      let line = Buffer.contents reply in
+      match Protocol.decode_response line with
+      | Ok { Protocol.rid = 5; status = Protocol.Ok; payload = Some (Protocol.Health_info _); _ }
+        ->
+        ()
+      | Ok _ -> Alcotest.failf "unexpected health reply %S" line
+      | Error e -> Alcotest.failf "undecodable reply %S: %s" line e)
+
 let suite =
   ( "serve",
     [
@@ -460,4 +543,5 @@ let suite =
       Alcotest.test_case "differential: served = direct (jobs 1,4)" `Slow
         test_served_matches_direct;
       Alcotest.test_case "socket: loadgen + SIGTERM drain" `Slow test_socket_loadgen_sigterm;
+      Alcotest.test_case "socket: over-long line" `Quick test_socket_overlong_line;
     ] )

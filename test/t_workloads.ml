@@ -105,6 +105,125 @@ let test_find_exn () =
     Alcotest.fail "expected Not_found"
   with Not_found -> ()
 
+(* The linear resolver the index replaced, kept verbatim as its oracle. *)
+let linear_find needle =
+  let lower = String.lowercase_ascii in
+  let all = W.Registry.all in
+  let n = lower needle in
+  let matches f = List.filter (fun w -> lower (f w) = n) all in
+  match matches W.Workload.id with
+  | [ w ] -> Some w
+  | _ :: _ :: _ -> None
+  | [] -> (
+    let by_program_input =
+      matches (fun w ->
+          if w.W.Workload.input = "" then w.W.Workload.program
+          else Printf.sprintf "%s/%s" w.W.Workload.program w.W.Workload.input)
+    in
+    match by_program_input with
+    | [ w ] -> Some w
+    | _ :: _ :: _ -> None
+    | [] -> (
+      match matches W.Workload.label with
+      | [ w ] -> Some w
+      | _ :: _ :: _ -> None
+      | [] -> (
+        match matches (fun w -> w.W.Workload.program) with [ w ] -> Some w | _ -> None)))
+
+let resolved = Option.map W.Workload.id
+
+let agrees_with_linear needle =
+  let want = resolved (linear_find needle) in
+  let by_exn =
+    match W.Registry.find_exn needle with
+    | w -> Some (W.Workload.id w)
+    | exception Not_found -> None
+  in
+  resolved (W.Registry.find needle) = want && by_exn = want
+
+let random_case rand s =
+  String.map
+    (fun c -> if Random.State.bool rand then Char.uppercase_ascii c else Char.lowercase_ascii c)
+    s
+
+(* Every name of every tier, as written, lowercased, uppercased and in
+   three random casings. *)
+let test_find_every_name () =
+  let rand = Random.State.make [| 23 |] in
+  List.iter
+    (fun (w : W.Workload.t) ->
+      let program_input =
+        if w.W.Workload.input = "" then w.W.Workload.program
+        else w.W.Workload.program ^ "/" ^ w.W.Workload.input
+      in
+      List.iter
+        (fun name ->
+          List.iter
+            (fun needle ->
+              if not (agrees_with_linear needle) then
+                Alcotest.failf "find %S differs from the linear resolver" needle)
+            [ name; String.lowercase_ascii name; String.uppercase_ascii name;
+              random_case rand name; random_case rand name; random_case rand name ])
+        [ W.Workload.id w; program_input; W.Workload.label w; w.W.Workload.program ])
+    W.Registry.all
+
+(* Random strings over the names' alphabet, and id prefixes in random
+   case: unknown, ambiguous and partial needles. *)
+let needle_gen =
+  let open QCheck2.Gen in
+  let ids = Array.of_list (List.map W.Workload.id W.Registry.all) in
+  oneof
+    [
+      string_size ~gen:(oneofl [ 'a'; 'c'; 'e'; 'g'; 's'; 'p'; '2'; '/'; '.'; 'S'; 'P'; 'E'; 'C' ])
+        (int_bound 12);
+      (let* i = int_bound (Array.length ids - 1) in
+       let* cut = int_bound (String.length ids.(i)) in
+       let* seed = int in
+       return (random_case (Random.State.make [| seed |]) (String.sub ids.(i) 0 cut)));
+      string_size ~gen:char (int_bound 20);
+    ]
+
+let prop_find_random_needles =
+  Tutil.qcheck_case ~count:2000 ~print:(Printf.sprintf "%S")
+    "find: random needles resolve as the linear resolver did" needle_gen agrees_with_linear
+
+(* The CLI's [resolve]: a registry name, else a unique id substring, else
+   exit 2 with the candidates or a hint. *)
+let test_cli_resolve () =
+  let out = Filename.temp_file "mica_out" ".txt" in
+  let trace = Filename.temp_file "mica_trace" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ out; trace ])
+    (fun () ->
+      List.iter
+        (fun name ->
+          let code =
+            Sys.command
+              (Filename.quote_command T_trace.mica_exe
+                 [ "dump-trace"; name; "--icount"; "10"; "--no-run"; "-o"; trace ]
+                 ~stdout:out ~stderr:out)
+          in
+          let text = In_channel.with_open_text out In_channel.input_all in
+          let want =
+            match linear_find name with
+            | Some w -> Some w
+            | None -> ( match W.Registry.matching name with [ w ] -> Some w | _ -> None)
+          in
+          match want with
+          | Some w ->
+            Alcotest.(check int) (name ^ ": exit code") 0 code;
+            Alcotest.(check string) (name ^ ": resolved")
+              (Printf.sprintf "wrote 10 instructions of %s to %s\n" (W.Workload.id w) trace)
+              text
+          | None ->
+            Alcotest.(check int) (name ^ ": exit code") 2 code;
+            let many = List.length (W.Registry.matching name) > 1 in
+            let expect = if many then "is ambiguous; candidates:" else "no workload matches" in
+            if not (T_serve.contains ~sub:expect text) then
+              Alcotest.failf "%s: message %S lacks %S" name text expect)
+        [ "SPEC2000/mcf/ref"; "sha/LARGE"; "bzip2.graphic"; "blast"; "osdemo"; "bzip2"; "SHA";
+          "nonexistent" ])
+
 let test_matching () =
   let gcc = W.Registry.matching "gcc" in
   Alcotest.(check int) "five gcc inputs" 5 (List.length gcc);
@@ -163,6 +282,9 @@ let suite =
       Alcotest.test_case "paper icounts" `Quick test_paper_icounts_spotcheck;
       Alcotest.test_case "find variants" `Quick test_find_variants;
       Alcotest.test_case "find_exn" `Quick test_find_exn;
+      Alcotest.test_case "find: every name in any case" `Quick test_find_every_name;
+      prop_find_random_needles;
+      Alcotest.test_case "cli: resolve" `Quick test_cli_resolve;
       Alcotest.test_case "matching" `Quick test_matching;
       Alcotest.test_case "suite names" `Quick test_suite_names;
       Alcotest.test_case "labels" `Quick test_workload_labels;

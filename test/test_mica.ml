@@ -24,4 +24,5 @@ let () =
       T_scale.suite;
       T_sketch.suite;
       T_serve.suite;
+      T_wire.suite;
     ]
