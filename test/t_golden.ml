@@ -460,6 +460,88 @@ let test_trace_digests programs pinned () =
       (String.concat "\n" drifted);
   Alcotest.(check int) "trace count" (List.length pinned) (List.length programs)
 
+(* Machine-model pins, computed before the paper's counters, SimPoint and
+   the cross-machine experiment moved onto the one configurable machine
+   simulator; they must never be regenerated to make a timing-model
+   change pass.  Each is an MD5 over IEEE bit patterns (or exact
+   integers), so a single ULP anywhere fails it. *)
+
+let machine_icount = 20_000
+
+(* The paper's seven counters (EV56 IPC and miss rates, EV67 IPC) of every
+   registry workload, in registry order. *)
+let paper_counters_digest () =
+  bits_digest
+    (Array.concat
+       (List.map
+          (fun (w : Mica_workloads.Workload.t) ->
+            Mica_uarch.Hw_counters.to_vector
+              (Mica_uarch.Hw_counters.measure w.model ~icount:machine_icount))
+          Mica_workloads.Registry.all))
+
+let pinned_paper_counters = "f5e171eab4c16a6e3ea74c642438ed2a"
+
+let test_paper_counters_golden () =
+  Alcotest.(check string) "paper counters over the registry (MD5 of bits)"
+    pinned_paper_counters (paper_counters_digest ())
+
+(* Every machines/*.json description over the registry through the fleet
+   fanout: the MD5 of the whole workloads x (machines * 6) matrix. *)
+let pinned_fleet_matrix = "ad6f8eaa0204922880d89de8891039c5"
+
+let test_fleet_golden jobs () =
+  let configs =
+    match Mica_uarch.Machine_desc.load_dir T_fleet.machines_dir with
+    | Ok named -> List.map snd named
+    | Error m -> Alcotest.failf "load_dir: %s" m
+  in
+  let fleet =
+    Core.Fleet.characterize ~jobs ~configs ~icount:machine_icount Mica_workloads.Registry.all
+  in
+  Alcotest.(check (array string))
+    "machines"
+    [| "a53_like"; "atom_like"; "embedded"; "ev56"; "ev67"; "rocket_like"; "wide"; "xeon_like" |]
+    fleet.Core.Fleet.machine_names;
+  Alcotest.(check string) "fleet matrix over the registry (MD5 of bits)" pinned_fleet_matrix
+    (bits_digest (Array.concat (Array.to_list fleet.Core.Fleet.matrix)))
+
+(* SimPoint validation: per interval, the EV56 model's instructions and
+   cycles, and the true and estimated IPC bits. *)
+let simpoint_outcome (id, interval, icount) =
+  let t = Core.Simpoint.validate ~interval (Mica_workloads.Registry.find_exn id) ~icount in
+  let intervals =
+    String.concat ";"
+      (Array.to_list
+         (Array.map
+            (fun (r : Core.Simpoint.interval_ipc) -> Printf.sprintf "%d,%d" r.instructions r.cycles)
+            t.Core.Simpoint.interval_results))
+  in
+  ( Digest.to_hex (Digest.string intervals),
+    (bits t.Core.Simpoint.true_ipc, bits t.Core.Simpoint.estimated_ipc) )
+
+let pinned_simpoint =
+  [
+    ( ("SPEC2000/gcc/166", 2_000, 40_000),
+      ("0c22861e9d45e1c3ffd64c289dadf445", (4587733256705818990L, 4589093363773188052L)) );
+    ( ("MiBench/sha/large", 5_000, 50_000),
+      ("c55eaa907828bd4a5106566355d152fa", (4607319122124993540L, 4604874014171738555L)) );
+  ]
+
+let test_simpoint_golden (case, want) () =
+  Alcotest.(check (pair string (pair int64 int64)))
+    "per-interval (instructions, cycles) MD5, true and estimated IPC bits" want
+    (simpoint_outcome case)
+
+(* The cross-machine experiment's report over the ten-workload context of
+   the extension tests, on the four preset machines. *)
+let machines_text ctx = Core.Machines.render (Core.Machines.run ctx)
+
+let pinned_machines_text = "69fbef54fceea838fea520d51b224837"
+
+let test_machines_text_golden () =
+  Alcotest.(check string) "cross-machine report (MD5 of the text)" pinned_machines_text
+    (Digest.to_hex (Digest.string (machines_text (T_extensions.coverage_context ()))))
+
 let suite =
   ( "golden",
     [
@@ -491,4 +573,21 @@ let suite =
           Alcotest.test_case
             (Printf.sprintf "pinned Fig 4 ROC on baseline datasets (jobs %d)" jobs)
             `Quick (test_fig4_golden jobs))
-        [ 1; 4 ] )
+        [ 1; 4 ]
+    @ [
+        Alcotest.test_case "pinned paper counters over the registry" `Quick
+          test_paper_counters_golden;
+      ]
+    @ List.map
+        (fun jobs ->
+          Alcotest.test_case
+            (Printf.sprintf "pinned machines/ fleet over the registry (jobs %d)" jobs)
+            `Quick (test_fleet_golden jobs))
+        [ 1; 4 ]
+    @ List.map
+        (fun (((id, _, _), _) as case) ->
+          Alcotest.test_case ("pinned simpoint " ^ id) `Quick (test_simpoint_golden case))
+        pinned_simpoint
+    @ [
+        Alcotest.test_case "pinned cross-machine report" `Quick test_machines_text_golden;
+      ] )
