@@ -1120,7 +1120,13 @@ let characterize_trace_cmd =
 let machines_cmd =
   let run config =
     let ctx = E.Context.load ~config () in
-    print_string (Mica_core.Machines.render (Mica_core.Machines.run ctx))
+    let fleet =
+      Mica_core.Fleet.characterize ~configs:Mica_uarch.Machine.presets
+        ~icount:ctx.E.Context.config.Mica_core.Pipeline.icount ctx.E.Context.workloads
+    in
+    print_string
+      (Mica_core.Fleet.render_transfer
+         (Mica_core.Fleet.report ~mica:ctx.E.Context.mica_space fleet))
   in
   Cmd.v
     (Cmd.info "machines"
@@ -1321,8 +1327,13 @@ let simpoint_cmd =
   in
   let run config name interval =
     let w = resolve name in
-    let t = Mica_core.Simpoint.validate ~interval w ~icount:config.Mica_core.Pipeline.icount in
-    print_string (Mica_core.Simpoint.render [ (Mica_workloads.Workload.id w, t) ])
+    (* a non-positive interval, or one too long for a single interval of
+       the trace, is a usage error, not a crash *)
+    match Mica_core.Simpoint.validate ~interval w ~icount:config.Mica_core.Pipeline.icount with
+    | t -> print_string (Mica_core.Simpoint.render [ (Mica_workloads.Workload.id w, t) ])
+    | exception Invalid_argument msg ->
+      Printf.eprintf "error: %s\n" msg;
+      exit 2
   in
   Cmd.v
     (Cmd.info "simpoint"
@@ -1411,8 +1422,7 @@ let snapshot_counter (snap : Obs.snapshot) name =
   match List.assoc_opt name snap.Obs.metrics with Some (Obs.Counter c) -> c | _ -> 0.0
 
 (* Every stage characterizes, so the paper's two machine models step every
-   instruction.  The ev67 model has no DTLB, so its DTLB counters do not
-   exist; its step counter must match ev56's, since both see one trace. *)
+   instruction; both see one trace, so their step counters must match. *)
 let profile_expected_counters =
   [ "uarch.ev56.instrs"; "uarch.ev56.dtlb_accesses"; "uarch.ev56.dtlb_misses"; "uarch.ev67.instrs" ]
 

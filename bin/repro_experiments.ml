@@ -266,14 +266,19 @@ let () =
                 rows))
     | "machines" ->
       section "Extension: does counter-based similarity transfer across machines?";
-      let r = Mica_core.Machines.run (ctx ()) in
-      print_string (Mica_core.Machines.render r);
+      let c = ctx () in
+      let fleet =
+        Mica_core.Fleet.characterize ~configs:Mica_uarch.Machine.presets
+          ~icount:c.E.Context.config.Mica_core.Pipeline.icount c.E.Context.workloads
+      in
+      let r = Mica_core.Fleet.report ~mica:c.E.Context.mica_space fleet in
+      print_string (Mica_core.Fleet.render_transfer r);
       write_file (out "machines_cross_correlation.csv")
         (csv_of_rows
            ([ "machine_a"; "machine_b"; "distance_correlation" ]
            :: List.map
                 (fun (a, b, c) -> [ a; b; Printf.sprintf "%.6f" c ])
-                r.Mica_core.Machines.cross_correlation))
+                r.Mica_core.Fleet.cross))
     | "extended" ->
       section "Extension: feature selection over the extended 56-characteristic set";
       print_string (E.render_extended (E.extended_selection (ctx ())))

@@ -99,6 +99,7 @@ type report_row = { machine : string; mica_corr : float; hpc_corr : float option
 type report = {
   rows : report_row list;
   cross : (string * string * float) list;
+  spaces : (string * Space.t) list;
 }
 
 let report ?(mica : Space.t option) ?(hpc : Space.t option) t =
@@ -127,7 +128,14 @@ let report ?(mica : Space.t option) ?(hpc : Space.t option) t =
           spaces)
       spaces
   in
-  { rows; cross }
+  { rows; cross; spaces }
+
+let transfer r =
+  let distances name = (List.assoc name r.spaces).Space.distances in
+  List.map
+    (fun (a, b, _) ->
+      (a, b, Classify.classify ~hpc_distances:(distances a) ~mica_distances:(distances b) ()))
+    r.cross
 
 let render_report r =
   let buf = Buffer.create 1024 in
@@ -145,4 +153,33 @@ let render_report r =
     (fun (a, b, c) ->
       Buffer.add_string buf (Printf.sprintf "  %-14s vs %-14s %7.3f\n" a b c))
     r.cross;
+  Buffer.contents buf
+
+let render_transfer r =
+  let buf = Buffer.create 2048 in
+  Buffer.add_string buf "cross-machine stability of counter-based similarity\n\n";
+  Buffer.add_string buf "distance correlation between machine counter spaces:\n";
+  List.iter
+    (fun (a, b, c) -> Buffer.add_string buf (Printf.sprintf "  %-10s vs %-10s  %6.3f\n" a b c))
+    r.cross;
+  Buffer.add_string buf "\ndistance correlation of each machine space with the MICA space:\n";
+  List.iter
+    (fun row -> Buffer.add_string buf (Printf.sprintf "  %-10s %6.3f\n" row.machine row.mica_corr))
+    r.rows;
+  Buffer.add_string buf
+    "\ntransfer of similarity verdicts between machines (20% thresholds):\n";
+  List.iter
+    (fun (a, b, counts) ->
+      let f = Classify.fractions counts in
+      Buffer.add_string buf
+        (Printf.sprintf
+           "  %s -> %s: %4.1f%% of pairs change verdict (%4.1f%% similar-on-%s-only, %4.1f%% \
+            similar-on-%s-only)\n"
+           a b
+           (100.0 *. (f.Classify.f_false_pos +. f.Classify.f_false_neg))
+           (100.0 *. f.Classify.f_false_pos) a (100.0 *. f.Classify.f_false_neg) b))
+    (transfer r);
+  Buffer.add_string buf
+    "\n(the MICA space is microarchitecture-independent by construction: the same\n\
+     vectors describe the workloads on every machine)\n";
   Buffer.contents buf

@@ -1,11 +1,21 @@
-(** One-pass fleet characterization: the corpus against N machine models.
+(** One-pass fleet characterization: the corpus against N machine models,
+    and the cross-machine stability of counter-based similarity.
 
     Each workload's trace is generated exactly once and fanned out to all
     N machine sinks ({!Mica_uarch.Machine.measure_all}); workloads run
     pool-parallel.  Because trace generation dominates machine simulation,
     this is markedly faster than N single-machine passes — and the result
     is bit-identical to them, which {!characterize_n_pass} exists to prove
-    (and to serve as the benchmark baseline). *)
+    (and to serve as the benchmark baseline).
+
+    The paper's core warning is that conclusions drawn from
+    microarchitecture-dependent characteristics "may not be generalized
+    to other microarchitectures".  {!report} and {!transfer} quantify it:
+    they compare the benchmark-distance structure each machine induces
+    against the other machines and against the
+    microarchitecture-independent space, which is machine-invariant by
+    construction.  [mica machines] runs them on
+    {!Mica_uarch.Machine.presets} and prints {!render_transfer}. *)
 
 type t = {
   machine_names : string array;
@@ -57,7 +67,9 @@ type report_row = {
 type report = {
   rows : report_row list;
   cross : (string * string * float) list;
-      (** distance correlation for each machine pair *)
+      (** distance correlation for each machine pair [(a, b)] with
+          [a < b], in machine order *)
+  spaces : (string * Space.t) list;  (** each machine's counter space *)
 }
 
 val report : ?mica:Space.t -> ?hpc:Space.t -> t -> report
@@ -66,3 +78,15 @@ val report : ?mica:Space.t -> ?hpc:Space.t -> t -> report
     spaces. *)
 
 val render_report : report -> string
+
+val transfer : report -> (string * string * Classify.counts) list
+(** For each pair of [cross], treating "similar on machine a" as ground
+    truth at the 20% threshold, how "similar on machine b" verdicts
+    classify.  False positives are benchmark pairs one machine calls
+    similar and the other does not: conclusions that failed to
+    transfer. *)
+
+val render_transfer : report -> string
+(** The cross-machine experiment's text ([mica machines]): pairwise
+    machine correlations, each machine's correlation with the MICA space
+    ([nan] when {!report} had no [mica]) and the {!transfer} table. *)

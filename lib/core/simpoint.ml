@@ -11,30 +11,30 @@ type t = {
   error : float;
 }
 
-(* Per-interval machine results come from one warm simulation: the
-   in-order model's counters are sampled at every interval boundary. *)
+(* Per-interval machine results come from one warm simulation: the EV56
+   model's instruction and cycle counts are read at every interval
+   boundary.  A chunked fanout of model and sampler would let the model
+   run a whole chunk ahead of the sampler, so each chunk is fed to the
+   model in pieces that end at interval boundaries. *)
 let per_interval_ipc program ~icount ~interval =
-  let model = U.Inorder.create () in
+  let model = U.Machine.create U.Machine.ev56 in
   let boundaries = ref [] in
-  let seen = ref 0 in
-  (* A chunked fanout of model and sampler would let the model run a whole
-     chunk ahead of the sampler, so interval boundaries inside a chunk
-     would read counters from the chunk's end.  Stepping the model
-     per-instruction inside one sink keeps the required ordering: the model
-     observes each instruction before the sampler reads its counters. *)
+  let filled = ref 0 in  (* instructions of the current interval *)
   let sink =
     Mica_trace.Sink.make ~name:"interval-sampler" (fun c ->
-        for i = 0 to c.Mica_trace.Chunk.len - 1 do
-          U.Inorder.step_instr model (Mica_trace.Chunk.get c i);
-          incr seen;
-          if !seen mod interval = 0 then begin
-            let r = U.Inorder.result model in
-            boundaries := (r.U.Inorder.instructions, r.U.Inorder.cycles) :: !boundaries
+        let pos = ref 0 in
+        while !pos < c.Mica_trace.Chunk.len do
+          let len = min (c.Mica_trace.Chunk.len - !pos) (interval - !filled) in
+          U.Machine.feed model c ~pos:!pos ~len;
+          pos := !pos + len;
+          filled := !filled + len;
+          if !filled = interval then begin
+            filled := 0;
+            boundaries := (U.Machine.instructions model, U.Machine.cycles model) :: !boundaries
           end
         done)
   in
   let (_ : int) = Mica_trace.Generator.run program ~icount ~sink in
-  let final = U.Inorder.result model in
   let cumulative = Array.of_list (List.rev !boundaries) in
   let intervals =
     Array.mapi
@@ -43,7 +43,7 @@ let per_interval_ipc program ~icount ~interval =
         { instructions = instrs - prev_i; cycles = cycles - prev_c })
       cumulative
   in
-  (intervals, float_of_int final.U.Inorder.instructions /. float_of_int final.U.Inorder.cycles)
+  (intervals, float_of_int (U.Machine.instructions model) /. float_of_int (U.Machine.cycles model))
 
 let validate ?(interval = 10_000) (w : W.Workload.t) ~icount =
   let phases = Phases.analyze ~interval w.W.Workload.model ~icount in

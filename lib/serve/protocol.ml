@@ -124,6 +124,15 @@ let num name j =
   let* v = field name j in
   Option.to_result ~none:(Printf.sprintf "field %S is not a number" name) (Json.to_num v)
 
+(* An integer field: a JSON number with no fractional part within
+   [±2^53], where every integer is exact as a float (and fits an int). *)
+let max_wire_int = 9_007_199_254_740_992.0
+
+let integer name j =
+  let* x = num name j in
+  if Float.is_integer x && Float.abs x <= max_wire_int then Result.Ok (int_of_float x)
+  else Result.Error (Printf.sprintf "field %S is not an integer within +/-2^53" name)
+
 let boolean name j =
   let* v = field name j in
   match v with Json.Bool b -> Result.Ok b | _ -> Result.Error (Printf.sprintf "field %S is not a bool" name)
@@ -173,18 +182,18 @@ let decode_op j =
     Result.Ok (Classify { workload; threshold })
   | "knn" ->
     let* workload = str "workload" j in
-    let* k = num "k" j in
-    Result.Ok (Knn { workload; k = int_of_float k })
+    let* k = integer "k" j in
+    Result.Ok (Knn { workload; k })
   | "health" -> Result.Ok Health
   | "metrics" -> Result.Ok Metrics
   | other -> Result.Error (Printf.sprintf "unknown op %S" other)
 
 let decode_request line =
   let* j = Json.parse line in
-  let* id = num "id" j in
+  let* id = integer "id" j in
   let* op = decode_op j in
   let* deadline_ms = opt_num "deadline_ms" j in
-  Result.Ok { id = int_of_float id; op; deadline_ms }
+  Result.Ok { id; op; deadline_ms }
 
 let decode_payload j =
   let* kind = str "kind" j in
@@ -221,18 +230,11 @@ let decode_payload j =
     in
     Result.Ok (Neighbors items)
   | "health" ->
-    let* queue_depth = num "queue_depth" j in
-    let* queue_capacity = num "queue_capacity" j in
+    let* queue_depth = integer "queue_depth" j in
+    let* queue_capacity = integer "queue_capacity" j in
     let* draining = boolean "draining" j in
-    let* warm = num "warm" j in
-    Result.Ok
-      (Health_info
-         {
-           queue_depth = int_of_float queue_depth;
-           queue_capacity = int_of_float queue_capacity;
-           draining;
-           warm = int_of_float warm;
-         })
+    let* warm = integer "warm" j in
+    Result.Ok (Health_info { queue_depth; queue_capacity; draining; warm })
   | "text" ->
     let* text = str "text" j in
     Result.Ok (Text text)
@@ -240,7 +242,7 @@ let decode_payload j =
 
 let decode_response line =
   let* j = Json.parse line in
-  let* rid = num "id" j in
+  let* rid = integer "id" j in
   let* status_s = str "status" j in
   let* status =
     Option.to_result ~none:(Printf.sprintf "unknown status %S" status_s) (status_of_name status_s)
@@ -254,7 +256,7 @@ let decode_response line =
   let* backtrace = opt_str "backtrace" j in
   let* elapsed_ms = num "elapsed_ms" j in
   let* retry_after_ms = opt_num "retry_after_ms" j in
-  Result.Ok { rid = int_of_float rid; status; payload; error; backtrace; elapsed_ms; retry_after_ms }
+  Result.Ok { rid; status; payload; error; backtrace; elapsed_ms; retry_after_ms }
 
 let error_response ~rid ?backtrace ?(elapsed_ms = 0.0) msg =
   {

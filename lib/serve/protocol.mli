@@ -18,7 +18,13 @@
     Every request carries a client-chosen [id]; the matching response
     echoes it, so a client may pipeline requests over one connection and
     match replies out of order (the daemon replies in completion order,
-    not submission order). *)
+    not submission order).
+
+    Integer fields (the request and response [id], [knn]'s [k] and the
+    health counts) must be JSON numbers with no fractional part in
+    [[-2^53, 2^53]], the range where every integer is exact as a float;
+    the decoders return [Error] for anything else ([1.5], [1e300]) rather
+    than truncating it. *)
 
 type op =
   | Characterize of { workload : string; estimate : bool }

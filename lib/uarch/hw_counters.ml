@@ -12,10 +12,27 @@ let names =
 let short_names = [| "ipc_ev56"; "br_miss"; "l1d_miss"; "l1i_miss"; "l2_miss"; "dtlb_miss"; "ipc_ev67" |]
 let count = Array.length names
 
-type t = { inorder : Inorder.t; ooo : Ooo.t }
+let ev56 = Machine.ev56
 
-let create () = { inorder = Inorder.create (); ooo = Ooo.create () }
-let sink t = Mica_trace.Sink.fanout [ Inorder.sink t.inorder; Ooo.sink t.ooo ]
+(* Flat load-to-use latencies of 3, 13 and 100 cycles (L1, L2, memory) as
+   additive levels, fetch redirected by the L1I latency plus that extra,
+   and a DTLB that costs nothing. *)
+let ev67 =
+  {
+    Machine.ev67 with
+    l1i_latency = 3;
+    l1_latency = 3;
+    l2_latency = 10;
+    mem_latency = 87;
+    dtlb_penalty = 0;
+  }
+
+type t = { ev56 : Machine.t; ev67 : Machine.t }
+
+let create () =
+  { ev56 = Machine.create ~model:"ev56" ev56; ev67 = Machine.create ~model:"ev67" ev67 }
+
+let sink t = Mica_trace.Sink.fanout [ Machine.sink t.ev56; Machine.sink t.ev67 ]
 
 type result = {
   ipc_ev56 : float;
@@ -28,18 +45,16 @@ type result = {
 }
 
 let result t =
-  Inorder.record_events t.inorder ~model:"ev56";
-  Ooo.record_events t.ooo ~model:"ev67";
-  let io = Inorder.result t.inorder in
-  let oo = Ooo.result t.ooo in
+  let io = Machine.result t.ev56 in
+  let oo = Machine.result t.ev67 in
   {
-    ipc_ev56 = io.Inorder.ipc;
-    branch_mispredict_rate = io.Inorder.branch_mispredict_rate;
-    l1d_miss_rate = io.Inorder.l1d_miss_rate;
-    l1i_miss_rate = io.Inorder.l1i_miss_rate;
-    l2_miss_rate = io.Inorder.l2_miss_rate;
-    dtlb_miss_rate = io.Inorder.dtlb_miss_rate;
-    ipc_ev67 = oo.Ooo.ipc;
+    ipc_ev56 = io.Machine.ipc;
+    branch_mispredict_rate = io.Machine.branch_mispredict_rate;
+    l1d_miss_rate = io.Machine.l1d_miss_rate;
+    l1i_miss_rate = io.Machine.l1i_miss_rate;
+    l2_miss_rate = io.Machine.l2_miss_rate;
+    dtlb_miss_rate = io.Machine.dtlb_miss_rate;
+    ipc_ev67 = oo.Machine.ipc;
   }
 
 let to_vector r =

@@ -3,13 +3,25 @@
     Seven metrics, exactly the paper's set: IPC on the in-order EV56-like
     machine; its branch misprediction, L1 D-cache, L1 I-cache, L2 and
     D-TLB miss rates; and IPC on the out-of-order EV67-like machine.  Both
-    machine models consume the same trace in one pass. *)
+    machines are {!Machine} configurations fed the same trace in one
+    pass. *)
 
 val count : int
 (** 7. *)
 
 val names : string array
 val short_names : string array
+
+val ev56 : Machine.config
+(** The in-order Alpha 21164A: {!Machine.ev56}. *)
+
+val ev67 : Machine.config
+(** The out-of-order Alpha 21264A as the paper's counters measure it:
+    {!Machine.ev67}'s core, caches and predictor with loads taking 3, 13
+    or 100 cycles (L1 hit, L2 hit, memory), I-cache misses redirecting
+    fetch by the same 13 or 100, and a zero DTLB penalty, so the
+    simulated DTLB never reaches the timing.  Not a member of the fleet
+    in [machines/]. *)
 
 type t
 
@@ -28,7 +40,7 @@ type result = {
 
 val result : t -> result
 (** The seven counters.  With metrics on, each call also adds both
-    models' event counts to the [uarch.ev56.*] and [uarch.ev67.*]
+    machines' event counts to the [uarch.ev56.*] and [uarch.ev67.*]
     counters ({!Events.record}). *)
 
 val to_vector : result -> float array

@@ -43,6 +43,7 @@ type config = {
   page_bytes : int;
   predictor : predictor_kind;
   prefetch_next_line : bool;
+  l1i_latency : int;
   l1_latency : int;
   l2_latency : int;
   mem_latency : int;
@@ -64,6 +65,7 @@ let ev56 =
     page_bytes = 8192;
     predictor = Bimodal { entries = 2048 };
     prefetch_next_line = false;
+    l1i_latency = 1;
     l1_latency = 1;
     l2_latency = 8;
     mem_latency = 50;
@@ -83,6 +85,7 @@ let ev67 =
     page_bytes = 8192;
     predictor = Tournament { entries = 1024; history_bits = 10 };
     prefetch_next_line = false;
+    l1i_latency = 0;
     l1_latency = 3;
     l2_latency = 13;
     mem_latency = 100;
@@ -102,6 +105,7 @@ let embedded =
     page_bytes = 4096;
     predictor = Bimodal { entries = 256 };
     prefetch_next_line = false;
+    l1i_latency = 1;
     l1_latency = 1;
     l2_latency = 4;
     mem_latency = 80;
@@ -121,6 +125,7 @@ let wide =
     page_bytes = 8192;
     predictor = Tournament { entries = 4096; history_bits = 12 };
     prefetch_next_line = true;
+    l1i_latency = 0;
     l1_latency = 4;
     l2_latency = 15;
     mem_latency = 150;
@@ -144,6 +149,7 @@ let metric_names = [| "ipc"; "br_miss"; "l1d_miss"; "l1i_miss"; "l2_miss"; "dtlb
 
 type t = {
   cfg : config;
+  model : string;  (* Obs counter prefix *)
   l1i : Cache.t;
   l1d : Cache.t;
   l2 : Cache.t;
@@ -176,7 +182,7 @@ let make_predictor = function
   | Local_two_level { entries; history_bits } -> Branch_pred.local ~entries ~history_bits
   | Tournament { entries; history_bits } -> Branch_pred.tournament ~entries ~history_bits
 
-let create cfg =
+let create ?model cfg =
   let window = match cfg.core with Out_of_order { window; _ } -> window | In_order _ -> 1 in
   if Array.length cfg.ops <> Opcode.count then
     invalid_arg "Machine.create: ops table must have one entry per opcode class";
@@ -187,6 +193,7 @@ let create cfg =
     cfg.ops;
   {
     cfg;
+    model = Option.value model ~default:("machine." ^ cfg.name);
     l1i = make_cache (cfg.name ^ ".l1i") cfg.l1i;
     l1d = make_cache (cfg.name ^ ".l1d") cfg.l1d;
     l2 = make_cache (cfg.name ^ ".l2") cfg.l2;
@@ -224,6 +231,7 @@ let dcache_extra t addr =
     extra
   end
 
+(* in-order: an I-cache miss stalls for the hierarchy beyond the L1 *)
 let icache_extra t pc =
   if Cache.access t.l1i pc then 0 else miss_latency t ~hit_l2:(Cache.access t.l2 pc)
 
@@ -269,8 +277,11 @@ let step_out_of_order t ~width ~window ~pc ~code ~src1 ~src2 ~dst ~addr ~taken =
     t.fetch_slot <- 0
   end
   else t.fetch_slot <- slot;
-  let ic = icache_extra t pc in
-  if ic > 0 then redirect_fetch t (fetch_cycle + ic);
+  (* an I-cache miss redirects fetch by the L1I latency plus the hierarchy
+     beyond it *)
+  if not (Cache.access t.l1i pc) then
+    redirect_fetch t
+      (fetch_cycle + t.cfg.l1i_latency + miss_latency t ~hit_l2:(Cache.access t.l2 pc));
   let a = if src1 >= 0 && src1 <> Reg.zero then t.reg_ready.(src1) else 0 in
   let b = if src2 >= 0 && src2 <> Reg.zero then t.reg_ready.(src2) else 0 in
   let head = t.head in
@@ -305,44 +316,41 @@ let step_out_of_order t ~width ~window ~pc ~code ~src1 ~src2 ~dst ~addr ~taken =
     end
   end
 
+let feed t (c : Chunk.t) ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > c.len then invalid_arg "Machine.feed: range outside the chunk";
+  let pcs = c.pc and ops = c.op and src1 = c.src1 and src2 = c.src2 and dst = c.dst
+  and addrs = c.addr and taken = c.taken in
+  t.instrs <- t.instrs + len;
+  match t.cfg.core with
+  | In_order _ ->
+    for i = pos to pos + len - 1 do
+      step_in_order t ~pc:(Array.unsafe_get pcs i) ~code:(Array.unsafe_get ops i)
+        ~addr:(Array.unsafe_get addrs i)
+        ~taken:(Bytes.unsafe_get taken i <> '\000')
+    done
+  | Out_of_order { width; window } ->
+    for i = pos to pos + len - 1 do
+      step_out_of_order t ~width ~window ~pc:(Array.unsafe_get pcs i)
+        ~code:(Array.unsafe_get ops i) ~src1:(Array.unsafe_get src1 i)
+        ~src2:(Array.unsafe_get src2 i) ~dst:(Array.unsafe_get dst i)
+        ~addr:(Array.unsafe_get addrs i)
+        ~taken:(Bytes.unsafe_get taken i <> '\000')
+    done
+
 let sink t =
-  Mica_trace.Sink.make ~name:("machine:" ^ t.cfg.name) (fun c ->
-      let len = c.Chunk.len in
-      let pcs = c.Chunk.pc and ops = c.Chunk.op and src1 = c.Chunk.src1
-      and src2 = c.Chunk.src2 and dst = c.Chunk.dst and addrs = c.Chunk.addr
-      and taken = c.Chunk.taken in
-      t.instrs <- t.instrs + len;
-      match t.cfg.core with
-      | In_order _ ->
-        for i = 0 to len - 1 do
-          step_in_order t ~pc:(Array.unsafe_get pcs i) ~code:(Array.unsafe_get ops i)
-            ~addr:(Array.unsafe_get addrs i)
-            ~taken:(Bytes.unsafe_get taken i <> '\000')
-        done
-      | Out_of_order { width; window } ->
-        for i = 0 to len - 1 do
-          step_out_of_order t ~width ~window ~pc:(Array.unsafe_get pcs i)
-            ~code:(Array.unsafe_get ops i) ~src1:(Array.unsafe_get src1 i)
-            ~src2:(Array.unsafe_get src2 i) ~dst:(Array.unsafe_get dst i)
-            ~addr:(Array.unsafe_get addrs i)
-            ~taken:(Bytes.unsafe_get taken i <> '\000')
-        done)
+  Mica_trace.Sink.make ~name:("machine:" ^ t.cfg.name) (fun c -> feed t c ~pos:0 ~len:c.Chunk.len)
+
+let instructions t = t.instrs
+
+let cycles t =
+  match t.cfg.core with
+  | In_order { issue_width } -> max 1 (((t.instrs + issue_width - 1) / issue_width) + t.stall_cycles)
+  | Out_of_order _ -> max 1 t.last_cycle
 
 let result t =
-  Events.record ~model:("machine." ^ t.cfg.name) ~instrs:t.instrs ~l1i:t.l1i ~l1d:t.l1d ~l2:t.l2
-    ~dtlb:t.dtlb t.pred;
-  let ipc =
-    match t.cfg.core with
-    | In_order { issue_width } ->
-      let base = (t.instrs + issue_width - 1) / issue_width in
-      let cycles = max 1 (base + t.stall_cycles) in
-      float_of_int t.instrs /. float_of_int cycles
-    | Out_of_order _ ->
-      let cycles = max 1 t.last_cycle in
-      float_of_int t.instrs /. float_of_int cycles
-  in
+  Events.record ~model:t.model ~instrs:t.instrs ~l1i:t.l1i ~l1d:t.l1d ~l2:t.l2 ~dtlb:t.dtlb t.pred;
   {
-    ipc;
+    ipc = float_of_int t.instrs /. float_of_int (cycles t);
     branch_mispredict_rate =
       (if t.cond_branches = 0 then 0.0
        else float_of_int t.mispredicts /. float_of_int t.cond_branches);

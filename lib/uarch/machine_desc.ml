@@ -315,6 +315,7 @@ let to_config t =
       page_bytes = t.page_bytes;
       predictor;
       prefetch_next_line = t.prefetch_next_line;
+      l1i_latency = l1i.latency;
       l1_latency = l1d.latency;
       l2_latency = l2.latency;
       mem_latency = t.mem_latency;
@@ -353,7 +354,7 @@ let of_config (cfg : Machine.config) =
     core;
     levels =
       [
-        level "l1i" cfg.l1i cfg.l1_latency;
+        level "l1i" cfg.l1i cfg.l1i_latency;
         level "l1d" cfg.l1d cfg.l1_latency;
         level "l2" cfg.l2 cfg.l2_latency;
       ];

@@ -20,9 +20,11 @@ type cache_level = {
   line_bytes : int;
   assoc : int;
   latency : int;
-      (** l1d: load-to-use on a hit; l2: additional cycles of an L2 hit;
-          l1i: fetch-hit latency (hidden by pipelining, kept for
-          completeness) *)
+      (** l1d: load-to-use on a hit ({!Machine.config.l1_latency}); l2:
+          additional cycles of an L2 hit; l1i: cycles an out-of-order
+          core's fetch redirect adds to the L2/memory extra on an I-cache
+          miss ({!Machine.config.l1i_latency}; in-order cores ignore
+          it) *)
 }
 
 type core_model =

@@ -545,23 +545,28 @@ let test_reuse_invalid_block () =
 let test_machines_experiment () =
   let ctx = coverage_context () in
   let configs = [ Mica_uarch.Machine.ev56; Mica_uarch.Machine.embedded ] in
-  let r = C.Machines.run ~configs ctx in
-  Alcotest.(check int) "two spaces" 2 (List.length r.C.Machines.spaces);
-  Alcotest.(check int) "one machine pair" 1 (List.length r.C.Machines.cross_correlation);
+  let fleet =
+    C.Fleet.characterize ~configs ~icount:ctx.C.Experiments.Context.config.C.Pipeline.icount
+      ctx.C.Experiments.Context.workloads
+  in
+  let r = C.Fleet.report ~mica:ctx.C.Experiments.Context.mica_space fleet in
+  Alcotest.(check int) "two spaces" 2 (List.length r.C.Fleet.spaces);
+  Alcotest.(check int) "one machine pair" 1 (List.length r.C.Fleet.cross);
   List.iter
     (fun (_, _, c) ->
       if c < -1.0 || c > 1.0 then Alcotest.fail "correlation out of range")
-    r.C.Machines.cross_correlation;
-  List.iter
-    (fun s ->
-      Alcotest.(check int) "6 metrics" 6 (C.Dataset.cols s.C.Machines.dataset);
-      Alcotest.(check int) "all workloads" 10 (C.Dataset.rows s.C.Machines.dataset))
-    r.C.Machines.spaces;
+    r.C.Fleet.cross;
+  List.iteri
+    (fun m _ ->
+      let d = C.Fleet.machine_dataset fleet m in
+      Alcotest.(check int) "6 metrics" 6 (C.Dataset.cols d);
+      Alcotest.(check int) "all workloads" 10 (C.Dataset.rows d))
+    configs;
   List.iter
     (fun (_, counts) ->
       if counts.C.Classify.total <> 45 then Alcotest.fail "wrong pair count")
-    (List.map (fun (a, _, c) -> (a, c)) r.C.Machines.transfer);
-  Alcotest.(check bool) "render" true (String.length (C.Machines.render r) > 200)
+    (List.map (fun (a, _, c) -> (a, c)) (C.Fleet.transfer r));
+  Alcotest.(check bool) "render" true (String.length (C.Fleet.render_transfer r) > 200)
 
 (* ---------------- locality experiment ---------------- *)
 
@@ -714,6 +719,23 @@ let test_simpoint_interval_consistency () =
   Alcotest.(check bool) "render works" true
     (String.length (C.Simpoint.render [ ("x", t) ]) > 50)
 
+(* A bad interval is a usage error: a message and exit 2, not an uncaught
+   exception (cmdliner's exit 125). *)
+let test_simpoint_exit_codes () =
+  let expect what extra want =
+    let code, err =
+      T_trace.run_mica
+        ([ "simpoint"; "SPEC2000/gcc/166"; "--icount"; "20000"; "--no-run" ] @ extra)
+    in
+    Alcotest.(check int) (what ^ ": exit code") want code;
+    if want <> 0 && not (String.starts_with ~prefix:"error: " err) then
+      Alcotest.failf "%s: stderr %S lacks an error line" what err
+  in
+  expect "default interval" [] 0;
+  expect "zero interval" [ "--interval"; "0" ] 2;
+  expect "negative interval" [ "--interval=-5" ] 2;
+  expect "interval longer than the trace" [ "--interval"; "100000" ] 2
+
 (* ---------------- subsetting ---------------- *)
 
 let line_space () =
@@ -863,6 +885,7 @@ let suite =
       Alcotest.test_case "locality miss curve" `Quick test_locality_miss_curve_monotone;
       Alcotest.test_case "simpoint validation" `Slow test_simpoint_validation;
       Alcotest.test_case "simpoint intervals" `Slow test_simpoint_interval_consistency;
+      Alcotest.test_case "simpoint exit codes" `Quick test_simpoint_exit_codes;
       Alcotest.test_case "k-center basics" `Quick test_kcenter_basics;
       Alcotest.test_case "k-center full" `Quick test_kcenter_full;
       Alcotest.test_case "k-center radius" `Quick test_kcenter_radius_decreases;

@@ -159,6 +159,24 @@ let test_json_text_roundtrip () =
           Alcotest.failf "%s: textual round trip changed the description" name)
     (load_dir_exn ())
 
+let test_l1i_latency_roundtrip () =
+  (* l1i and l1d latencies are separate data: a description with
+     different values keeps both through to_config and of_config *)
+  let desc = Desc.of_config { U.Machine.ev67 with U.Machine.l1i_latency = 5; l1_latency = 2 } in
+  let latency name =
+    (List.find (fun (l : Desc.cache_level) -> l.Desc.level_name = name) desc.Desc.levels)
+      .Desc.latency
+  in
+  Alcotest.(check (pair int int)) "of_config: l1i, l1d" (5, 2) (latency "l1i", latency "l1d");
+  match Desc.to_config desc with
+  | Error m -> Alcotest.failf "to_config: %s" m
+  | Ok cfg ->
+    Alcotest.(check (pair int int))
+      "to_config: l1i_latency, l1_latency" (5, 2)
+      (cfg.U.Machine.l1i_latency, cfg.U.Machine.l1_latency);
+    Alcotest.(check string) "text round trip" (Desc.to_string desc)
+      (Desc.to_string (Desc.of_config cfg))
+
 (* ---------------- fleet: desc-vs-hardcoded over the registry ------------ *)
 
 (* The acceptance bar: the four machines/*.json presets drive the full
@@ -324,6 +342,7 @@ let suite =
       Alcotest.test_case "load missing file" `Quick test_load_missing_file;
       Alcotest.test_case "preset round trip" `Quick test_roundtrip_presets;
       Alcotest.test_case "json text round trip" `Quick test_json_text_roundtrip;
+      Alcotest.test_case "l1i latency round trip" `Quick test_l1i_latency_roundtrip;
       Alcotest.test_case "desc = hardcoded over registry (jobs 1,4)" `Slow
         test_fleet_desc_matches_presets;
       Alcotest.test_case "one pass = N passes" `Quick test_fleet_one_pass_equals_n_pass;

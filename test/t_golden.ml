@@ -534,7 +534,11 @@ let test_simpoint_golden (case, want) () =
 
 (* The cross-machine experiment's report over the ten-workload context of
    the extension tests, on the four preset machines. *)
-let machines_text ctx = Core.Machines.render (Core.Machines.run ctx)
+let machines_text (ctx : Core.Experiments.Context.t) =
+  Core.Fleet.render_transfer
+    (Core.Fleet.report ~mica:ctx.mica_space
+       (Core.Fleet.characterize ~configs:Mica_uarch.Machine.presets ~icount:ctx.config.icount
+          ctx.workloads))
 
 let pinned_machines_text = "69fbef54fceea838fea520d51b224837"
 

@@ -171,6 +171,51 @@ let test_protocol_decode_errors () =
       | Ok _ -> Alcotest.failf "accepted %S" line)
     [ "garbage"; "{}"; {|{"id": 1}|}; {|{"id": 1, "op": "nonsense"}|}; {|{"op": "health"}|} ]
 
+(* Integer fields take exact integers within +/-2^53 and nothing else: a
+   fraction, a huge magnitude or an id past 2^53 is an [Error], never a
+   truncated, wrapped or saturated int. *)
+let test_protocol_integer_fields () =
+  let request id = Printf.sprintf {|{"id": %s, "op": "health"}|} id in
+  let response id = Printf.sprintf {|{"id": %s, "status": "ok", "elapsed_ms": 0}|} id in
+  let health n =
+    Printf.sprintf
+      {|{"id": 1, "status": "ok", "elapsed_ms": 0, "payload": {"kind": "health", "queue_depth": %s, "queue_capacity": 4, "draining": false, "warm": 0}}|}
+      n
+  in
+  let knn k = Printf.sprintf {|{"id": 1, "op": "knn", "workload": "sha", "k": %s}|} k in
+  let rejected what = function
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+  in
+  List.iter
+    (fun n ->
+      rejected ("request id " ^ n) (Protocol.decode_request (request n));
+      rejected ("response id " ^ n) (Protocol.decode_response (response n));
+      rejected ("queue_depth " ^ n) (Protocol.decode_response (health n));
+      rejected ("knn k " ^ n) (Protocol.decode_request (knn n)))
+    [ "1.5"; "-7.9"; "1e300"; "-1e300"; "9007199254740994" ];
+  (* max_int encodes as its digits, past 2^53: refused, not read back as
+     min_int *)
+  rejected "max_int id"
+    (Protocol.decode_request
+       (Protocol.encode_request { Protocol.id = max_int; op = Protocol.Health; deadline_ms = None }));
+  let id_of line =
+    match Protocol.decode_request line with
+    | Ok r -> r.Protocol.id
+    | Error e -> Alcotest.failf "%s: %s" line e
+  in
+  List.iter
+    (fun (text, want) -> Alcotest.(check int) ("id " ^ text) want (id_of (request text)))
+    [
+      ("7", 7); ("-1", -1); ("2.0", 2); ("1e3", 1000); ("9007199254740992", 1 lsl 53);
+      ("-9007199254740992", -(1 lsl 53));
+    ];
+  List.iter
+    (fun id ->
+      let req = { Protocol.id; op = Protocol.Health; deadline_ms = None } in
+      Alcotest.(check int) "extreme id round-trips" id (roundtrip_req req).Protocol.id)
+    [ 1 lsl 53; -(1 lsl 53) ]
+
 (* ---------------- bounded queue ---------------- *)
 
 let test_bqueue_bounds_and_close () =
@@ -531,6 +576,7 @@ let suite =
       Alcotest.test_case "protocol: response float bits" `Quick test_protocol_response_float_bits;
       Alcotest.test_case "protocol: response shapes" `Quick test_protocol_response_shapes;
       Alcotest.test_case "protocol: decode errors" `Quick test_protocol_decode_errors;
+      Alcotest.test_case "protocol: integer fields" `Quick test_protocol_integer_fields;
       Alcotest.test_case "bqueue: bounds and close" `Quick test_bqueue_bounds_and_close;
       Alcotest.test_case "breaker: state machine" `Quick test_breaker_machine;
       Alcotest.test_case "admission: queue-full sheds" `Quick test_queue_full_sheds;

@@ -487,57 +487,59 @@ let run_model sink instrs = Mica_trace.Sink.feed_list sink instrs
 let straight_line_trace n =
   List.init n (fun i -> Tutil.alu ~pc:(0x1000 + (4 * (i mod 64))) ~dst:(i mod 8) ())
 
+(* The paper's two machines ({!U.Hw_counters.ev56}, in-order, and
+   {!U.Hw_counters.ev67}, out-of-order), each fed a hand-built trace. *)
+let run_machine cfg instrs =
+  let m = U.Machine.create cfg in
+  run_model (U.Machine.sink m) instrs;
+  m
+
+let ipc cfg instrs = (U.Machine.result (run_machine cfg instrs)).U.Machine.ipc
+
 let test_inorder_ipc_bounds () =
-  let m = U.Inorder.create () in
-  run_model (U.Inorder.sink m) (straight_line_trace 10_000);
-  let r = U.Inorder.result m in
-  Alcotest.(check int) "instruction count" 10_000 r.U.Inorder.instructions;
+  let m = run_machine U.Hw_counters.ev56 (straight_line_trace 10_000) in
+  let r = U.Machine.result m in
+  Alcotest.(check int) "instruction count" 10_000 (U.Machine.instructions m);
   Alcotest.(check bool) "IPC within issue width" true
-    (r.U.Inorder.ipc > 0.0 && r.U.Inorder.ipc <= 2.0);
+    (r.U.Machine.ipc > 0.0 && r.U.Machine.ipc <= 2.0);
   (* cache-resident ALU code should run near full width *)
-  Alcotest.(check bool) "near peak on easy code" true (r.U.Inorder.ipc > 1.8)
+  Alcotest.(check bool) "near peak on easy code" true (r.U.Machine.ipc > 1.8)
 
 let test_inorder_misses_hurt () =
-  let easy = U.Inorder.create () in
-  run_model (U.Inorder.sink easy) (straight_line_trace 5_000);
-  let hard = U.Inorder.create () in
+  let e = ipc U.Hw_counters.ev56 (straight_line_trace 5_000) in
   (* loads striding far apart: every access misses *)
-  run_model (U.Inorder.sink hard)
-    (List.init 5_000 (fun i -> Tutil.load ~pc:0x1000 ~dst:1 ~addr:(i * 8192) ()));
-  let e = (U.Inorder.result easy).U.Inorder.ipc in
-  let h = (U.Inorder.result hard).U.Inorder.ipc in
+  let h =
+    ipc U.Hw_counters.ev56
+      (List.init 5_000 (fun i -> Tutil.load ~pc:0x1000 ~dst:1 ~addr:(i * 8192) ()))
+  in
   Alcotest.(check bool) "misses lower IPC" true (h < e /. 4.0)
 
 let test_inorder_counter_rates () =
-  let m = U.Inorder.create () in
-  run_model (U.Inorder.sink m)
-    (List.init 1_000 (fun i -> Tutil.load ~pc:0x1000 ~dst:1 ~addr:(i * 65536) ()));
-  let r = U.Inorder.result m in
-  Alcotest.(check bool) "thrashing L1D" true (r.U.Inorder.l1d_miss_rate > 0.9);
-  Alcotest.(check bool) "thrashing DTLB" true (r.U.Inorder.dtlb_miss_rate > 0.9);
-  Alcotest.(check bool) "I-stream resident" true (r.U.Inorder.l1i_miss_rate < 0.05)
+  let r =
+    U.Machine.result
+      (run_machine U.Hw_counters.ev56
+         (List.init 1_000 (fun i -> Tutil.load ~pc:0x1000 ~dst:1 ~addr:(i * 65536) ())))
+  in
+  Alcotest.(check bool) "thrashing L1D" true (r.U.Machine.l1d_miss_rate > 0.9);
+  Alcotest.(check bool) "thrashing DTLB" true (r.U.Machine.dtlb_miss_rate > 0.9);
+  Alcotest.(check bool) "I-stream resident" true (r.U.Machine.l1i_miss_rate < 0.05)
 
 let test_ooo_ipc_bounds () =
-  let m = U.Ooo.create () in
-  run_model (U.Ooo.sink m) (straight_line_trace 10_000);
-  let r = U.Ooo.result m in
-  Alcotest.(check bool) "IPC within width" true (r.U.Ooo.ipc > 0.0 && r.U.Ooo.ipc <= 4.0);
-  Alcotest.(check bool) "wide on independent code" true (r.U.Ooo.ipc > 3.0)
+  let r = ipc U.Hw_counters.ev67 (straight_line_trace 10_000) in
+  Alcotest.(check bool) "IPC within width" true (r > 0.0 && r <= 4.0);
+  Alcotest.(check bool) "wide on independent code" true (r > 3.0)
 
 let test_ooo_beats_inorder_on_ilp () =
   let trace = straight_line_trace 10_000 in
-  let io = U.Inorder.create () and oo = U.Ooo.create () in
-  run_model (U.Inorder.sink io) trace;
-  run_model (U.Ooo.sink oo) trace;
   Alcotest.(check bool) "4-wide OOO > 2-wide in-order" true
-    ((U.Ooo.result oo).U.Ooo.ipc > (U.Inorder.result io).U.Inorder.ipc)
+    (ipc U.Hw_counters.ev67 trace > ipc U.Hw_counters.ev56 trace)
 
 let test_ooo_serial_dependency_limits () =
-  let m = U.Ooo.create () in
-  run_model (U.Ooo.sink m)
-    (List.init 10_000 (fun i -> Tutil.alu ~pc:(0x1000 + (4 * (i mod 64))) ~src1:1 ~dst:1 ()));
-  let r = U.Ooo.result m in
-  Alcotest.(check bool) "serial chain caps IPC near 1" true (r.U.Ooo.ipc < 1.2)
+  let r =
+    ipc U.Hw_counters.ev67
+      (List.init 10_000 (fun i -> Tutil.alu ~pc:(0x1000 + (4 * (i mod 64))) ~src1:1 ~dst:1 ()))
+  in
+  Alcotest.(check bool) "serial chain caps IPC near 1" true (r < 1.2)
 
 let test_ooo_mispredicts_hurt () =
   let rng = Mica_util.Rng.create ~seed:5L in
@@ -546,12 +548,10 @@ let test_ooo_mispredicts_hurt () =
         if i mod 4 = 0 then Tutil.branch ~pc:0x1000 ~taken:(Mica_util.Rng.bool rng) ~target:0x2000 ()
         else Tutil.alu ~pc:(0x1004 + (4 * (i mod 16))) ())
   in
-  let m = U.Ooo.create () in
-  run_model (U.Ooo.sink m) random_branches;
-  let r = U.Ooo.result m in
+  let r = U.Machine.result (run_machine U.Hw_counters.ev67 random_branches) in
   Alcotest.(check bool) "random branches mispredict" true
-    (r.U.Ooo.branch_mispredict_rate > 0.3);
-  Alcotest.(check bool) "mispredicts throttle IPC" true (r.U.Ooo.ipc < 2.5)
+    (r.U.Machine.branch_mispredict_rate > 0.3);
+  Alcotest.(check bool) "mispredicts throttle IPC" true (r.U.Machine.ipc < 2.5)
 
 (* ---------------- hw counters ---------------- *)
 
@@ -608,28 +608,24 @@ let test_machine_ipc_respects_width () =
     U.Machine.presets
 
 let test_machine_matches_canonical_models () =
-  (* the ev56 preset and the standalone Inorder model agree to the bit on
-     all six counters, over every fourth registry workload *)
+  (* Hw_counters' seven counters are its two machines' own results to the
+     bit, over every fourth registry workload *)
   List.iteri
     (fun i (w : Mica_workloads.Workload.t) ->
       if i mod 4 = 0 then begin
         let p = w.Mica_workloads.Workload.model in
-        let preset = U.Machine.to_vector (U.Machine.measure U.Machine.ev56 p ~icount:20_000) in
-        let io = U.Inorder.create () in
-        let (_ : int) = Mica_trace.Generator.run p ~icount:20_000 ~sink:(U.Inorder.sink io) in
-        let r = U.Inorder.result io in
-        let canon =
-          [|
-            r.U.Inorder.ipc; r.U.Inorder.branch_mispredict_rate; r.U.Inorder.l1d_miss_rate;
-            r.U.Inorder.l1i_miss_rate; r.U.Inorder.l2_miss_rate; r.U.Inorder.dtlb_miss_rate;
-          |]
+        let hw = U.Hw_counters.to_vector (U.Hw_counters.measure p ~icount:20_000) in
+        let alone =
+          Array.append
+            (U.Machine.to_vector (U.Machine.measure U.Hw_counters.ev56 p ~icount:20_000))
+            [| (U.Machine.measure U.Hw_counters.ev67 p ~icount:20_000).U.Machine.ipc |]
         in
         Array.iteri
           (fun k x ->
-            if Int64.bits_of_float x <> Int64.bits_of_float canon.(k) then
-              Alcotest.failf "%s %s: Machine.ev56 %.17g <> Inorder %.17g"
-                (Mica_workloads.Workload.id w) U.Machine.metric_names.(k) x canon.(k))
-          preset
+            if Int64.bits_of_float x <> Int64.bits_of_float alone.(k) then
+              Alcotest.failf "%s %s: Hw_counters %.17g <> Machine %.17g"
+                (Mica_workloads.Workload.id w) U.Hw_counters.short_names.(k) x alone.(k))
+          hw
       end)
     Mica_workloads.Registry.all
 
