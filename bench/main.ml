@@ -306,7 +306,7 @@ let t_machines =
     (Staged.stage (fun () ->
          let w = Lazy.force sample_workload in
          Sys.opaque_identity
-           (Mica_uarch.Machine.measure_all Mica_uarch.Machine.presets w.W.Workload.model
+           (Mica_uarch.Machine.measure_all Mica_uarch.Machine_desc.presets w.W.Workload.model
               ~icount:bench_icount)))
 
 (* The 8-model fleet: machine descriptions when run from the repo root,
@@ -319,11 +319,11 @@ let fleet_configs =
     | Ok named when List.length named >= 8 ->
       List.filteri (fun i _ -> i < 8) (List.map snd named)
     | Ok _ | Error _ ->
-      Mica_uarch.Machine.presets
+      Mica_uarch.Machine_desc.presets
       @ List.map
           (fun (c : Mica_uarch.Machine.config) ->
             { c with Mica_uarch.Machine.name = c.Mica_uarch.Machine.name ^ "b" })
-          Mica_uarch.Machine.presets)
+          Mica_uarch.Machine_desc.presets)
 
 let fleet_workloads =
   lazy (List.filteri (fun i _ -> i mod (W.Registry.count / 4) = 0) W.Registry.all)

@@ -837,6 +837,54 @@ let subset_cmd =
     (Cmd.info "subset" ~doc:"Pick a reduced benchmark suite that covers the workload space.")
     Term.(const run $ config_term $ k $ dataset_bin)
 
+(* ---------------- run directories ---------------- *)
+
+(* Commit a run directory (manifest, [artifacts], then the metrics
+   snapshot) and print its path; [None] under --no-run or when the commit
+   fails. *)
+let commit_run ~config ~icount ~workloads ~seeds ~artifacts =
+  match config.Mica_core.Pipeline.run with
+  | None -> None
+  | Some sink -> (
+    let module R = Mica_run.Run_dir in
+    let manifest =
+      {
+        Mica_run.Manifest.schema = Mica_run.Manifest.schema_version;
+        created = R.timestamp ();
+        tag = sink.Mica_core.Pipeline.run_tag;
+        subcommand = sink.Mica_core.Pipeline.run_tag;
+        argv = Array.to_list Sys.argv;
+        git_rev = Mica_run.Run_io.git_rev ();
+        icount;
+        ppm_order = config.Mica_core.Pipeline.ppm_order;
+        jobs = config.Mica_core.Pipeline.jobs;
+        retries = config.Mica_core.Pipeline.retries;
+        cache = false;
+        mica_jobs_env = Sys.getenv_opt "MICA_JOBS";
+        fault_spec = Option.map Mica_util.Fault.to_string (Mica_util.Fault.installed ());
+        seeds;
+        workloads;
+        report = "";
+        files = [];
+      }
+    in
+    let artifacts =
+      artifacts
+      @ [
+          {
+            R.filename = R.metrics_file;
+            contents = Mica_obs.Obs.to_json (Mica_obs.Obs.snapshot ());
+          };
+        ]
+    in
+    match R.commit ~root:sink.Mica_core.Pipeline.run_root ~manifest ~artifacts () with
+    | dir ->
+      Printf.printf "committed run %s\n" dir;
+      Some dir
+    | exception Sys_error _ ->
+      Logs.warn (fun f -> f "run directory commit failed; results are unaffected");
+      None)
+
 (* ---------------- corpus / knn (scale layer) ---------------- *)
 
 let corpus_cmd =
@@ -876,51 +924,18 @@ let corpus_cmd =
     (* commit a run directory so CI can gate regenerated corpora with
        [mica compare] — mica table only; compare notes the absent
        counters table instead of failing *)
-    (match config.Mica_core.Pipeline.run with
-    | None -> ()
-    | Some sink ->
-      let module R = Mica_run.Run_dir in
-      let manifest =
-        {
-          Mica_run.Manifest.schema = Mica_run.Manifest.schema_version;
-          created = R.timestamp ();
-          tag = sink.Mica_core.Pipeline.run_tag;
-          subcommand = sink.Mica_core.Pipeline.run_tag;
-          argv = Array.to_list Sys.argv;
-          git_rev = Mica_run.Run_io.git_rev ();
-          icount = anchor_icount;
-          ppm_order = config.Mica_core.Pipeline.ppm_order;
-          jobs = config.Mica_core.Pipeline.jobs;
-          retries = config.Mica_core.Pipeline.retries;
-          cache = false;
-          mica_jobs_env = Sys.getenv_opt "MICA_JOBS";
-          fault_spec = Option.map Mica_util.Fault.to_string (Mica_util.Fault.installed ());
-          seeds = [ ("corpus-version", string_of_int Mica_workloads.Corpus.version) ];
-          workloads = Mica_core.Dataset.rows ds;
-          report = "";
-          files = [];
-        }
-      in
-      let table =
-        {
-          R.row_names = ds.Mica_core.Dataset.names;
-          columns = ds.Mica_core.Dataset.features;
-          cells = ds.Mica_core.Dataset.data;
-        }
-      in
-      let artifacts =
-        [
-          { R.filename = R.mica_file; contents = R.csv_of_table table };
-          {
-            R.filename = R.metrics_file;
-            contents = Mica_obs.Obs.to_json (Mica_obs.Obs.snapshot ());
-          };
-        ]
-      in
-      (match R.commit ~root:sink.Mica_core.Pipeline.run_root ~manifest ~artifacts () with
-      | dir -> Printf.printf "committed run %s\n" dir
-      | exception Sys_error _ ->
-        Logs.warn (fun f -> f "run directory commit failed; results are unaffected")));
+    let module R = Mica_run.Run_dir in
+    let table =
+      {
+        R.row_names = ds.Mica_core.Dataset.names;
+        columns = ds.Mica_core.Dataset.features;
+        cells = ds.Mica_core.Dataset.data;
+      }
+    in
+    ignore
+      (commit_run ~config ~icount:anchor_icount ~workloads:(Mica_core.Dataset.rows ds)
+         ~seeds:[ ("corpus-version", string_of_int Mica_workloads.Corpus.version) ]
+         ~artifacts:[ { R.filename = R.mica_file; contents = R.csv_of_table table } ]);
     let per_family = (size + 2) / 3 in
     Printf.printf "corpus: %d members x %d characteristics (%d families, <=%d each, %d anchors)\n"
       size (Mica_core.Dataset.cols ds)
@@ -1121,7 +1136,7 @@ let machines_cmd =
   let run config =
     let ctx = E.Context.load ~config () in
     let fleet =
-      Mica_core.Fleet.characterize ~configs:Mica_uarch.Machine.presets
+      Mica_core.Fleet.characterize ~configs:Mica_uarch.Machine_desc.presets
         ~icount:ctx.E.Context.config.Mica_core.Pipeline.icount ctx.E.Context.workloads
     in
     print_string
@@ -1145,49 +1160,6 @@ let load_machines dir =
   | Error msg ->
     Printf.eprintf "error: %s\n" msg;
     exit 2
-
-let commit_run ~config ~icount ~workloads ~seeds ~artifacts =
-  match config.Mica_core.Pipeline.run with
-  | None -> None
-  | Some sink -> (
-    let module R = Mica_run.Run_dir in
-    let manifest =
-      {
-        Mica_run.Manifest.schema = Mica_run.Manifest.schema_version;
-        created = R.timestamp ();
-        tag = sink.Mica_core.Pipeline.run_tag;
-        subcommand = sink.Mica_core.Pipeline.run_tag;
-        argv = Array.to_list Sys.argv;
-        git_rev = Mica_run.Run_io.git_rev ();
-        icount;
-        ppm_order = config.Mica_core.Pipeline.ppm_order;
-        jobs = config.Mica_core.Pipeline.jobs;
-        retries = config.Mica_core.Pipeline.retries;
-        cache = false;
-        mica_jobs_env = Sys.getenv_opt "MICA_JOBS";
-        fault_spec = Option.map Mica_util.Fault.to_string (Mica_util.Fault.installed ());
-        seeds;
-        workloads;
-        report = "";
-        files = [];
-      }
-    in
-    let artifacts =
-      artifacts
-      @ [
-          {
-            R.filename = R.metrics_file;
-            contents = Mica_obs.Obs.to_json (Mica_obs.Obs.snapshot ());
-          };
-        ]
-    in
-    match R.commit ~root:sink.Mica_core.Pipeline.run_root ~manifest ~artifacts () with
-    | dir ->
-      Printf.printf "committed run %s\n" dir;
-      Some dir
-    | exception Sys_error _ ->
-      Logs.warn (fun f -> f "run directory commit failed; results are unaffected");
-      None)
 
 let fleet_cmd =
   let report_flag =

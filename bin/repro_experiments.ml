@@ -268,7 +268,7 @@ let () =
       section "Extension: does counter-based similarity transfer across machines?";
       let c = ctx () in
       let fleet =
-        Mica_core.Fleet.characterize ~configs:Mica_uarch.Machine.presets
+        Mica_core.Fleet.characterize ~configs:Mica_uarch.Machine_desc.presets
           ~icount:c.E.Context.config.Mica_core.Pipeline.icount c.E.Context.workloads
       in
       let r = Mica_core.Fleet.report ~mica:c.E.Context.mica_space fleet in

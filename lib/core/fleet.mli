@@ -15,7 +15,7 @@
     against the other machines and against the
     microarchitecture-independent space, which is machine-invariant by
     construction.  [mica machines] runs them on
-    {!Mica_uarch.Machine.presets} and prints {!render_transfer}. *)
+    {!Mica_uarch.Machine_desc.presets} and prints {!render_transfer}. *)
 
 type t = {
   machine_names : string array;

@@ -17,7 +17,7 @@ type t = {
    run a whole chunk ahead of the sampler, so each chunk is fed to the
    model in pieces that end at interval boundaries. *)
 let per_interval_ipc program ~icount ~interval =
-  let model = U.Machine.create U.Machine.ev56 in
+  let model = U.Machine.create U.Hw_counters.ev56 in
   let boundaries = ref [] in
   let filled = ref 0 in  (* instructions of the current interval *)
   let sink =
@@ -46,6 +46,12 @@ let per_interval_ipc program ~icount ~interval =
   (intervals, float_of_int (U.Machine.instructions model) /. float_of_int (U.Machine.cycles model))
 
 let validate ?(interval = 10_000) (w : W.Workload.t) ~icount =
+  (* the machine sampler closes no partial interval, while phase analysis
+     keeps a trailing half one: with no whole interval the two share none *)
+  if interval > icount then
+    invalid_arg
+      (Printf.sprintf "Simpoint.validate: interval %d is longer than the trace (%d instructions)"
+         interval icount);
   let phases = Phases.analyze ~interval w.W.Workload.model ~icount in
   let interval_results, true_ipc = per_interval_ipc w.W.Workload.model ~icount ~interval in
   (* phase analysis and machine sampling may disagree by one trailing

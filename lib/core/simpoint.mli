@@ -22,7 +22,9 @@ type t = {
 
 val validate :
   ?interval:int -> Mica_workloads.Workload.t -> icount:int -> t
-(** Runs phase analysis and the machine model over the same trace. *)
+(** Runs phase analysis and the machine model over the same trace.
+    Raises [Invalid_argument], before tracing, when [interval] is longer
+    than [icount], and when it is not positive. *)
 
 val validate_many :
   ?interval:int -> Mica_workloads.Workload.t list -> icount:int -> (string * t) list

@@ -12,20 +12,8 @@ let names =
 let short_names = [| "ipc_ev56"; "br_miss"; "l1d_miss"; "l1i_miss"; "l2_miss"; "dtlb_miss"; "ipc_ev67" |]
 let count = Array.length names
 
-let ev56 = Machine.ev56
-
-(* Flat load-to-use latencies of 3, 13 and 100 cycles (L1, L2, memory) as
-   additive levels, fetch redirected by the L1I latency plus that extra,
-   and a DTLB that costs nothing. *)
-let ev67 =
-  {
-    Machine.ev67 with
-    l1i_latency = 3;
-    l1_latency = 3;
-    l2_latency = 10;
-    mem_latency = 87;
-    dtlb_penalty = 0;
-  }
+let ev56 = List.hd Machine_desc.presets
+let ev67 = Machine_desc.paper_ev67
 
 type t = { ev56 : Machine.t; ev67 : Machine.t }
 

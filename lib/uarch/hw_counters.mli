@@ -3,8 +3,8 @@
     Seven metrics, exactly the paper's set: IPC on the in-order EV56-like
     machine; its branch misprediction, L1 D-cache, L1 I-cache, L2 and
     D-TLB miss rates; and IPC on the out-of-order EV67-like machine.  Both
-    machines are {!Machine} configurations fed the same trace in one
-    pass. *)
+    machines are compiled-in descriptions ({!Machine_desc}) fed the same
+    trace in one pass. *)
 
 val count : int
 (** 7. *)
@@ -13,15 +13,16 @@ val names : string array
 val short_names : string array
 
 val ev56 : Machine.config
-(** The in-order Alpha 21164A: {!Machine.ev56}. *)
+(** The in-order Alpha 21164A: [machines/ev56.json], the first of
+    {!Machine_desc.presets}. *)
 
 val ev67 : Machine.config
 (** The out-of-order Alpha 21264A as the paper's counters measure it:
-    {!Machine.ev67}'s core, caches and predictor with loads taking 3, 13
-    or 100 cycles (L1 hit, L2 hit, memory), I-cache misses redirecting
-    fetch by the same 13 or 100, and a zero DTLB penalty, so the
-    simulated DTLB never reaches the timing.  Not a member of the fleet
-    in [machines/]. *)
+    [machines/paper/ev67.json] ({!Machine_desc.paper_ev67}).  It is the
+    fleet's [ev67] core, caches and predictor with loads taking 3, 13 or
+    100 cycles (L1 hit, L2 hit, memory), I-cache misses redirecting fetch
+    by the same 13 or 100, and a zero DTLB penalty, so the simulated DTLB
+    never reaches the timing.  Not a member of the fleet in [machines/]. *)
 
 type t
 

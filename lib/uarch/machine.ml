@@ -16,23 +16,6 @@ type predictor_kind =
 
 type op_timing = { op_latency : int; op_recip : int }
 
-(* The historical timing assumptions, now written as a uops.info-style
-   table: an in-order core stalls [recip - 1] cycles behind a long
-   operation (a non-pipelined divider stalls fully, the multiplier roughly
-   half), while the out-of-order core sees the full result latency through
-   the dependence graph. *)
-let default_op_timing op =
-  let lat = Opcode.latency op in
-  let recip =
-    match (op : Opcode.t) with
-    | Fp_div -> lat
-    | Int_mul -> ((lat - 1) / 2) + 1
-    | Load | Store | Branch | Jump | Call | Return | Int_alu | Fp_add | Fp_mul | Nop -> 1
-  in
-  { op_latency = lat; op_recip = recip }
-
-let default_ops = Array.init Opcode.count (fun i -> default_op_timing (Opcode.of_int i))
-
 type config = {
   name : string;
   core : core_kind;
@@ -51,90 +34,6 @@ type config = {
   dtlb_penalty : int;
   ops : op_timing array;
 }
-
-let kb n = n * 1024
-
-let ev56 =
-  {
-    name = "ev56";
-    core = In_order { issue_width = 2 };
-    l1i = { size_bytes = kb 8; line_bytes = 32; assoc = 1 };
-    l1d = { size_bytes = kb 8; line_bytes = 32; assoc = 1 };
-    l2 = { size_bytes = kb 96; line_bytes = 64; assoc = 3 };
-    dtlb_entries = 64;
-    page_bytes = 8192;
-    predictor = Bimodal { entries = 2048 };
-    prefetch_next_line = false;
-    l1i_latency = 1;
-    l1_latency = 1;
-    l2_latency = 8;
-    mem_latency = 50;
-    mispredict_penalty = 5;
-    dtlb_penalty = 30;
-    ops = default_ops;
-  }
-
-let ev67 =
-  {
-    name = "ev67";
-    core = Out_of_order { width = 4; window = 64 };
-    l1i = { size_bytes = kb 64; line_bytes = 64; assoc = 2 };
-    l1d = { size_bytes = kb 64; line_bytes = 64; assoc = 2 };
-    l2 = { size_bytes = kb 2048; line_bytes = 64; assoc = 4 };
-    dtlb_entries = 128;
-    page_bytes = 8192;
-    predictor = Tournament { entries = 1024; history_bits = 10 };
-    prefetch_next_line = false;
-    l1i_latency = 0;
-    l1_latency = 3;
-    l2_latency = 13;
-    mem_latency = 100;
-    mispredict_penalty = 7;
-    dtlb_penalty = 20;
-    ops = default_ops;
-  }
-
-let embedded =
-  {
-    name = "embedded";
-    core = In_order { issue_width = 1 };
-    l1i = { size_bytes = kb 16; line_bytes = 32; assoc = 32 };
-    l1d = { size_bytes = kb 16; line_bytes = 32; assoc = 32 };
-    l2 = { size_bytes = kb 32; line_bytes = 32; assoc = 1 };  (* in effect, a tiny L2 *)
-    dtlb_entries = 32;
-    page_bytes = 4096;
-    predictor = Bimodal { entries = 256 };
-    prefetch_next_line = false;
-    l1i_latency = 1;
-    l1_latency = 1;
-    l2_latency = 4;
-    mem_latency = 80;
-    mispredict_penalty = 4;
-    dtlb_penalty = 40;
-    ops = default_ops;
-  }
-
-let wide =
-  {
-    name = "wide";
-    core = Out_of_order { width = 8; window = 256 };
-    l1i = { size_bytes = kb 64; line_bytes = 64; assoc = 4 };
-    l1d = { size_bytes = kb 64; line_bytes = 64; assoc = 4 };
-    l2 = { size_bytes = kb 4096; line_bytes = 64; assoc = 8 };
-    dtlb_entries = 256;
-    page_bytes = 8192;
-    predictor = Tournament { entries = 4096; history_bits = 12 };
-    prefetch_next_line = true;
-    l1i_latency = 0;
-    l1_latency = 4;
-    l2_latency = 15;
-    mem_latency = 150;
-    mispredict_penalty = 12;
-    dtlb_penalty = 15;
-    ops = default_ops;
-  }
-
-let presets = [ ev56; ev67; embedded; wide ]
 
 type result = {
   ipc : float;

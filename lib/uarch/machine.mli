@@ -2,13 +2,15 @@
 
     A machine is described by a configuration (core kind, cache geometry,
     TLB, branch predictor, latencies and penalties, per-opcode timing) and
-    yields six counter metrics from a trace.  The paper's two Alpha
-    machines are two such configurations ({!Hw_counters.ev56} and
-    {!Hw_counters.ev67}); the machine fleet, calibration and the
-    cross-machine experiment run others.  Measuring the same workloads on
-    several machines quantifies the paper's central warning: similarity
-    conclusions drawn from one machine's counters need not hold on another
-    machine.
+    yields six counter metrics from a trace.  The programs read their
+    configurations from descriptions ({!Machine_desc}): the paper's two
+    Alpha machines ({!Hw_counters.ev56} and {!Hw_counters.ev67}), the four
+    compiled-in presets the cross-machine experiment runs
+    ({!Machine_desc.presets}), and the [machines/] fleet that [mica fleet]
+    and calibration load.
+    Measuring the same workloads on several machines quantifies the
+    paper's central warning: similarity conclusions drawn from one
+    machine's counters need not hold on another machine.
 
     Latencies are data.  A load on an out-of-order core completes after
     [l1_latency] on an L1 hit, plus [l2_latency] when it goes to the L2,
@@ -37,15 +39,6 @@ type op_timing = {
           [op_recip - 1] cycles behind the operation *)
 }
 
-val default_op_timing : Mica_isa.Opcode.t -> op_timing
-(** The historical model: fully-pipelined units everywhere except a
-    non-pipelined FP divider ([op_recip = op_latency]) and a partially
-    pipelined integer multiplier ([op_recip = (latency - 1) / 2 + 1]). *)
-
-val default_ops : op_timing array
-(** [default_op_timing] tabulated by dense opcode code ({!Mica_isa.Opcode.to_int});
-    treat as read-only — the presets share this array. *)
-
 type config = {
   name : string;
   core : core_kind;
@@ -70,36 +63,6 @@ type config = {
       (** per-opcode timing, indexed by dense opcode code; must have
           {!Mica_isa.Opcode.count} entries ({!create} validates) *)
 }
-
-(** {1 Presets} *)
-
-val ev56 : config
-(** The paper's measurement machine, the Alpha 21164A: dual-issue
-    in-order, 8KB direct-mapped L1s, 96KB 3-way L2, bimodal predictor.
-    {!Hw_counters.ev56} is this config. *)
-
-val ev67 : config
-(** A 4-wide out-of-order core shaped like the Alpha 21264A: 64KB 2-way
-    L1s, 2MB L2, tournament predictor.  The fleet's member, not the
-    paper's EV67 ({!Hw_counters.ev67}): its loads take 3 / 16 / 116
-    cycles (L1 / L2 / memory, additive) plus a 20-cycle DTLB penalty, and
-    its I-cache misses redirect fetch by the extra beyond the L1 alone
-    ([l1i_latency = 0]). *)
-
-val embedded : config
-(** A small single-issue embedded core (StrongARM-flavoured): 16KB 32-way
-    L1s, no L2 benefit to speak of, tiny bimodal predictor. *)
-
-val wide : config
-(** An aggressive 8-wide, 256-entry-window core with large caches and a
-    next-line prefetcher — a "future machine" against which counter-based
-    conclusions from [ev56] can be tested, in the spirit of the
-    benchmark-drift discussion. *)
-
-val presets : config list
-(** [ev56; ev67; embedded; wide]. *)
-
-(** {1 Simulation} *)
 
 type result = {
   ipc : float;

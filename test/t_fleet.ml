@@ -1,12 +1,10 @@
 (* Machine-description loader, fleet characterization, and the calibrated
    baseline suite.
 
-   The tests here pin the tentpole contracts: descriptions loaded from
-   machines/*.json are bit-identical to the hard-coded presets across the
-   full workload registry (at jobs = 1 and jobs = 4), a one-pass fleet
-   fanout equals N single-machine passes bit-for-bit, and the loader
-   returns actionable [Error]s — never an exception — on malformed
-   input. *)
+   The tests here pin the contracts: the compiled-in presets are the
+   machines/ files, a one-pass fleet fanout equals N single-machine passes
+   bit-for-bit, and the loader returns actionable [Error]s — never an
+   exception — on malformed input. *)
 
 module U = Mica_uarch
 module Desc = Mica_uarch.Machine_desc
@@ -25,12 +23,6 @@ let load_dir_exn () =
   | Error m -> Alcotest.failf "load_dir: %s" m
 
 let bits v = Array.map Int64.bits_of_float v
-
-let check_bits_equal what a b =
-  if bits a <> bits b then
-    Alcotest.failf "%s: vectors differ (%s vs %s)" what
-      (String.concat "," (Array.to_list (Array.map (Printf.sprintf "%.17g") a)))
-      (String.concat "," (Array.to_list (Array.map (Printf.sprintf "%.17g") b)))
 
 (* ---------------- loader: the shipped fleet ---------------- *)
 
@@ -64,9 +56,9 @@ let expect_error what ~contains json =
       Alcotest.failf "%s: error %S does not mention %S" what m contains
   | exception e -> Alcotest.failf "%s: raised %s instead of Error" what (Printexc.to_string e)
 
-(* A minimal valid description we can break one field at a time. *)
+(* A valid description we can break one field at a time. *)
 let valid_json =
-  Desc.to_string (Desc.of_config U.Machine.ev56)
+  In_channel.with_open_bin (Filename.concat machines_dir "ev56.json") In_channel.input_all
 
 (* first-occurrence textual replace, so each test breaks one field *)
 let patch ~pattern ~with_ s =
@@ -133,80 +125,44 @@ let test_load_missing_file () =
   | Error m -> Alcotest.(check bool) "names the file" true (String.length m > 0)
   | exception e -> Alcotest.failf "raised %s instead of Error" (Printexc.to_string e)
 
-(* ---------------- desc <-> config round trips ---------------- *)
+(* ---------------- compiled-in descriptions ---------------- *)
 
-let test_roundtrip_presets () =
+(* Each compiled-in description parses to what loading its file does. *)
+let test_compiled_in_match_files () =
+  let load file =
+    match Desc.load (Filename.concat machines_dir file) with
+    | Ok cfg -> cfg
+    | Error m -> Alcotest.failf "%s: %s" file m
+  in
+  Alcotest.(check (list string)) "preset order" [ "ev56"; "ev67"; "embedded"; "wide" ]
+    (List.map (fun (c : U.Machine.config) -> c.U.Machine.name) Desc.presets);
   List.iter
     (fun (cfg : U.Machine.config) ->
-      match Desc.to_config (Desc.of_config cfg) with
-      | Error m -> Alcotest.failf "%s: round trip failed: %s" cfg.U.Machine.name m
-      | Ok cfg' ->
-        let p = Tutil.tiny_program ("roundtrip-" ^ cfg.U.Machine.name) in
-        let a = U.Machine.to_vector (U.Machine.measure cfg p ~icount:8_000) in
-        let b = U.Machine.to_vector (U.Machine.measure cfg' p ~icount:8_000) in
-        check_bits_equal ("round-trip " ^ cfg.U.Machine.name) a b)
-    U.Machine.presets
-
-let test_json_text_roundtrip () =
-  (* to_string -> parse_string is the identity on every shipped machine *)
-  List.iter
-    (fun (name, cfg) ->
-      let d = Desc.of_config cfg in
-      match Desc.parse_string ~source:(name ^ ".json") (Desc.to_string d) with
-      | Error m -> Alcotest.failf "%s: re-parse failed: %s" name m
-      | Ok d' ->
-        if Desc.to_string d' <> Desc.to_string d then
-          Alcotest.failf "%s: textual round trip changed the description" name)
-    (load_dir_exn ())
+      if load (cfg.U.Machine.name ^ ".json") <> cfg then
+        Alcotest.failf "compiled-in %s differs from machines/%s.json" cfg.U.Machine.name
+          cfg.U.Machine.name)
+    Desc.presets;
+  if load "paper/ev67.json" <> Desc.paper_ev67 then
+    Alcotest.fail "compiled-in paper EV67 differs from machines/paper/ev67.json"
 
 let test_l1i_latency_roundtrip () =
   (* l1i and l1d latencies are separate data: a description with
-     different values keeps both through to_config and of_config *)
-  let desc = Desc.of_config { U.Machine.ev67 with U.Machine.l1i_latency = 5; l1_latency = 2 } in
-  let latency name =
-    (List.find (fun (l : Desc.cache_level) -> l.Desc.level_name = name) desc.Desc.levels)
-      .Desc.latency
+     different values keeps both in the config.  The cache levels come
+     before the ops table, so the first two [latency] fields are l1i's and
+     l1d's. *)
+  let text =
+    valid_json
+    |> patch ~pattern:{|"latency": 1|} ~with_:{|"latency": 5|}
+    |> patch ~pattern:{|"latency": 1|} ~with_:{|"latency": 2|}
   in
-  Alcotest.(check (pair int int)) "of_config: l1i, l1d" (5, 2) (latency "l1i", latency "l1d");
-  match Desc.to_config desc with
-  | Error m -> Alcotest.failf "to_config: %s" m
+  match Desc.parse_string ~source:"patched.json" text with
+  | Error m -> Alcotest.failf "parse_string: %s" m
   | Ok cfg ->
     Alcotest.(check (pair int int))
-      "to_config: l1i_latency, l1_latency" (5, 2)
+      "l1i_latency, l1_latency" (5, 2)
       (cfg.U.Machine.l1i_latency, cfg.U.Machine.l1_latency);
-    Alcotest.(check string) "text round trip" (Desc.to_string desc)
-      (Desc.to_string (Desc.of_config cfg))
-
-(* ---------------- fleet: desc-vs-hardcoded over the registry ------------ *)
-
-(* The acceptance bar: the four machines/*.json presets drive the full
-   122-workload registry to Int64.bits_of_float-identical counter
-   matrices vs the hard-coded configs, at jobs = 1 and jobs = 4. *)
-let test_fleet_desc_matches_presets () =
-  let named = load_dir_exn () in
-  let from_files =
-    List.map
-      (fun (cfg : U.Machine.config) ->
-        match List.assoc_opt cfg.U.Machine.name named with
-        | Some c -> c
-        | None -> Alcotest.failf "machines/ lacks %s" cfg.U.Machine.name)
-      U.Machine.presets
-  in
-  let workloads = Registry.all in
-  let icount = 2_000 in
-  let golden = Fleet.characterize ~jobs:1 ~configs:U.Machine.presets ~icount workloads in
-  List.iter
-    (fun jobs ->
-      let fleet = Fleet.characterize ~jobs ~configs:from_files ~icount workloads in
-      Alcotest.(check int) "workload count" Registry.count
-        (Array.length fleet.Fleet.workload_ids);
-      Array.iteri
-        (fun i row ->
-          if bits row <> bits golden.Fleet.matrix.(i) then
-            Alcotest.failf "jobs=%d: %s differs from hard-coded presets" jobs
-              fleet.Fleet.workload_ids.(i))
-        fleet.Fleet.matrix)
-    [ 1; 4 ]
+    Alcotest.(check bool) "nothing else moved" true
+      ({ U.Hw_counters.ev56 with U.Machine.l1i_latency = 5; l1_latency = 2 } = cfg)
 
 let some_workloads n =
   List.filteri (fun i _ -> i mod (Registry.count / n) = 0) Registry.all
@@ -242,7 +198,7 @@ let test_fleet_rejects_duplicates () =
   (try
      ignore
        (Fleet.characterize ~jobs:1
-          ~configs:[ U.Machine.ev56; U.Machine.ev56 ]
+          ~configs:[ U.Hw_counters.ev56; U.Hw_counters.ev56 ]
           ~icount:1_000 (some_workloads 2));
      Alcotest.fail "expected Invalid_argument for duplicate machine names"
    with Invalid_argument _ -> ());
@@ -274,7 +230,7 @@ let test_baseline_all_machines_in_envelope () =
       (U.Baseline.render (U.Baseline.failures outcomes))
 
 let test_baseline_deterministic () =
-  let configs = [ U.Machine.ev56; U.Machine.wide ] in
+  let configs = [ U.Hw_counters.ev56; Tutil.preset "wide" ] in
   let a = U.Baseline.run_kernel ~icount:10_000 configs ~kernel:"stream" in
   let b = U.Baseline.run_kernel ~icount:10_000 configs ~kernel:"stream" in
   List.iter2
@@ -299,7 +255,7 @@ let test_baseline_unknown_kernel () =
     Alcotest.(check bool) "lists valid names" true
       (String.length m > 0));
   try
-    ignore (U.Baseline.envelopes U.Machine.ev56 ~kernel:"fibonacci");
+    ignore (U.Baseline.envelopes U.Hw_counters.ev56 ~kernel:"fibonacci");
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
@@ -320,7 +276,7 @@ let test_baseline_envelopes_sane () =
                   e.U.Baseline.metric)
             es)
         U.Baseline.kernel_names)
-    U.Machine.presets
+    Desc.presets
 
 let suite =
   ( "fleet",
@@ -340,11 +296,8 @@ let suite =
       Alcotest.test_case "reject 1-byte cache lines" `Quick test_reject_one_byte_lines;
       Alcotest.test_case "reject 1-byte pages" `Quick test_reject_one_byte_pages;
       Alcotest.test_case "load missing file" `Quick test_load_missing_file;
-      Alcotest.test_case "preset round trip" `Quick test_roundtrip_presets;
-      Alcotest.test_case "json text round trip" `Quick test_json_text_roundtrip;
+      Alcotest.test_case "compiled-in presets = machines/ files" `Quick test_compiled_in_match_files;
       Alcotest.test_case "l1i latency round trip" `Quick test_l1i_latency_roundtrip;
-      Alcotest.test_case "desc = hardcoded over registry (jobs 1,4)" `Slow
-        test_fleet_desc_matches_presets;
       Alcotest.test_case "one pass = N passes" `Quick test_fleet_one_pass_equals_n_pass;
       Alcotest.test_case "fleet table shape" `Quick test_fleet_table_shape;
       Alcotest.test_case "fleet rejects bad config lists" `Quick test_fleet_rejects_duplicates;

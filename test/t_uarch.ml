@@ -580,6 +580,18 @@ let test_hw_counters_deterministic () =
   let b = U.Hw_counters.to_vector (U.Hw_counters.measure p ~icount:10_000) in
   Alcotest.(check bool) "deterministic" true (a = b)
 
+(* The paper's two machines are compiled-in descriptions: the EV56 is the
+   first preset, the EV67 the fleet's ev67 with five latencies changed. *)
+let test_hw_counters_machines () =
+  Alcotest.(check bool) "EV56 is the first preset" true
+    (U.Hw_counters.ev56 = List.hd U.Machine_desc.presets);
+  Alcotest.(check bool) "EV67 is the ev67 preset with l1i 3, l1d 3, l2 10, memory 87, DTLB 0"
+    true
+    ({ (Tutil.preset "ev67") with
+       U.Machine.l1i_latency = 3; l1_latency = 3; l2_latency = 10; mem_latency = 87;
+       dtlb_penalty = 0 }
+    = U.Hw_counters.ev67)
+
 (* ---------------- configurable machines ---------------- *)
 
 let test_machine_presets_run () =
@@ -591,7 +603,7 @@ let test_machine_presets_run () =
       Alcotest.(check int) "6 metrics" 6 (Array.length v);
       Array.iter (fun x -> if Float.is_nan x then Alcotest.fail "NaN metric") v;
       if r.U.Machine.ipc <= 0.0 then Alcotest.failf "%s ipc <= 0" cfg.U.Machine.name)
-    U.Machine.presets
+    U.Machine_desc.presets
 
 let test_machine_ipc_respects_width () =
   let p = Tutil.tiny_program "machine-width" in
@@ -605,7 +617,7 @@ let test_machine_ipc_respects_width () =
       in
       if r.U.Machine.ipc > peak +. 1e-9 then
         Alcotest.failf "%s ipc %.2f exceeds width %.0f" cfg.U.Machine.name r.U.Machine.ipc peak)
-    U.Machine.presets
+    U.Machine_desc.presets
 
 let test_machine_matches_canonical_models () =
   (* Hw_counters' seven counters are its two machines' own results to the
@@ -632,10 +644,11 @@ let test_machine_matches_canonical_models () =
 let test_machine_measure_all_isolated () =
   (* fanned-out machines give the same result as individual runs *)
   let p = Tutil.tiny_program "machine-fanout" in
-  let together = U.Machine.measure_all [ U.Machine.ev56; U.Machine.embedded ] p ~icount:5_000 in
+  let embedded = Tutil.preset "embedded" in
+  let together = U.Machine.measure_all [ U.Hw_counters.ev56; embedded ] p ~icount:5_000 in
   let alone =
-    [ U.Machine.measure U.Machine.ev56 p ~icount:5_000;
-      U.Machine.measure U.Machine.embedded p ~icount:5_000 ]
+    [ U.Machine.measure U.Hw_counters.ev56 p ~icount:5_000;
+      U.Machine.measure embedded p ~icount:5_000 ]
   in
   List.iter2
     (fun a b ->
@@ -645,8 +658,8 @@ let test_machine_measure_all_isolated () =
 
 let test_machine_bigger_cache_fewer_misses () =
   let w = Mica_workloads.Registry.find_exn "SPEC2000/gcc/166" in
-  let small = U.Machine.measure U.Machine.ev56 w.Mica_workloads.Workload.model ~icount:30_000 in
-  let big = U.Machine.measure U.Machine.wide w.Mica_workloads.Workload.model ~icount:30_000 in
+  let small = U.Machine.measure U.Hw_counters.ev56 w.Mica_workloads.Workload.model ~icount:30_000 in
+  let big = U.Machine.measure (Tutil.preset "wide") w.Mica_workloads.Workload.model ~icount:30_000 in
   Alcotest.(check bool) "64KB L1D misses less than 8KB" true
     (big.U.Machine.l1d_miss_rate < small.U.Machine.l1d_miss_rate)
 
@@ -655,7 +668,7 @@ let test_machine_prefetch_helps_streaming () =
   (* sequential sweep: next-line prefetching halves (or better) the L1D
      miss rate; on pointer-style random access it must not help *)
   let stream = List.init 4_000 (fun i -> Tutil.load ~pc:0x1000 ~dst:1 ~addr:(0x100000 + (i * 8)) ()) in
-  let base = { U.Machine.ev56 with U.Machine.name = "nopf" } in
+  let base = { U.Hw_counters.ev56 with U.Machine.name = "nopf" } in
   let pf = { base with U.Machine.name = "pf"; prefetch_next_line = true } in
   let run cfg trace =
     let t = U.Machine.create cfg in
@@ -700,7 +713,7 @@ let test_allocation_budget () =
         [
           ("Hw_counters.measure", fun () -> ignore (U.Hw_counters.measure p ~icount : U.Hw_counters.result));
           ( "Machine.measure_all presets",
-            fun () -> ignore (U.Machine.measure_all U.Machine.presets p ~icount : U.Machine.result list) );
+            fun () -> ignore (U.Machine.measure_all U.Machine_desc.presets p ~icount : U.Machine.result list) );
           ("Analyzer.analyze", fun () -> ignore (Mica_analysis.Analyzer.analyze p ~icount : float array));
         ])
     [ "SPEC2000/mcf/ref"; "SPEC2000/swim/ref"; "MiBench/sha/large" ]
@@ -739,7 +752,7 @@ let test_preset_golden_vectors () =
             Alcotest.failf "%s %s: %.17g <> golden %.17g" name
               U.Machine.metric_names.(i) x expect.(i))
         v)
-    U.Machine.presets preset_goldens
+    U.Machine_desc.presets preset_goldens
 
 (* ---------------- machine properties over random kernels ---------------- *)
 
@@ -783,7 +796,7 @@ let prop_machine_rates_bounded =
       (match Mica_trace.Kernel.validate spec with
       | Ok () -> ()
       | Error m -> QCheck2.Test.fail_reportf "generated kernel invalid: %s" m);
-      let cfg = List.nth U.Machine.presets which in
+      let cfg = List.nth U.Machine_desc.presets which in
       let p = Mica_trace.Program.single ~name:"qcheck-machine" spec in
       let r = U.Machine.measure cfg p ~icount:3_000 in
       let v = U.Machine.to_vector r in
@@ -800,6 +813,7 @@ let prop_machine_rates_bounded =
 let suite =
   ( "uarch",
     [
+      Alcotest.test_case "hw counters machines" `Quick test_hw_counters_machines;
       Alcotest.test_case "machine presets run" `Quick test_machine_presets_run;
       Alcotest.test_case "machine ipc within width" `Quick test_machine_ipc_respects_width;
       Alcotest.test_case "machine matches canonical" `Quick test_machine_matches_canonical_models;

@@ -39,6 +39,12 @@ let branch ?(pc = 0x1000) ?(src1 = -1) ~taken ?(target = 0x2000) () =
 let fp ?(pc = 0x1000) ?(src1 = -1) ?(src2 = -1) ?(dst = -1) () =
   Instr.make ~pc ~op:Opcode.Fp_add ~src1 ~src2 ~dst ()
 
+(* A compiled-in preset machine by name. *)
+let preset name =
+  List.find
+    (fun (c : Mica_uarch.Machine.config) -> c.Mica_uarch.Machine.name = name)
+    Mica_uarch.Machine_desc.presets
+
 (* A small deterministic workload program for integration tests. *)
 let tiny_program name =
   Mica_trace.Program.single ~name { Mica_trace.Kernel.default with Mica_trace.Kernel.name }
