@@ -25,4 +25,5 @@ let () =
       T_sketch.suite;
       T_serve.suite;
       T_wire.suite;
+      T_artifact.suite;
     ]
