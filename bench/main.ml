@@ -306,7 +306,7 @@ let t_machines =
     (Staged.stage (fun () ->
          let w = Lazy.force sample_workload in
          Sys.opaque_identity
-           (Mica_uarch.Machine.measure_all Mica_uarch.Machine_desc.presets w.W.Workload.model
+           (Mica_uarch.Machine.measure_all (Mica_uarch.Machine_desc.presets ()) w.W.Workload.model
               ~icount:bench_icount)))
 
 (* The 8-model fleet: machine descriptions when run from the repo root,
@@ -319,11 +319,11 @@ let fleet_configs =
     | Ok named when List.length named >= 8 ->
       List.filteri (fun i _ -> i < 8) (List.map snd named)
     | Ok _ | Error _ ->
-      Mica_uarch.Machine_desc.presets
+      (Mica_uarch.Machine_desc.presets ())
       @ List.map
           (fun (c : Mica_uarch.Machine.config) ->
             { c with Mica_uarch.Machine.name = c.Mica_uarch.Machine.name ^ "b" })
-          Mica_uarch.Machine_desc.presets)
+          (Mica_uarch.Machine_desc.presets ()))
 
 let fleet_workloads =
   lazy (List.filteri (fun i _ -> i mod (W.Registry.count / 4) = 0) W.Registry.all)
@@ -716,7 +716,7 @@ let commit_run ~root ~tag ~bench_json ~metrics_json =
       tag;
       subcommand = "bench";
       argv = Array.to_list Sys.argv;
-      git_rev = Mica_run.Run_io.git_rev ();
+      git_rev = Mica_run.Manifest.git_rev ();
       icount = bench_icount;
       ppm_order = config.Mica_core.Pipeline.ppm_order;
       jobs = config.Mica_core.Pipeline.jobs;
@@ -753,9 +753,9 @@ let regenerate_results ~run_dir path =
   in
   if r.Mica_run.Run_dir.bench = None then failwith "bench: committed run has no bench.json";
   let raw =
-    match Mica_run.Run_io.read_file (Filename.concat run_dir Mica_run.Run_dir.bench_file) with
+    match Mica_util.Artifact.read (Filename.concat run_dir Mica_run.Run_dir.bench_file) with
     | Ok s -> s
-    | Error e -> failwith ("bench: " ^ Mica_run.Run_io.describe_error e)
+    | Error e -> failwith ("bench: " ^ Mica_util.Artifact.describe_error e)
   in
   (* Splice provenance in textually so the measured numbers stay
      byte-identical to the run's bench.json. *)
@@ -769,7 +769,7 @@ let regenerate_results ~run_dir path =
     Printf.sprintf "{\n  \"provenance\": {\"run\": %S, \"created\": %S, \"git_rev\": %S},"
       (Filename.basename run_dir) m.Mica_run.Manifest.created m.Mica_run.Manifest.git_rev
   in
-  Mica_run.Run_io.atomic_write path (provenance ^ body);
+  Mica_util.Artifact.write path (provenance ^ body);
   Printf.printf "wrote %s (derived from %s)\n%!" path run_dir
 
 let () =

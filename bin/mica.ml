@@ -61,12 +61,17 @@ let metrics_opt =
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
 (* The snapshot is written from [at_exit] so every exit path of every
-   subcommand — including the [exit 1/2] error paths — still commits it. *)
+   subcommand — including the [exit 1/2] error paths — still commits it.
+   A snapshot that cannot be committed is an error line and exit 2. *)
 let setup_metrics = function
   | None -> ()
   | Some path ->
     Mica_obs.Obs.set_enabled true;
-    at_exit (fun () -> Mica_obs.Obs.write_json path (Mica_obs.Obs.snapshot ()))
+    at_exit (fun () ->
+        try Mica_util.Artifact.write path (Mica_obs.Obs.to_json (Mica_obs.Obs.snapshot ()))
+        with Sys_error reason | Mica_util.Fault.Injected reason ->
+          Printf.eprintf "error: cannot write metrics snapshot %s: %s\n%!" path reason;
+          exit 2)
 
 (* ---------------- run directories ---------------- *)
 
@@ -395,7 +400,7 @@ let load_run_or_exit dir =
     exit 2
 
 let write_json_report path json =
-  Mica_run.Run_io.atomic_write path (Mica_obs.Json.to_string ~pretty:true json ^ "\n")
+  Mica_util.Artifact.write path (Mica_obs.Json.to_string ~pretty:true json ^ "\n")
 
 let tolerance_opt =
   let doc =
@@ -794,7 +799,7 @@ let load_store path =
   match Mica_core.Dataset_store.load path with
   | Ok t -> t
   | Error e ->
-    Printf.eprintf "error: %s: %s\n" path (Mica_run.Run_io.describe_error e);
+    Printf.eprintf "error: %s: %s\n" path (Mica_util.Artifact.describe_error e);
     exit 2
 
 let subset_cmd =
@@ -854,7 +859,7 @@ let commit_run ~config ~icount ~workloads ~seeds ~artifacts =
         tag = sink.Mica_core.Pipeline.run_tag;
         subcommand = sink.Mica_core.Pipeline.run_tag;
         argv = Array.to_list Sys.argv;
-        git_rev = Mica_run.Run_io.git_rev ();
+        git_rev = Mica_run.Manifest.git_rev ();
         icount;
         ppm_order = config.Mica_core.Pipeline.ppm_order;
         jobs = config.Mica_core.Pipeline.jobs;
@@ -1136,7 +1141,7 @@ let machines_cmd =
   let run config =
     let ctx = E.Context.load ~config () in
     let fleet =
-      Mica_core.Fleet.characterize ~configs:Mica_uarch.Machine_desc.presets
+      Mica_core.Fleet.characterize ~configs:(Mica_uarch.Machine_desc.presets ())
         ~icount:ctx.E.Context.config.Mica_core.Pipeline.icount ctx.E.Context.workloads
     in
     print_string
@@ -1625,13 +1630,7 @@ let export_cmd =
   in
   let run config out_dir =
     let ctx = E.Context.load ~config () in
-    let rec mkdir_p dir =
-      if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-        mkdir_p (Filename.dirname dir);
-        try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-      end
-    in
-    mkdir_p out_dir;
+    Mica_util.Artifact.mkdir_p out_dir;
     let mica_path = Filename.concat out_dir "mica_dataset.csv" in
     let hpc_path = Filename.concat out_dir "hpc_dataset.csv" in
     Mica_core.Dataset.to_csv ctx.E.Context.mica mica_path;
@@ -1826,11 +1825,7 @@ let loadgen_cmd =
         exit 2
     in
     print_string (Mica_serve.Loadgen.render report);
-    Option.iter
-      (fun p ->
-        Mica_run.Run_io.atomic_write p
-          (Mica_obs.Json.to_string ~pretty:true (Mica_serve.Loadgen.to_json report) ^ "\n"))
-      json_out;
+    Option.iter (fun p -> write_json_report p (Mica_serve.Loadgen.to_json report)) json_out;
     (* Commit the latency/throughput/shed-rate report as a bench-entry run
        directory so [mica compare --tolerance-bench] can gate it. *)
     if not no_run then begin
@@ -1842,7 +1837,7 @@ let loadgen_cmd =
           tag = Option.value run_tag ~default:"loadgen";
           subcommand = "loadgen";
           argv = Array.to_list Sys.argv;
-          git_rev = Mica_run.Run_io.git_rev ();
+          git_rev = Mica_run.Manifest.git_rev ();
           icount = 0;
           ppm_order = 0;
           jobs = 1;

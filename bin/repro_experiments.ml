@@ -43,17 +43,6 @@ let parse_args () =
   go (List.tl (Array.to_list Sys.argv));
   { experiments = List.rev !experiments; icount = !icount; out_dir = !out_dir; quick = !quick }
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
-let write_file path contents =
-  mkdir_p (Filename.dirname path);
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
-
 let csv_of_rows rows = String.concat "\n" (List.map (String.concat ",") rows) ^ "\n"
 
 let section title =
@@ -98,7 +87,7 @@ let () =
       section "Figure 1: HPC-space distance vs MICA-space distance";
       let f = E.fig1 (ctx ()) in
       print_string (E.render_fig1 f);
-      write_file (out "fig1_distances.csv")
+      Mica_util.Artifact.write (out "fig1_distances.csv")
         (csv_of_rows
            ([ "mica_distance"; "hpc_distance" ]
            :: Array.to_list
@@ -138,7 +127,7 @@ let () =
           let slug =
             String.map (fun c -> if c = ' ' || c = '(' || c = ')' || c = '.' then '_' else c) e.E.label
           in
-          write_file
+          Mica_util.Artifact.write
             (out (Printf.sprintf "fig4_roc_%s.csv" slug))
             (csv_of_rows
                ([ "threshold"; "fpr"; "tpr" ]
@@ -173,7 +162,7 @@ let () =
       section "Figure 5: distance correlation vs retained characteristics";
       let f = E.fig5 (ctx ()) ~ga:(Lazy.force ga) in
       print_string (E.render_fig5 f);
-      write_file (out "fig5_ce_sweep.csv")
+      Mica_util.Artifact.write (out "fig5_ce_sweep.csv")
         (csv_of_rows
            ([ "retained"; "rho" ]
            :: Array.to_list
@@ -219,7 +208,7 @@ let () =
       section "Extension: PCA prior-work baseline vs the genetic algorithm";
       let r = Mica_core.Pca_comparison.run (ctx ()) ~ga:(Lazy.force ga) in
       print_string (Mica_core.Pca_comparison.render r);
-      write_file (out "pca_comparison.csv")
+      Mica_util.Artifact.write (out "pca_comparison.csv")
         (csv_of_rows
            ([ "method"; "dims"; "rho"; "auc"; "chars_measured" ]
            :: List.concat
@@ -252,7 +241,7 @@ let () =
           ~selected:(Lazy.force ga).Select.Genetic.selected
       in
       print_string (Mica_core.Coverage.render_coverage rows);
-      write_file (out "suite_coverage.csv")
+      Mica_util.Artifact.write (out "suite_coverage.csv")
         (csv_of_rows
            ([ "suite"; "total"; "covered"; "dissimilar" ]
            :: List.map
@@ -268,12 +257,12 @@ let () =
       section "Extension: does counter-based similarity transfer across machines?";
       let c = ctx () in
       let fleet =
-        Mica_core.Fleet.characterize ~configs:Mica_uarch.Machine_desc.presets
+        Mica_core.Fleet.characterize ~configs:(Mica_uarch.Machine_desc.presets ())
           ~icount:c.E.Context.config.Mica_core.Pipeline.icount c.E.Context.workloads
       in
       let r = Mica_core.Fleet.report ~mica:c.E.Context.mica_space fleet in
       print_string (Mica_core.Fleet.render_transfer r);
-      write_file (out "machines_cross_correlation.csv")
+      Mica_util.Artifact.write (out "machines_cross_correlation.csv")
         (csv_of_rows
            ([ "machine_a"; "machine_b"; "distance_correlation" ]
            :: List.map

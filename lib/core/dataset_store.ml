@@ -1,5 +1,5 @@
 module Colmat = Mica_stats.Colmat
-module Run_io = Mica_run.Run_io
+module Artifact = Mica_util.Artifact
 
 type t = { names : string array; features : string array; data : Colmat.t }
 
@@ -53,11 +53,11 @@ let write path (ds : Dataset.t) =
   Buffer.add_string buf meta;
   Buffer.add_string buf (String.make (data_offset - header_bytes - String.length meta) '\000');
   Buffer.add_string buf data;
-  Run_io.atomic_write path (Buffer.contents buf)
+  Artifact.write path (Buffer.contents buf)
 
 (* --- reading ------------------------------------------------------- *)
 
-let corrupt fmt = Printf.ksprintf (fun s -> Error (Run_io.Corrupt s)) fmt
+let corrupt fmt = Printf.ksprintf (fun s -> Error (Artifact.Corrupt s)) fmt
 
 let u32 s off =
   let v = Int32.to_int (String.get_int32_le s off) in
@@ -101,7 +101,7 @@ type header = {
 let parse_header h =
   if String.sub h 0 4 <> magic then corrupt "bad magic (not a MICD dataset)"
   else if Char.code h.[4] <> version then
-    Error (Run_io.Foreign_version (Printf.sprintf "dataset format v%d" (Char.code h.[4])))
+    Error (Artifact.Foreign_version (Printf.sprintf "dataset format v%d" (Char.code h.[4])))
   else if Char.code h.[5] <> host_endian_tag then
     corrupt "endianness mismatch (dataset written on a %s-endian host)"
       (if Char.code h.[5] = 2 then "big" else "little")
@@ -122,7 +122,7 @@ let parse_header h =
 let with_open_in path f =
   match open_in_bin path with
   | exception Sys_error _ ->
-      if Sys.file_exists path then Error (Run_io.Unreadable path) else Error Run_io.Missing
+      if Sys.file_exists path then Error (Artifact.Unreadable path) else Error Artifact.Missing
   | ic -> Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic)
 
 let load_header ic path =
@@ -156,7 +156,7 @@ let load path =
           [| hd.h_rows * hd.h_cols |])
   with
   | exception Unix.Unix_error (e, _, _) ->
-      Error (Run_io.Unreadable (path ^ ": " ^ Unix.error_message e))
+      Error (Artifact.Unreadable (path ^ ": " ^ Unix.error_message e))
   | genarray ->
       let data =
         Colmat.of_array1 ~rows:hd.h_rows ~cols:hd.h_cols (Bigarray.array1_of_genarray genarray)

@@ -24,7 +24,7 @@
     data offset  rows * cols float64 cells, column-major
     v}
 
-    Integrity follows the run-directory discipline ({!Mica_run.Run_io}):
+    Integrity follows the artifact discipline ({!Mica_util.Artifact}):
     files are committed atomically (temp + rename), the metadata digest
     and the [data offset + 8 * rows * cols] size arithmetic are verified
     on every {!load} (so header tampering and truncation surface as
@@ -42,14 +42,14 @@ val write : string -> Dataset.t -> unit
 (** Atomically commit a dataset to [path].  Raises [Sys_error] only on
     OS-level write failure (as every writer in the tree does). *)
 
-val load : string -> (t, Mica_run.Run_io.read_error) result
+val load : string -> (t, Mica_util.Artifact.read_error) result
 (** Map [path].  O(1) in the data size: validates magic, version,
     endianness, dimension/size arithmetic and the metadata digest, then
     mmaps the data section without reading it.  The mapping is private
     (copy-on-write): mutating the returned matrix never touches the
     file. *)
 
-val verify : string -> (unit, Mica_run.Run_io.read_error) result
+val verify : string -> (unit, Mica_util.Artifact.read_error) result
 (** Full check of [path]: everything {!load} validates, plus the MD5 of
     the data section. *)
 

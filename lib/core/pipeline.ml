@@ -1,5 +1,6 @@
 module Workload = Mica_workloads.Workload
 module Fault = Mica_util.Fault
+module Artifact = Mica_util.Artifact
 module Csv = Mica_util.Csv
 module Obs = Mica_obs.Obs
 
@@ -83,64 +84,16 @@ let cache_path config kind =
     (fun dir -> Filename.concat dir (Printf.sprintf "%s-%s-%d.csv" kind model_version config.icount))
     config.cache_dir
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
 (* ---------------- crash-safe file commits ----------------
 
-   Cache and checkpoint files are committed atomically: the contents go to
-   a sibling [.tmp] file which is renamed over the target, so a kill at
-   any instant leaves either the old file or the new one — never a
-   truncated mix.  [save_cache] additionally prepends a
-   [#mica-cache <version> md5:<hex>] line over the CSV body; [load_cache]
+   Cache and checkpoint files are committed through [Artifact.write]
+   (temp file + rename) under an [Artifact.frame] checksum header:
+   [#mica-cache <version> md5:<hex>] over the CSV body.  [load_cache]
    verifies it and quarantines (renames aside) any file whose body does
    not match its recorded digest, instead of silently consuming a
    half-written or bit-rotted table. *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let atomic_write path contents =
-  Fault.check Fault.Cache_write ~key:(Hashtbl.hash path);
-  mkdir_p (Filename.dirname path);
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc contents;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
-
 let cache_header_prefix = "#mica-cache "
-
-let checksum_header prefix body =
-  Printf.sprintf "%s%s md5:%s\n" prefix model_version (Digest.to_hex (Digest.string body))
-
-(* [Some body] iff the header names this model version and the digest
-   matches; [Error] distinguishes "stale/foreign version" (ignore the
-   file) from "corrupt" (quarantine it). *)
-let verify_checksum header body =
-  match String.split_on_char ' ' (String.trim header) with
-  | [ version; digest ] when String.length digest > 4 && String.sub digest 0 4 = "md5:" ->
-    if version <> model_version then Error `Stale
-    else if String.sub digest 4 (String.length digest - 4) = Digest.to_hex (Digest.string body)
-    then Ok body
-    else Error `Corrupt
-  | _ -> Error `Corrupt
-
-let split_first_line s =
-  match String.index_opt s '\n' with
-  | None -> (s, "")
-  | Some i -> (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
 
 let quarantine path reason =
   Obs.incr m_cache_quarantined;
@@ -167,8 +120,8 @@ let cache_body ~features tbl =
 
 let save_cache path ~features tbl =
   Obs.span "cache.save" @@ fun () ->
-  let body = cache_body ~features tbl in
-  atomic_write path (checksum_header cache_header_prefix body ^ body)
+  Artifact.write path
+    (Artifact.frame ~prefix:cache_header_prefix ~version:model_version (cache_body ~features tbl))
 
 (* ---------------- lenient cache loading ----------------
 
@@ -181,38 +134,23 @@ let save_cache path ~features tbl =
 let load_cache ~features path =
   Obs.span "cache.load" @@ fun () ->
   let empty () = Hashtbl.create 64 in
-  if not (Sys.file_exists path) then empty ()
-  else begin
-    match
-      Fault.check Fault.Cache_read ~key:(Hashtbl.hash path);
-      read_file path
-    with
-    | exception Fault.Injected _ ->
-      Logs.warn (fun f -> f "cache %s: injected read fault; recomputing" path);
-      empty ()
-    | exception Sys_error msg ->
-      Logs.warn (fun f -> f "cache %s unreadable (%s); recomputing" path msg);
-      empty ()
-    | contents ->
+  match Artifact.read path with
+  | Error Artifact.Missing -> empty ()
+  | Error e ->
+    Logs.warn (fun f -> f "cache %s %s; recomputing" path (Artifact.describe_error e));
+    empty ()
+  | Ok contents -> (
       let csv =
-        if String.length contents >= String.length cache_header_prefix
-           && String.sub contents 0 (String.length cache_header_prefix) = cache_header_prefix
-        then begin
-          let header, body = split_first_line contents in
-          let header =
-            String.sub header (String.length cache_header_prefix)
-              (String.length header - String.length cache_header_prefix)
-          in
-          match verify_checksum header body with
-          | Ok body -> Some body
-          | Error `Stale ->
-            Logs.warn (fun f -> f "cache %s was written by another model version; ignoring" path);
-            None
-          | Error `Corrupt ->
-            quarantine path "failed its content checksum";
-            None
-        end
-        else Some contents (* legacy headerless cache: parse leniently *)
+        match Artifact.unframe ~prefix:cache_header_prefix ~version:model_version contents with
+        | Ok body -> Some body
+        | Error (Artifact.Foreign_version _) ->
+          Logs.warn (fun f -> f "cache %s was written by another model version; ignoring" path);
+          None
+        | Error _ when not (String.starts_with ~prefix:cache_header_prefix contents) ->
+          Some contents (* legacy headerless cache: parse leniently *)
+        | Error _ ->
+          quarantine path "failed its content checksum";
+          None
       in
       match csv with
       | None -> empty ()
@@ -249,8 +187,7 @@ let load_cache ~features path =
             Logs.warn (fun f -> f "cache %s has a foreign feature header; ignoring" path));
         if !dropped > 0 then
           Logs.warn (fun f -> f "cache %s: discarded %d malformed row(s)" path !dropped);
-        tbl
-  end
+        tbl)
 
 (* ---------------- cache warm-start / flush ----------------
 
@@ -349,58 +286,46 @@ let checkpoint_body config id (m, h) =
    through the outcome array. *)
 let commit_checkpoint config dir w (m, h) =
   let id = Workload.id w in
-  let body = checkpoint_body config id (m, h) in
-  try atomic_write (checkpoint_path config dir id) (checksum_header ckpt_header_prefix body ^ body)
+  let framed =
+    Artifact.frame ~prefix:ckpt_header_prefix ~version:model_version (checkpoint_body config id (m, h))
+  in
+  try Artifact.write (checkpoint_path config dir id) framed
   with Fault.Injected _ | Sys_error _ ->
     Logs.debug (fun f -> f "checkpoint for %s not committed" id)
 
 let read_checkpoint config path =
   match
-    Fault.check Fault.Cache_read ~key:(Hashtbl.hash path);
-    read_file path
+    Result.bind (Artifact.read path) (Artifact.unframe ~prefix:ckpt_header_prefix ~version:model_version)
   with
-  | exception (Fault.Injected _ | Sys_error _) -> None
-  | contents ->
-    if String.length contents < String.length ckpt_header_prefix
-       || String.sub contents 0 (String.length ckpt_header_prefix) <> ckpt_header_prefix
-    then None
-    else begin
-      let header, body = split_first_line contents in
-      let header =
-        String.sub header (String.length ckpt_header_prefix)
-          (String.length header - String.length ckpt_header_prefix)
-      in
-      match verify_checksum header body with
-      | Error (`Stale | `Corrupt) -> None
-      | Ok body -> (
-        let parse_row arity line =
-          let fields = Csv.parse_line line in
-          if List.length fields <> arity then None
-          else begin
-            let row = Array.make arity 0.0 in
-            try
-              List.iteri
-                (fun j s ->
-                  match float_of_string_opt s with
-                  | Some v when Float.is_finite v -> row.(j) <- v
-                  | Some _ | None -> raise Exit)
-                fields;
-              Some row
-            with Exit -> None
-          end
-        in
-        match String.split_on_char '\n' body with
-        | id_line :: m_line :: h_line :: _ -> (
-          match
-            ( Csv.parse_line id_line,
-              parse_row Mica_analysis.Characteristics.count m_line,
-              parse_row Mica_uarch.Hw_counters.count h_line )
-          with
-          | [ id; icount ], Some m, Some h when int_of_string_opt icount = Some config.icount ->
-            Some (id, m, h)
-          | _ -> None)
-        | _ -> None)
-    end
+  | Error _ -> None
+  | Ok body -> (
+    let parse_row arity line =
+      let fields = Csv.parse_line line in
+      if List.length fields <> arity then None
+      else begin
+        let row = Array.make arity 0.0 in
+        try
+          List.iteri
+            (fun j s ->
+              match float_of_string_opt s with
+              | Some v when Float.is_finite v -> row.(j) <- v
+              | Some _ | None -> raise Exit)
+            fields;
+          Some row
+        with Exit -> None
+      end
+    in
+    match String.split_on_char '\n' body with
+    | id_line :: m_line :: h_line :: _ -> (
+      match
+        ( Csv.parse_line id_line,
+          parse_row Mica_analysis.Characteristics.count m_line,
+          parse_row Mica_uarch.Hw_counters.count h_line )
+      with
+      | [ id; icount ], Some m, Some h when int_of_string_opt icount = Some config.icount ->
+        Some (id, m, h)
+      | _ -> None)
+    | _ -> None)
 
 (* Committed checkpoints of an interrupted run, in deterministic (sorted
    filename) order.  Unreadable or stale checkpoint files — including
@@ -453,7 +378,6 @@ let characterize_many config missing =
             f "characterizing %d workloads on %d domains (%d instructions each)"
               (Array.length work) jobs config.icount);
     let ckpt_dir = checkpoint_dir config in
-    Option.iter mkdir_p ckpt_dir;
     Mica_util.Pool.using ~jobs (fun pool ->
         Mica_util.Pool.run_results ~retries:(max 0 config.retries) pool (Array.length work)
           (fun i ->
@@ -500,7 +424,7 @@ let commit_run_dir config sink (mica : Dataset.t) (hpc : Dataset.t) report =
       tag = sink.run_tag;
       subcommand = sink.run_tag;
       argv = Array.to_list Sys.argv;
-      git_rev = Mica_run.Run_io.git_rev ();
+      git_rev = Mica_run.Manifest.git_rev ();
       icount = config.icount;
       ppm_order = config.ppm_order;
       jobs = config.jobs;

@@ -17,7 +17,7 @@ type t = {
    run a whole chunk ahead of the sampler, so each chunk is fed to the
    model in pieces that end at interval boundaries. *)
 let per_interval_ipc program ~icount ~interval =
-  let model = U.Machine.create U.Hw_counters.ev56 in
+  let model = U.Machine.create (U.Hw_counters.ev56 ()) in
   let boundaries = ref [] in
   let filled = ref 0 in  (* instructions of the current interval *)
   let sink =

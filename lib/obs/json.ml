@@ -362,6 +362,11 @@ let to_string ?(pretty = false) ?(bare_non_finite = false) t =
 let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
 
 let to_num = function Num f -> Some f | _ -> None
+
+(* Within [±2^53] every integer is exact as a float and fits an int. *)
+let to_int = function
+  | Num f when Float.is_integer f && Float.abs f <= 9_007_199_254_740_992.0 -> Some (int_of_float f)
+  | _ -> None
 let to_float = function Num f -> Some f | Null -> Some Float.nan | _ -> None
 
 let to_str = function Str s -> Some s | _ -> None

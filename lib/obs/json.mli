@@ -34,6 +34,10 @@ val member : string -> t -> t option
 
 val to_num : t -> float option
 
+val to_int : t -> int option
+(** A number with no fractional part within [±2^53], where every integer
+    is exact as a float; [None] for anything else. *)
+
 val to_float : t -> float option
 (** Like {!to_num}, but reads [null] as NaN: a metric written by
     {!to_string}, where a non-finite value became [null]. *)

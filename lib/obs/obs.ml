@@ -497,11 +497,3 @@ let to_prometheus snap =
       Buffer.add_string buf (Printf.sprintf "%s_minor_words %s\n" n (prom_float s.sp_minor_words)))
     snap.spans;
   Buffer.contents buf
-
-let write_json path snap =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_json snap));
-  Sys.rename tmp path

@@ -113,6 +113,3 @@ val to_json : snapshot -> string
 val to_prometheus : snapshot -> string
 (** Prometheus text format, which spells non-finite values [NaN], [+Inf]
     and [-Inf]. *)
-
-val write_json : string -> snapshot -> unit
-(** Write {!to_json} to a file (atomic tmp+rename). *)

@@ -64,9 +64,7 @@ let of_json json =
   in
   let int_field name j =
     let* v = field name j in
-    match Json.to_num v with
-    | Some f when Float.is_integer f -> Ok (int_of_float f)
-    | _ -> Error (name ^ " is not an integer")
+    Option.to_result ~none:(name ^ " is not an integer") (Json.to_int v)
   in
   let opt_str_field name j =
     let* v = field name j in
@@ -146,3 +144,52 @@ let of_json json =
         report;
         files;
       }
+
+(* HEAD without forking: resolve [.git/HEAD] through loose refs and
+   [packed-refs], walking up from the current directory (run directories
+   are created from the repo root in practice, but tests may chdir). *)
+let git_rev () =
+  let read path = Result.to_option (Mica_util.Artifact.read path) in
+  let rec find_git dir depth =
+    if depth > 6 then None
+    else
+      let candidate = Filename.concat dir ".git" in
+      if Sys.file_exists candidate then Some candidate
+      else
+        let parent = Filename.dirname dir in
+        if parent = dir then None else find_git parent (depth + 1)
+  in
+  match find_git (Sys.getcwd ()) 0 with
+  | exception Sys_error _ -> "unknown"
+  | None -> "unknown"
+  | Some git_dir -> (
+    match read (Filename.concat git_dir "HEAD") with
+    | None -> "unknown"
+    | Some head -> (
+      let head = String.trim head in
+      match String.length head >= 5 && String.sub head 0 5 = "ref: " with
+      | false -> if head = "" then "unknown" else head
+      | true -> (
+        let refname = String.trim (String.sub head 5 (String.length head - 5)) in
+        match read (Filename.concat git_dir refname) with
+        | Some rev when String.trim rev <> "" -> String.trim rev
+        | _ -> (
+          (* loose ref absent: look in packed-refs *)
+          match read (Filename.concat git_dir "packed-refs") with
+          | None -> "unknown"
+          | Some packed ->
+            let lines = String.split_on_char '\n' packed in
+            let matching =
+              List.find_opt
+                (fun line ->
+                  match String.index_opt line ' ' with
+                  | Some i -> String.sub line (i + 1) (String.length line - i - 1) = refname
+                  | None -> false)
+                lines
+            in
+            (match matching with
+            | Some line -> (
+              match String.index_opt line ' ' with
+              | Some i -> String.sub line 0 i
+              | None -> "unknown")
+            | None -> "unknown")))))

@@ -35,4 +35,10 @@ val to_json : t -> Mica_obs.Json.t
 (** Fixed key order; [of_json (to_json m) = Ok m]. *)
 
 val of_json : Mica_obs.Json.t -> (t, string) result
-(** Validates the schema tag and every field's type. *)
+(** Validates the schema tag and every field's type.  Integer fields must
+    be integers within [±2^53] ({!Mica_obs.Json.to_int}). *)
+
+val git_rev : unit -> string
+(** Best-effort HEAD commit of the enclosing repository (read from
+    [.git/HEAD] / [.git/packed-refs], no subprocess); ["unknown"] when it
+    cannot be determined. *)

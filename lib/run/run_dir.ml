@@ -1,5 +1,6 @@
 module Json = Mica_obs.Json
 module Csv = Mica_util.Csv
+module Artifact = Mica_util.Artifact
 
 type table = {
   row_names : string array;
@@ -21,6 +22,11 @@ let mica_file = "mica_dataset.csv"
 let hpc_file = "hpc_dataset.csv"
 let metrics_file = "metrics.json"
 let bench_file = "bench.json"
+
+(* The manifest's checksum header: [#mica-run <version> md5:<hex>].  The
+   version is bumped when the run-directory schema changes incompatibly. *)
+let header_prefix = "#mica-run "
+let format_version = "v1"
 
 let timestamp () =
   let tm = Unix.localtime (Unix.gettimeofday ()) in
@@ -87,8 +93,9 @@ let table_of_csv csv =
 type artifact = { filename : string; contents : string }
 
 let write_manifest dir manifest =
-  Run_io.write_checksummed (Filename.concat dir manifest_file)
-    (Json.to_string ~pretty:true (Manifest.to_json manifest) ^ "\n")
+  Artifact.write (Filename.concat dir manifest_file)
+    (Artifact.frame ~prefix:header_prefix ~version:format_version
+       (Json.to_string ~pretty:true (Manifest.to_json manifest) ^ "\n"))
 
 let commit ~root ?dirname ~manifest ~artifacts () =
   let base =
@@ -96,7 +103,7 @@ let commit ~root ?dirname ~manifest ~artifacts () =
     | Some d -> d
     | None -> Printf.sprintf "%s-%s" manifest.Manifest.created manifest.Manifest.tag
   in
-  Run_io.mkdir_p root;
+  Artifact.mkdir_p root;
   (* Uniquify: concurrent or same-second runs get .2, .3, ... *)
   let rec claim n =
     let candidate = if n = 1 then base else Printf.sprintf "%s.%d" base n in
@@ -108,17 +115,21 @@ let commit ~root ?dirname ~manifest ~artifacts () =
     end
   in
   let dir = claim 1 in
-  List.iter (fun a -> Run_io.atomic_write (Filename.concat dir a.filename) a.contents) artifacts;
+  List.iter (fun a -> Artifact.write (Filename.concat dir a.filename) a.contents) artifacts;
   let files =
-    List.sort compare (List.map (fun a -> (a.filename, Run_io.md5_hex a.contents)) artifacts)
+    List.sort compare (List.map (fun a -> (a.filename, Artifact.md5_hex a.contents)) artifacts)
   in
   write_manifest dir { manifest with Manifest.files };
   dir
 
 let read_manifest dir =
-  match Run_io.read_checksummed (Filename.concat dir manifest_file) with
-  | Error Run_io.Missing -> Error (Printf.sprintf "%s: no %s (not a run directory)" dir manifest_file)
-  | Error e -> Error (Printf.sprintf "%s: %s %s" dir manifest_file (Run_io.describe_error e))
+  match
+    Result.bind
+      (Artifact.read (Filename.concat dir manifest_file))
+      (Artifact.unframe ~prefix:header_prefix ~version:format_version)
+  with
+  | Error Artifact.Missing -> Error (Printf.sprintf "%s: no %s (not a run directory)" dir manifest_file)
+  | Error e -> Error (Printf.sprintf "%s: %s %s" dir manifest_file (Artifact.describe_error e))
   | Ok body -> (
     match Json.parse body with
     | Error msg -> Error (Printf.sprintf "%s: %s does not parse: %s" dir manifest_file msg)
@@ -131,10 +142,10 @@ let refresh_artifact ~dir ~filename ~contents =
   match read_manifest dir with
   | Error msg -> failwith ("Run_dir.refresh_artifact: " ^ msg)
   | Ok manifest ->
-    Run_io.atomic_write (Filename.concat dir filename) contents;
+    Artifact.write (Filename.concat dir filename) contents;
     let files =
       List.sort compare
-        ((filename, Run_io.md5_hex contents)
+        ((filename, Artifact.md5_hex contents)
         :: List.remove_assoc filename manifest.Manifest.files)
     in
     write_manifest dir { manifest with Manifest.files }
@@ -142,20 +153,27 @@ let refresh_artifact ~dir ~filename ~contents =
 let load dir =
   let ( let* ) = Result.bind in
   let* manifest = read_manifest dir in
-  (* Every artifact the manifest records must be present and match its
-     digest: the run loads all-or-nothing. *)
+  (* Every artifact the manifest records must be a plain file name of this
+     directory, present and matching its digest: the run loads
+     all-or-nothing, and never reads outside its directory. *)
+  let plain f = f <> "" && f <> "." && f <> ".." && not (String.contains f '/') in
   let* artifacts =
     List.fold_left
       (fun acc (filename, digest) ->
         let* acc = acc in
-        match Run_io.read_file (Filename.concat dir filename) with
-        | Error e -> Error (Printf.sprintf "%s: %s %s" dir filename (Run_io.describe_error e))
-        | Ok contents ->
-          if Run_io.md5_hex contents <> digest then
-            Error
-              (Printf.sprintf "%s: %s corrupt: content does not match its manifest digest" dir
-                 filename)
-          else Ok ((filename, contents) :: acc))
+        if not (plain filename) then
+          Error
+            (Printf.sprintf "%s: %s names %S, which is not a file of the run directory" dir
+               manifest_file filename)
+        else
+          match Artifact.read (Filename.concat dir filename) with
+          | Error e -> Error (Printf.sprintf "%s: %s %s" dir filename (Artifact.describe_error e))
+          | Ok contents ->
+            if Artifact.md5_hex contents <> digest then
+              Error
+                (Printf.sprintf "%s: %s corrupt: content does not match its manifest digest" dir
+                   filename)
+            else Ok ((filename, contents) :: acc))
       (Ok []) manifest.Manifest.files
   in
   let find name = List.assoc_opt name artifacts in

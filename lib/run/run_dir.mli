@@ -66,8 +66,10 @@ val refresh_artifact : dir:string -> filename:string -> contents:string -> unit
 val load : string -> (t, string) result
 (** Read and fully verify a run directory.  [Error] (with a
     human-readable reason) on: missing/truncated/corrupt manifest,
-    foreign schema, any artifact listed in the manifest that is missing
-    or fails its digest, or an unparsable dataset/JSON artifact. *)
+    foreign schema, a manifest file name that is not a plain name of the
+    directory (empty, [.], [..] or containing [/]), any artifact listed
+    in the manifest that is missing or fails its digest, or an
+    unparsable dataset/JSON artifact. *)
 
 val list_runs : string -> string list
 (** Subdirectories of [root] containing a [manifest.json], sorted by name

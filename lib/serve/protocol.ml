@@ -125,13 +125,12 @@ let num name j =
   Option.to_result ~none:(Printf.sprintf "field %S is not a number" name) (Json.to_num v)
 
 (* An integer field: a JSON number with no fractional part within
-   [±2^53], where every integer is exact as a float (and fits an int). *)
-let max_wire_int = 9_007_199_254_740_992.0
-
+   [±2^53] ([Json.to_int]). *)
 let integer name j =
   let* x = num name j in
-  if Float.is_integer x && Float.abs x <= max_wire_int then Result.Ok (int_of_float x)
-  else Result.Error (Printf.sprintf "field %S is not an integer within +/-2^53" name)
+  Option.to_result
+    ~none:(Printf.sprintf "field %S is not an integer within +/-2^53" name)
+    (Json.to_int (Json.Num x))
 
 let boolean name j =
   let* v = field name j in

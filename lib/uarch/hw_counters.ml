@@ -12,13 +12,13 @@ let names =
 let short_names = [| "ipc_ev56"; "br_miss"; "l1d_miss"; "l1i_miss"; "l2_miss"; "dtlb_miss"; "ipc_ev67" |]
 let count = Array.length names
 
-let ev56 = List.hd Machine_desc.presets
+let ev56 () = List.hd (Machine_desc.presets ())
 let ev67 = Machine_desc.paper_ev67
 
 type t = { ev56 : Machine.t; ev67 : Machine.t }
 
 let create () =
-  { ev56 = Machine.create ~model:"ev56" ev56; ev67 = Machine.create ~model:"ev67" ev67 }
+  { ev56 = Machine.create ~model:"ev56" (ev56 ()); ev67 = Machine.create ~model:"ev67" (ev67 ()) }
 
 let sink t = Mica_trace.Sink.fanout [ Machine.sink t.ev56; Machine.sink t.ev67 ]
 

@@ -12,11 +12,11 @@ val count : int
 val names : string array
 val short_names : string array
 
-val ev56 : Machine.config
+val ev56 : unit -> Machine.config
 (** The in-order Alpha 21164A: [machines/ev56.json], the first of
     {!Machine_desc.presets}. *)
 
-val ev67 : Machine.config
+val ev67 : unit -> Machine.config
 (** The out-of-order Alpha 21264A as the paper's counters measure it:
     [machines/paper/ev67.json] ({!Machine_desc.paper_ev67}).  It is the
     fleet's [ev67] core, caches and predictor with loads taking 3, 13 or

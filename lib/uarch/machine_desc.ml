@@ -278,11 +278,6 @@ let of_json json =
 
 (* ---------------- documents and files ---------------- *)
 
-let read_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | contents -> Ok contents
-  | exception Sys_error msg -> err "cannot read machine description: %s" msg
-
 let parse_string ~source contents =
   let prefix msg = Printf.sprintf "%s: %s" source msg in
   match Json.parse contents with
@@ -291,8 +286,10 @@ let parse_string ~source contents =
   | Ok json -> Result.map_error prefix (of_json json)
 
 let load path =
-  let* contents = read_file path in
-  parse_string ~source:path contents
+  match Mica_util.Artifact.read path with
+  | Ok contents -> parse_string ~source:path contents
+  | Error e ->
+    err "cannot read machine description %s: %s" path (Mica_util.Artifact.describe_error e)
 
 let load_dir dir =
   match Sys.readdir dir with
@@ -333,12 +330,32 @@ let compiled_in file text =
   | Ok cfg -> cfg
   | Error msg -> failwith ("compiled-in machine description " ^ msg)
 
-let presets =
-  [
-    compiled_in "ev56.json" Preset_files.ev56;
-    compiled_in "ev67.json" Preset_files.ev67;
-    compiled_in "embedded.json" Preset_files.embedded;
-    compiled_in "wide.json" Preset_files.wide;
-  ]
+(* Parsed by the first use, not at module initialization, so a process
+   that runs no machine pays nothing.  Under a mutex rather than a
+   [Lazy.t]: pool worker domains build the paper's counters concurrently,
+   and a [Lazy.force] racing another domain raises. *)
+let compiled = Atomic.make None
+let compiled_mutex = Mutex.create ()
 
-let paper_ev67 = compiled_in "paper/ev67.json" Preset_files.paper_ev67
+let get_compiled () =
+  match Atomic.get compiled with
+  | Some c -> c
+  | None ->
+    Mutex.protect compiled_mutex (fun () ->
+        match Atomic.get compiled with
+        | Some c -> c
+        | None ->
+          let c =
+            ( [
+                compiled_in "ev56.json" Preset_files.ev56;
+                compiled_in "ev67.json" Preset_files.ev67;
+                compiled_in "embedded.json" Preset_files.embedded;
+                compiled_in "wide.json" Preset_files.wide;
+              ],
+              compiled_in "paper/ev67.json" Preset_files.paper_ev67 )
+          in
+          Atomic.set compiled (Some c);
+          c)
+
+let presets () = fst (get_compiled ())
+let paper_ev67 () = snd (get_compiled ())

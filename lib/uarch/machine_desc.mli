@@ -28,7 +28,8 @@ val parse_string : source:string -> string -> (Machine.config, string) result
     a non-pipelined FP divider and a half-pipelined integer multiplier. *)
 
 val load : string -> (Machine.config, string) result
-(** Read and parse one description file. *)
+(** Read ({!Mica_util.Artifact.read}, so the [cache.read] fault point
+    applies) and parse one description file. *)
 
 val load_dir : string -> ((string * Machine.config) list, string) result
 (** Load every [*.json] in a directory, sorted by filename, and reject
@@ -36,15 +37,16 @@ val load_dir : string -> ((string * Machine.config) list, string) result
     offending file.  Each entry is keyed by the machine's [name] field
     (unique by construction), not its filename. *)
 
-val presets : Machine.config list
+val presets : unit -> Machine.config list
 (** [machines/{ev56,ev67,embedded,wide}.json], in that order: cores
     shaped like the Alpha 21164A and 21264A, a small single-issue
     embedded core, and an aggressive 8-wide "future machine" with a
     next-line prefetcher.  Compiled into the library and parsed once per
-    process, so nothing reads [machines/] at run time to get them.  The
-    cross-machine experiment runs these four. *)
+    process, by the first call (from any domain), so nothing reads
+    [machines/] at run time to get them.  The cross-machine experiment
+    runs these four. *)
 
-val paper_ev67 : Machine.config
+val paper_ev67 : unit -> Machine.config
 (** [machines/paper/ev67.json], compiled in the same way: the paper's
     EV67 ({!Hw_counters.ev67}).  It sits outside the directory the fleet
     loads, so it is not a member of the fleet. *)

@@ -544,7 +544,7 @@ let test_reuse_invalid_block () =
 
 let test_machines_experiment () =
   let ctx = coverage_context () in
-  let configs = [ Mica_uarch.Hw_counters.ev56; Tutil.preset "embedded" ] in
+  let configs = [ Mica_uarch.Hw_counters.ev56 (); Tutil.preset "embedded" ] in
   let fleet =
     C.Fleet.characterize ~configs ~icount:ctx.C.Experiments.Context.config.C.Pipeline.icount
       ctx.C.Experiments.Context.workloads

@@ -135,14 +135,14 @@ let test_compiled_in_match_files () =
     | Error m -> Alcotest.failf "%s: %s" file m
   in
   Alcotest.(check (list string)) "preset order" [ "ev56"; "ev67"; "embedded"; "wide" ]
-    (List.map (fun (c : U.Machine.config) -> c.U.Machine.name) Desc.presets);
+    (List.map (fun (c : U.Machine.config) -> c.U.Machine.name) (Desc.presets ()));
   List.iter
     (fun (cfg : U.Machine.config) ->
       if load (cfg.U.Machine.name ^ ".json") <> cfg then
         Alcotest.failf "compiled-in %s differs from machines/%s.json" cfg.U.Machine.name
           cfg.U.Machine.name)
-    Desc.presets;
-  if load "paper/ev67.json" <> Desc.paper_ev67 then
+    (Desc.presets ());
+  if load "paper/ev67.json" <> Desc.paper_ev67 () then
     Alcotest.fail "compiled-in paper EV67 differs from machines/paper/ev67.json"
 
 let test_l1i_latency_roundtrip () =
@@ -162,7 +162,7 @@ let test_l1i_latency_roundtrip () =
       "l1i_latency, l1_latency" (5, 2)
       (cfg.U.Machine.l1i_latency, cfg.U.Machine.l1_latency);
     Alcotest.(check bool) "nothing else moved" true
-      ({ U.Hw_counters.ev56 with U.Machine.l1i_latency = 5; l1_latency = 2 } = cfg)
+      ({ (U.Hw_counters.ev56 ()) with U.Machine.l1i_latency = 5; l1_latency = 2 } = cfg)
 
 let some_workloads n =
   List.filteri (fun i _ -> i mod (Registry.count / n) = 0) Registry.all
@@ -198,7 +198,7 @@ let test_fleet_rejects_duplicates () =
   (try
      ignore
        (Fleet.characterize ~jobs:1
-          ~configs:[ U.Hw_counters.ev56; U.Hw_counters.ev56 ]
+          ~configs:[ U.Hw_counters.ev56 (); U.Hw_counters.ev56 () ]
           ~icount:1_000 (some_workloads 2));
      Alcotest.fail "expected Invalid_argument for duplicate machine names"
    with Invalid_argument _ -> ());
@@ -230,7 +230,7 @@ let test_baseline_all_machines_in_envelope () =
       (U.Baseline.render (U.Baseline.failures outcomes))
 
 let test_baseline_deterministic () =
-  let configs = [ U.Hw_counters.ev56; Tutil.preset "wide" ] in
+  let configs = [ U.Hw_counters.ev56 (); Tutil.preset "wide" ] in
   let a = U.Baseline.run_kernel ~icount:10_000 configs ~kernel:"stream" in
   let b = U.Baseline.run_kernel ~icount:10_000 configs ~kernel:"stream" in
   List.iter2
@@ -255,7 +255,7 @@ let test_baseline_unknown_kernel () =
     Alcotest.(check bool) "lists valid names" true
       (String.length m > 0));
   try
-    ignore (U.Baseline.envelopes U.Hw_counters.ev56 ~kernel:"fibonacci");
+    ignore (U.Baseline.envelopes (U.Hw_counters.ev56 ()) ~kernel:"fibonacci");
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
@@ -276,7 +276,7 @@ let test_baseline_envelopes_sane () =
                   e.U.Baseline.metric)
             es)
         U.Baseline.kernel_names)
-    Desc.presets
+    (Desc.presets ())
 
 let suite =
   ( "fleet",

@@ -132,7 +132,7 @@ let prop_machines_bounded =
           r.Mica_uarch.Machine.ipc > 0.0
           && r.Mica_uarch.Machine.l1d_miss_rate >= 0.0
           && r.Mica_uarch.Machine.l1d_miss_rate <= 1.0)
-        Mica_uarch.Machine_desc.presets)
+        (Mica_uarch.Machine_desc.presets ()))
 
 let prop_trace_roundtrip =
   Tutil.qcheck_case ~count:20 "binary trace roundtrip on random specs" spec_gen (fun spec ->

@@ -537,7 +537,7 @@ let test_simpoint_golden (case, want) () =
 let machines_text (ctx : Core.Experiments.Context.t) =
   Core.Fleet.render_transfer
     (Core.Fleet.report ~mica:ctx.mica_space
-       (Core.Fleet.characterize ~configs:Mica_uarch.Machine_desc.presets ~icount:ctx.config.icount
+       (Core.Fleet.characterize ~configs:(Mica_uarch.Machine_desc.presets ()) ~icount:ctx.config.icount
           ctx.workloads))
 
 let pinned_machines_text = "69fbef54fceea838fea520d51b224837"

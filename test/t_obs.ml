@@ -316,22 +316,22 @@ let test_json_roundtrip () =
       Alcotest.(check bool) "span minor words recorded" true
         (num [ "spans"; "t_obs.rt_span"; "minor_words" ] doc >= 200.0))
 
-let test_write_json_file () =
+(* The CLI's [--metrics] file: the snapshot's JSON committed through
+   [Artifact.write] and read back. *)
+let test_snapshot_file () =
   with_obs (fun () ->
       rt_setup ();
       let path = Filename.temp_file "t_obs" ".json" in
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
-          Obs.write_json path (Obs.snapshot ());
-          let ic = open_in_bin path in
-          let contents = really_input_string ic (in_channel_length ic) in
-          close_in ic;
-          match Json.parse contents with
-          | Ok doc ->
+          Mica_util.Artifact.write path (Obs.to_json (Obs.snapshot ()));
+          match Result.map Json.parse (Mica_util.Artifact.read path) with
+          | Ok (Ok doc) ->
             Alcotest.(check (float 1e-9)) "file parses to same counter" 3.0
               (num [ "metrics"; "t_obs.basic"; "value" ] doc)
-          | Error msg -> Alcotest.failf "written file unparseable: %s" msg))
+          | Ok (Error msg) -> Alcotest.failf "written file unparseable: %s" msg
+          | Error e -> Alcotest.failf "written file unreadable: %s" (Mica_util.Artifact.describe_error e)))
 
 (* The words outside string literals of a JSON text, e.g. [true] or a bare
    [nan]; digits, signs and points are skipped, so an exponent's [e] shows
@@ -500,7 +500,7 @@ let suite =
       Alcotest.test_case "events reconstruct tree" `Quick test_events_reconstruct_tree;
       Alcotest.test_case "events off by default" `Quick test_events_off_by_default;
       Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
-      Alcotest.test_case "write_json file" `Quick test_write_json_file;
+      Alcotest.test_case "metrics snapshot file" `Quick test_snapshot_file;
       Alcotest.test_case "prometheus output" `Quick test_prometheus_output;
       Alcotest.test_case "non-finite export" `Quick test_non_finite_export;
       Alcotest.test_case "reset" `Quick test_reset;

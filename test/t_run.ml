@@ -166,38 +166,34 @@ let test_manifest_rejects () =
 (* ---------------- checksummed IO ---------------- *)
 
 let test_checksummed_roundtrip () =
+  let module A = Mica_util.Artifact in
   let path = Filename.temp_file "mica_run_io" ".json" in
+  let frame = A.frame ~prefix:"#mica-run " in
+  let read () = Result.bind (A.read path) (A.unframe ~prefix:"#mica-run " ~version:"v1") in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
       let body = "{\"k\": [1, 2, 3]}\n" in
-      R.Run_io.write_checksummed path body;
-      (match R.Run_io.read_checksummed path with
+      A.write path (frame ~version:"v1" body);
+      (match read () with
       | Ok b -> Alcotest.(check string) "body round-trips" body b
-      | Error e -> Alcotest.failf "read failed: %s" (R.Run_io.describe_error e));
+      | Error e -> Alcotest.failf "read failed: %s" (A.describe_error e));
       (* tamper one body byte: digest mismatch *)
-      let ic = open_in_bin path in
-      let raw = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let tampered = Bytes.of_string raw in
+      let tampered = Bytes.of_string (Result.get_ok (A.read path)) in
       Bytes.set tampered (Bytes.length tampered - 2) 'X';
-      let oc = open_out_bin path in
-      output_bytes oc tampered;
-      close_out oc;
-      (match R.Run_io.read_checksummed path with
-      | Error (R.Run_io.Corrupt _) -> ()
+      A.write path (Bytes.to_string tampered);
+      (match read () with
+      | Error (A.Corrupt _) -> ()
       | Ok _ -> Alcotest.fail "tampered file should not verify"
-      | Error e -> Alcotest.failf "expected Corrupt, got %s" (R.Run_io.describe_error e));
+      | Error e -> Alcotest.failf "expected Corrupt, got %s" (A.describe_error e));
       (* foreign format version *)
-      let oc = open_out_bin path in
-      output_string oc ("#mica-run v999 md5:" ^ R.Run_io.md5_hex body ^ "\n" ^ body);
-      close_out oc;
-      (match R.Run_io.read_checksummed path with
-      | Error (R.Run_io.Foreign_version _) -> ()
+      A.write path (frame ~version:"v999" body);
+      (match read () with
+      | Error (A.Foreign_version "v999") -> ()
       | _ -> Alcotest.fail "foreign version should be flagged");
       Sys.remove path;
-      match R.Run_io.read_checksummed path with
-      | Error R.Run_io.Missing -> ()
+      match read () with
+      | Error A.Missing -> ()
       | _ -> Alcotest.fail "missing file should be Missing")
 
 let test_table_csv_roundtrip () =
@@ -276,8 +272,77 @@ let test_missing_run_unreadable () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing dir must be an error");
   let root = fresh_root () in
-  R.Run_io.mkdir_p root;
+  Mica_util.Artifact.mkdir_p root;
   Alcotest.(check (option string)) "no runs -> no latest" None (R.Run_dir.latest root)
+
+(* [m], framed as [Run_dir] frames a manifest, over [dir]'s manifest. *)
+let rewrite_manifest dir m =
+  Mica_util.Artifact.write
+    (Filename.concat dir R.Run_dir.manifest_file)
+    (Mica_util.Artifact.frame ~prefix:"#mica-run " ~version:"v1"
+       (J.to_string ~pretty:true (R.Manifest.to_json m) ^ "\n"))
+
+(* A manifest with a valid checksum that names a file outside its run
+   directory, with that file's correct digest, must not load. *)
+let test_manifest_names_inside_run () =
+  let root = fresh_root () in
+  let dir = commit_run root ~tag:"escape" () in
+  let text = "not part of the run\n" in
+  Mica_util.Artifact.write (Filename.concat root "outside.txt") text;
+  let m = (load_exn dir).R.Run_dir.manifest in
+  List.iter
+    (fun name ->
+      let files = (name, Mica_util.Artifact.md5_hex text) :: m.R.Manifest.files in
+      rewrite_manifest dir { m with R.Manifest.files };
+      match R.Run_dir.load dir with
+      | Ok _ -> Alcotest.failf "a manifest naming %S must not load" name
+      | Error e ->
+        Alcotest.(check bool) (Printf.sprintf "error names %S" name) true
+          (contains ~sub:(Printf.sprintf "%S" name) e))
+    [ "../outside.txt"; Filename.concat root "outside.txt"; "sub/mica_dataset.csv"; ""; "."; ".." ];
+  rewrite_manifest dir m;
+  Alcotest.(check string) "the untouched manifest loads" "escape"
+    (load_exn dir).R.Run_dir.manifest.R.Manifest.tag
+
+(* Integer fields are integers within +/-2^53, where a float holds every
+   integer exactly; anything else is rejected, never rounded. *)
+let test_manifest_integer_fields () =
+  let set path v j =
+    let rec go path j =
+      match (path, j) with
+      | [], _ -> v
+      | k :: rest, J.Obj fields -> J.Obj (List.map (fun (k', x) -> if k' = k then (k', go rest x) else (k', x)) fields)
+      | _ -> Alcotest.fail "manifest json is nested objects"
+    in
+    go path j
+  in
+  let base = R.Manifest.to_json (manifest ()) in
+  List.iter
+    (fun (path, get) ->
+      List.iter
+        (fun (v, expected) ->
+          let what = Printf.sprintf "%s = %h" (String.concat "." path) v in
+          match (R.Manifest.of_json (set path (J.Num v) base), expected) with
+          | Ok m, Some n -> Alcotest.(check int) what n (get m)
+          | Error _, None -> ()
+          | Ok m, None -> Alcotest.failf "%s accepted as %d" what (get m)
+          | Error e, Some _ -> Alcotest.failf "%s rejected: %s" what e)
+        [
+          (7.0, Some 7);
+          (-3.0, Some (-3));
+          (0x1p53, Some (1 lsl 53));
+          (-0x1p53, Some (-(1 lsl 53)));
+          (0x1p53 +. 2.0, None);
+          (-0x1p60, None);
+          (1e300, None);
+          (2.5, None);
+          (Float.infinity, None);
+          (Float.nan, None);
+        ])
+    [
+      ([ "workloads" ], fun m -> m.R.Manifest.workloads);
+      ([ "config"; "icount" ], fun m -> m.R.Manifest.icount);
+    ]
 
 (* ---------------- compare: metamorphic laws ---------------- *)
 
@@ -560,6 +625,8 @@ let suite =
       Alcotest.test_case "truncated manifest unreadable" `Quick test_truncated_manifest_unreadable;
       Alcotest.test_case "tampered artifact unreadable" `Quick test_tampered_artifact_unreadable;
       Alcotest.test_case "missing run unreadable" `Quick test_missing_run_unreadable;
+      Alcotest.test_case "manifest names stay inside the run" `Quick test_manifest_names_inside_run;
+      Alcotest.test_case "manifest integer fields within 2^53" `Quick test_manifest_integer_fields;
       Alcotest.test_case "compare: self is empty and ok" `Quick test_compare_self_empty;
       Alcotest.test_case "compare: antisymmetric under swap" `Quick test_compare_antisymmetric;
       Alcotest.test_case "compare: tolerance gates" `Quick test_compare_tolerance_gate;

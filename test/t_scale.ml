@@ -48,9 +48,9 @@ let test_store_round_trip () =
       Core.Dataset_store.write path ds;
       (match Core.Dataset_store.verify path with
       | Ok () -> ()
-      | Error e -> Alcotest.failf "verify: %s" (Mica_run.Run_io.describe_error e));
+      | Error e -> Alcotest.failf "verify: %s" (Mica_util.Artifact.describe_error e));
       match Core.Dataset_store.load path with
-      | Error e -> Alcotest.failf "load: %s" (Mica_run.Run_io.describe_error e)
+      | Error e -> Alcotest.failf "load: %s" (Mica_util.Artifact.describe_error e)
       | Ok st ->
         let back = Core.Dataset_store.to_dataset st in
         Alcotest.(check (array string)) "names" ds.Core.Dataset.names back.Core.Dataset.names;
@@ -79,9 +79,9 @@ let test_store_header_golden () =
       Alcotest.(check int) "size arithmetic" (data_offset + (3 * 2 * 8)) size)
 
 let expect_corrupt what = function
-  | Error (Mica_run.Run_io.Corrupt _) -> ()
+  | Error (Mica_util.Artifact.Corrupt _) -> ()
   | Error e ->
-    Alcotest.failf "%s: expected Corrupt, got %s" what (Mica_run.Run_io.describe_error e)
+    Alcotest.failf "%s: expected Corrupt, got %s" what (Mica_util.Artifact.describe_error e)
   | Ok _ -> Alcotest.failf "%s: expected Corrupt, got Ok" what
 
 let test_store_tamper () =
@@ -113,7 +113,7 @@ let test_store_tamper () =
       (match Core.Dataset_store.load path with
       | Ok _ -> ()
       | Error e ->
-        Alcotest.failf "data tamper should load: %s" (Mica_run.Run_io.describe_error e));
+        Alcotest.failf "data tamper should load: %s" (Mica_util.Artifact.describe_error e));
       expect_corrupt "data tamper" (Core.Dataset_store.verify path);
       (* truncation: size arithmetic fails in load *)
       rewrite (Bytes.sub bytes 0 (Bytes.length bytes - 5));
@@ -124,16 +124,16 @@ let test_store_tamper () =
       Bytes.set magic 0 'X';
       rewrite magic;
       (match Core.Dataset_store.load path with
-      | Error (Mica_run.Run_io.Corrupt _) -> ()
-      | Error (Mica_run.Run_io.Foreign_version _) -> ()
+      | Error (Mica_util.Artifact.Corrupt _) -> ()
+      | Error (Mica_util.Artifact.Foreign_version _) -> ()
       | Error e ->
-        Alcotest.failf "bad magic: unexpected %s" (Mica_run.Run_io.describe_error e)
+        Alcotest.failf "bad magic: unexpected %s" (Mica_util.Artifact.describe_error e)
       | Ok _ -> Alcotest.fail "bad magic: expected an error");
       (* missing file *)
       Sys.remove path;
       match Core.Dataset_store.load path with
-      | Error Mica_run.Run_io.Missing -> ()
-      | Error e -> Alcotest.failf "missing: unexpected %s" (Mica_run.Run_io.describe_error e)
+      | Error Mica_util.Artifact.Missing -> ()
+      | Error e -> Alcotest.failf "missing: unexpected %s" (Mica_util.Artifact.describe_error e)
       | Ok _ -> Alcotest.fail "missing: expected Missing")
 
 let test_store_degenerate () =
@@ -145,7 +145,7 @@ let test_store_degenerate () =
           Core.Dataset_store.write path ds;
           match Core.Dataset_store.load path with
           | Error e ->
-            Alcotest.failf "load %d rows: %s" rows (Mica_run.Run_io.describe_error e)
+            Alcotest.failf "load %d rows: %s" rows (Mica_util.Artifact.describe_error e)
           | Ok st ->
             Alcotest.(check int) "rows" rows (Array.length st.Core.Dataset_store.names);
             let back = Core.Dataset_store.to_dataset st in
@@ -164,7 +164,7 @@ let test_store_csv_round_trip () =
           | Ok () -> ()
           | Error msg -> Alcotest.failf "import_csv: %s" msg);
           (match Core.Dataset_store.load path with
-          | Error e -> Alcotest.failf "load: %s" (Mica_run.Run_io.describe_error e)
+          | Error e -> Alcotest.failf "load: %s" (Mica_util.Artifact.describe_error e)
           | Ok st -> Core.Dataset_store.export_csv st csv2);
           let read p =
             let ic = open_in_bin p in

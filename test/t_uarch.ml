@@ -497,7 +497,7 @@ let run_machine cfg instrs =
 let ipc cfg instrs = (U.Machine.result (run_machine cfg instrs)).U.Machine.ipc
 
 let test_inorder_ipc_bounds () =
-  let m = run_machine U.Hw_counters.ev56 (straight_line_trace 10_000) in
+  let m = run_machine (U.Hw_counters.ev56 ()) (straight_line_trace 10_000) in
   let r = U.Machine.result m in
   Alcotest.(check int) "instruction count" 10_000 (U.Machine.instructions m);
   Alcotest.(check bool) "IPC within issue width" true
@@ -506,10 +506,10 @@ let test_inorder_ipc_bounds () =
   Alcotest.(check bool) "near peak on easy code" true (r.U.Machine.ipc > 1.8)
 
 let test_inorder_misses_hurt () =
-  let e = ipc U.Hw_counters.ev56 (straight_line_trace 5_000) in
+  let e = ipc (U.Hw_counters.ev56 ()) (straight_line_trace 5_000) in
   (* loads striding far apart: every access misses *)
   let h =
-    ipc U.Hw_counters.ev56
+    ipc (U.Hw_counters.ev56 ())
       (List.init 5_000 (fun i -> Tutil.load ~pc:0x1000 ~dst:1 ~addr:(i * 8192) ()))
   in
   Alcotest.(check bool) "misses lower IPC" true (h < e /. 4.0)
@@ -517,7 +517,7 @@ let test_inorder_misses_hurt () =
 let test_inorder_counter_rates () =
   let r =
     U.Machine.result
-      (run_machine U.Hw_counters.ev56
+      (run_machine (U.Hw_counters.ev56 ())
          (List.init 1_000 (fun i -> Tutil.load ~pc:0x1000 ~dst:1 ~addr:(i * 65536) ())))
   in
   Alcotest.(check bool) "thrashing L1D" true (r.U.Machine.l1d_miss_rate > 0.9);
@@ -525,18 +525,18 @@ let test_inorder_counter_rates () =
   Alcotest.(check bool) "I-stream resident" true (r.U.Machine.l1i_miss_rate < 0.05)
 
 let test_ooo_ipc_bounds () =
-  let r = ipc U.Hw_counters.ev67 (straight_line_trace 10_000) in
+  let r = ipc (U.Hw_counters.ev67 ()) (straight_line_trace 10_000) in
   Alcotest.(check bool) "IPC within width" true (r > 0.0 && r <= 4.0);
   Alcotest.(check bool) "wide on independent code" true (r > 3.0)
 
 let test_ooo_beats_inorder_on_ilp () =
   let trace = straight_line_trace 10_000 in
   Alcotest.(check bool) "4-wide OOO > 2-wide in-order" true
-    (ipc U.Hw_counters.ev67 trace > ipc U.Hw_counters.ev56 trace)
+    (ipc (U.Hw_counters.ev67 ()) trace > ipc (U.Hw_counters.ev56 ()) trace)
 
 let test_ooo_serial_dependency_limits () =
   let r =
-    ipc U.Hw_counters.ev67
+    ipc (U.Hw_counters.ev67 ())
       (List.init 10_000 (fun i -> Tutil.alu ~pc:(0x1000 + (4 * (i mod 64))) ~src1:1 ~dst:1 ()))
   in
   Alcotest.(check bool) "serial chain caps IPC near 1" true (r < 1.2)
@@ -548,7 +548,7 @@ let test_ooo_mispredicts_hurt () =
         if i mod 4 = 0 then Tutil.branch ~pc:0x1000 ~taken:(Mica_util.Rng.bool rng) ~target:0x2000 ()
         else Tutil.alu ~pc:(0x1004 + (4 * (i mod 16))) ())
   in
-  let r = U.Machine.result (run_machine U.Hw_counters.ev67 random_branches) in
+  let r = U.Machine.result (run_machine (U.Hw_counters.ev67 ()) random_branches) in
   Alcotest.(check bool) "random branches mispredict" true
     (r.U.Machine.branch_mispredict_rate > 0.3);
   Alcotest.(check bool) "mispredicts throttle IPC" true (r.U.Machine.ipc < 2.5)
@@ -584,13 +584,13 @@ let test_hw_counters_deterministic () =
    first preset, the EV67 the fleet's ev67 with five latencies changed. *)
 let test_hw_counters_machines () =
   Alcotest.(check bool) "EV56 is the first preset" true
-    (U.Hw_counters.ev56 = List.hd U.Machine_desc.presets);
+    (U.Hw_counters.ev56 () = List.hd (U.Machine_desc.presets ()));
   Alcotest.(check bool) "EV67 is the ev67 preset with l1i 3, l1d 3, l2 10, memory 87, DTLB 0"
     true
     ({ (Tutil.preset "ev67") with
        U.Machine.l1i_latency = 3; l1_latency = 3; l2_latency = 10; mem_latency = 87;
        dtlb_penalty = 0 }
-    = U.Hw_counters.ev67)
+    = U.Hw_counters.ev67 ())
 
 (* ---------------- configurable machines ---------------- *)
 
@@ -603,7 +603,7 @@ let test_machine_presets_run () =
       Alcotest.(check int) "6 metrics" 6 (Array.length v);
       Array.iter (fun x -> if Float.is_nan x then Alcotest.fail "NaN metric") v;
       if r.U.Machine.ipc <= 0.0 then Alcotest.failf "%s ipc <= 0" cfg.U.Machine.name)
-    U.Machine_desc.presets
+    (U.Machine_desc.presets ())
 
 let test_machine_ipc_respects_width () =
   let p = Tutil.tiny_program "machine-width" in
@@ -617,7 +617,7 @@ let test_machine_ipc_respects_width () =
       in
       if r.U.Machine.ipc > peak +. 1e-9 then
         Alcotest.failf "%s ipc %.2f exceeds width %.0f" cfg.U.Machine.name r.U.Machine.ipc peak)
-    U.Machine_desc.presets
+    (U.Machine_desc.presets ())
 
 let test_machine_matches_canonical_models () =
   (* Hw_counters' seven counters are its two machines' own results to the
@@ -629,8 +629,8 @@ let test_machine_matches_canonical_models () =
         let hw = U.Hw_counters.to_vector (U.Hw_counters.measure p ~icount:20_000) in
         let alone =
           Array.append
-            (U.Machine.to_vector (U.Machine.measure U.Hw_counters.ev56 p ~icount:20_000))
-            [| (U.Machine.measure U.Hw_counters.ev67 p ~icount:20_000).U.Machine.ipc |]
+            (U.Machine.to_vector (U.Machine.measure (U.Hw_counters.ev56 ()) p ~icount:20_000))
+            [| (U.Machine.measure (U.Hw_counters.ev67 ()) p ~icount:20_000).U.Machine.ipc |]
         in
         Array.iteri
           (fun k x ->
@@ -645,9 +645,9 @@ let test_machine_measure_all_isolated () =
   (* fanned-out machines give the same result as individual runs *)
   let p = Tutil.tiny_program "machine-fanout" in
   let embedded = Tutil.preset "embedded" in
-  let together = U.Machine.measure_all [ U.Hw_counters.ev56; embedded ] p ~icount:5_000 in
+  let together = U.Machine.measure_all [ U.Hw_counters.ev56 (); embedded ] p ~icount:5_000 in
   let alone =
-    [ U.Machine.measure U.Hw_counters.ev56 p ~icount:5_000;
+    [ U.Machine.measure (U.Hw_counters.ev56 ()) p ~icount:5_000;
       U.Machine.measure embedded p ~icount:5_000 ]
   in
   List.iter2
@@ -658,7 +658,7 @@ let test_machine_measure_all_isolated () =
 
 let test_machine_bigger_cache_fewer_misses () =
   let w = Mica_workloads.Registry.find_exn "SPEC2000/gcc/166" in
-  let small = U.Machine.measure U.Hw_counters.ev56 w.Mica_workloads.Workload.model ~icount:30_000 in
+  let small = U.Machine.measure (U.Hw_counters.ev56 ()) w.Mica_workloads.Workload.model ~icount:30_000 in
   let big = U.Machine.measure (Tutil.preset "wide") w.Mica_workloads.Workload.model ~icount:30_000 in
   Alcotest.(check bool) "64KB L1D misses less than 8KB" true
     (big.U.Machine.l1d_miss_rate < small.U.Machine.l1d_miss_rate)
@@ -668,7 +668,7 @@ let test_machine_prefetch_helps_streaming () =
   (* sequential sweep: next-line prefetching halves (or better) the L1D
      miss rate; on pointer-style random access it must not help *)
   let stream = List.init 4_000 (fun i -> Tutil.load ~pc:0x1000 ~dst:1 ~addr:(0x100000 + (i * 8)) ()) in
-  let base = { U.Hw_counters.ev56 with U.Machine.name = "nopf" } in
+  let base = { (U.Hw_counters.ev56 ()) with U.Machine.name = "nopf" } in
   let pf = { base with U.Machine.name = "pf"; prefetch_next_line = true } in
   let run cfg trace =
     let t = U.Machine.create cfg in
@@ -713,7 +713,7 @@ let test_allocation_budget () =
         [
           ("Hw_counters.measure", fun () -> ignore (U.Hw_counters.measure p ~icount : U.Hw_counters.result));
           ( "Machine.measure_all presets",
-            fun () -> ignore (U.Machine.measure_all U.Machine_desc.presets p ~icount : U.Machine.result list) );
+            fun () -> ignore (U.Machine.measure_all (U.Machine_desc.presets ()) p ~icount : U.Machine.result list) );
           ("Analyzer.analyze", fun () -> ignore (Mica_analysis.Analyzer.analyze p ~icount : float array));
         ])
     [ "SPEC2000/mcf/ref"; "SPEC2000/swim/ref"; "MiBench/sha/large" ]
@@ -752,7 +752,7 @@ let test_preset_golden_vectors () =
             Alcotest.failf "%s %s: %.17g <> golden %.17g" name
               U.Machine.metric_names.(i) x expect.(i))
         v)
-    U.Machine_desc.presets preset_goldens
+    (U.Machine_desc.presets ()) preset_goldens
 
 (* ---------------- machine properties over random kernels ---------------- *)
 
@@ -796,7 +796,7 @@ let prop_machine_rates_bounded =
       (match Mica_trace.Kernel.validate spec with
       | Ok () -> ()
       | Error m -> QCheck2.Test.fail_reportf "generated kernel invalid: %s" m);
-      let cfg = List.nth U.Machine_desc.presets which in
+      let cfg = List.nth (U.Machine_desc.presets ()) which in
       let p = Mica_trace.Program.single ~name:"qcheck-machine" spec in
       let r = U.Machine.measure cfg p ~icount:3_000 in
       let v = U.Machine.to_vector r in

@@ -43,7 +43,7 @@ let fp ?(pc = 0x1000) ?(src1 = -1) ?(src2 = -1) ?(dst = -1) () =
 let preset name =
   List.find
     (fun (c : Mica_uarch.Machine.config) -> c.Mica_uarch.Machine.name = name)
-    Mica_uarch.Machine_desc.presets
+    (Mica_uarch.Machine_desc.presets ())
 
 (* A small deterministic workload program for integration tests. *)
 let tiny_program name =
