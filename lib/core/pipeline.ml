@@ -141,16 +141,17 @@ let load_cache ~features path =
     empty ()
   | Ok contents -> (
       let csv =
-        match Artifact.unframe ~prefix:cache_header_prefix ~version:model_version contents with
-        | Ok body -> Some body
-        | Error (Artifact.Foreign_version _) ->
-          Logs.warn (fun f -> f "cache %s was written by another model version; ignoring" path);
-          None
-        | Error _ when not (String.starts_with ~prefix:cache_header_prefix contents) ->
+        if not (String.starts_with ~prefix:cache_header_prefix contents) then
           Some contents (* legacy headerless cache: parse leniently *)
-        | Error _ ->
-          quarantine path "failed its content checksum";
-          None
+        else
+          match Artifact.unframe ~prefix:cache_header_prefix ~version:model_version contents with
+          | Ok body -> Some body
+          | Error (Artifact.Foreign_version _) ->
+            Logs.warn (fun f -> f "cache %s was written by another model version; ignoring" path);
+            None
+          | Error _ ->
+            quarantine path "failed its content checksum";
+            None
       in
       match csv with
       | None -> empty ()

@@ -333,6 +333,47 @@ let test_snapshot_file () =
           | Ok (Error msg) -> Alcotest.failf "written file unparseable: %s" msg
           | Error e -> Alcotest.failf "written file unreadable: %s" (Mica_util.Artifact.describe_error e)))
 
+(* [mica --metrics FILE] through the CLI: the snapshot's directory is
+   created like every other artifact's, and a snapshot that cannot be
+   written is one error line and exit 2, never an uncaught exception at
+   exit. *)
+let test_metrics_cli () =
+  T_artifact.with_temp_dir (fun dir ->
+      let run path extra =
+        T_trace.run_mica
+          ([ "characterize"; "MiBench/sha/large"; "--icount"; "2000"; "--no-run"; "--no-cache";
+             "--metrics"; path ]
+          @ extra)
+      in
+      let errors text =
+        List.filter (String.starts_with ~prefix:"error:") (String.split_on_char '\n' text)
+      in
+      let fresh = Filename.concat (Filename.concat dir "new") "m.json" in
+      let code, err = run fresh [] in
+      Alcotest.(check int) ("exit code; stderr: " ^ err) 0 code;
+      (match Result.map Json.parse (Mica_util.Artifact.read fresh) with
+      | Ok (Ok _) -> ()
+      | _ -> Alcotest.fail "the snapshot is written, its directory created");
+      let blocker = Filename.concat dir "file" in
+      Mica_util.Artifact.write blocker "a regular file\n";
+      List.iter
+        (fun (what, path, extra) ->
+          let code, err = run path extra in
+          Alcotest.(check int) (what ^ ": exit code") 2 code;
+          (match errors err with
+          | [ line ] ->
+            let prefix = Printf.sprintf "error: cannot write metrics snapshot %s: " path in
+            if not (String.starts_with ~prefix line) then Alcotest.failf "%s: %S" what line
+          | lines -> Alcotest.failf "%s: %d error lines in %S" what (List.length lines) err);
+          if T_serve.contains ~sub:"Fatal error" err then Alcotest.failf "%s: %S" what err;
+          Alcotest.(check bool) (what ^ ": no snapshot") false (Sys.file_exists path))
+        [
+          ("under a regular file", Filename.concat blocker "m.json", []);
+          ("injected write fault", Filename.concat dir "m.json", [ "--faults"; "seed=3,cache.write=1" ]);
+        ];
+      Alcotest.(check (list string)) "no temp file left" [ "file"; "new" ]
+        (List.sort compare (Array.to_list (Sys.readdir dir))))
+
 (* The words outside string literals of a JSON text, e.g. [true] or a bare
    [nan]; digits, signs and points are skipped, so an exponent's [e] shows
    up as a word of its own. *)
@@ -501,6 +542,7 @@ let suite =
       Alcotest.test_case "events off by default" `Quick test_events_off_by_default;
       Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
       Alcotest.test_case "metrics snapshot file" `Quick test_snapshot_file;
+      Alcotest.test_case "metrics snapshot write failure" `Quick test_metrics_cli;
       Alcotest.test_case "prometheus output" `Quick test_prometheus_output;
       Alcotest.test_case "non-finite export" `Quick test_non_finite_export;
       Alcotest.test_case "reset" `Quick test_reset;

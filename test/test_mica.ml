@@ -26,4 +26,5 @@ let () =
       T_serve.suite;
       T_wire.suite;
       T_artifact.suite;
+      T_mutation.suite;
     ]
