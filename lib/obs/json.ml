@@ -367,6 +367,7 @@ let to_num = function Num f -> Some f | _ -> None
 let to_int = function
   | Num f when Float.is_integer f && Float.abs f <= 9_007_199_254_740_992.0 -> Some (int_of_float f)
   | _ -> None
+
 let to_float = function Num f -> Some f | Null -> Some Float.nan | _ -> None
 
 let to_str = function Str s -> Some s | _ -> None
