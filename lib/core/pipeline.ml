@@ -265,7 +265,7 @@ let ckpt_header_prefix = "#mica-ckpt "
 let checkpoint_dir config = Option.map (fun d -> Filename.concat d "checkpoints") config.cache_dir
 
 let checkpoint_path config dir id =
-  let key = Digest.to_hex (Digest.string (Printf.sprintf "%s|%d|%s" model_version config.icount id)) in
+  let key = Artifact.md5_hex (Printf.sprintf "%s|%d|%s" model_version config.icount id) in
   Filename.concat dir (Printf.sprintf "ckpt-%s.csv" key)
 
 let checkpoint_body config id (m, h) =
