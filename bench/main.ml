@@ -432,8 +432,6 @@ let corpus5k = lazy (Mica_core.Corpus_gen.generate ~size:5_000 ())
 let corpus10k = lazy (Mica_core.Corpus_gen.generate ~size:10_000 ())
 
 let zrows2k = lazy (Stats.Normalize.zscore (Lazy.force corpus2k).Mica_core.Dataset.data)
-let zcol2k = lazy (Stats.Colmat.of_matrix (Lazy.force zrows2k))
-let condensed2k_out = lazy (Array.make (Stats.Distance.pair_count 2_000) 0.0)
 
 let zcol10k =
   lazy (Stats.Colmat.zscore (Stats.Colmat.of_matrix (Lazy.force corpus10k).Mica_core.Dataset.data))
@@ -441,24 +439,11 @@ let zcol10k =
 let ann10k = lazy (Stats.Ann.build (Lazy.force zcol10k))
 let query10k = lazy (Stats.Colmat.row (Lazy.force zcol10k) 17)
 
-(* the bit-identity pair: same condensed vector, row-records vs tiles.
-   The tiled kernel's win is parallel scalability (disjoint condensed
-   ranges per worker at any jobs count); on a single-core runner expect
-   parity with the naive scan, not speedup — the order-of-complexity
-   wins live in the knn and subset pairs below. *)
+(* the condensed distance vector of the 2k corpus *)
 let t_condensed_naive =
   Test.make ~name:"condensed_naive_n2000"
     (Staged.stage (fun () ->
          Sys.opaque_identity (Stats.Distance.condensed (Lazy.force zrows2k))))
-
-let pool4 = lazy (Mica_util.Pool.create ~jobs:4)
-
-let t_condensed_blocked =
-  Test.make ~name:"condensed_blocked_pool4_n2000"
-    (Staged.stage (fun () ->
-         Sys.opaque_identity
-           (Stats.Distance.condensed_blocked ~pool:(Lazy.force pool4)
-              ~out:(Lazy.force condensed2k_out) (Lazy.force zcol2k))))
 
 (* the query pair: one kNN lookup, linear scan vs ANN prune + re-rank *)
 let t_knn_naive =
@@ -498,7 +483,7 @@ let tests =
     t_ablation_multipass; t_generation_only; t_ga_seed; t_pca_baseline; t_linkage; t_phases;
     t_spec_parse; t_coverage; t_machines; t_fleet_one_pass; t_fleet_n_pass; t_reuse;
     t_simpoint; t_bootstrap; t_extended;
-    t_sketch_exact; t_sketch_stream; t_condensed_naive; t_condensed_blocked; t_knn_naive;
+    t_sketch_exact; t_sketch_stream; t_condensed_naive; t_knn_naive;
     t_knn_ann; t_subset_naive; t_subset_scalable;
   ]
 
@@ -555,16 +540,10 @@ let trajectory_baselines =
   ]
 
 (* Naive-vs-scalable pairs measured in the same run; results_json
-   derives the speedup of each.  The condensed pair is a
-   parallel-scalability entry — same bits, workers own disjoint
-   condensed ranges — so its record carries the jobs count and its
-   speedup is meaningful only relative to the cores actually available
-   (expect parity on a 1-core runner, where the kernel falls back to the
-   naive scan anyway).  The query pairs are single-threaded
+   derives the speedup of each.  The query pairs are single-threaded
    order-of-complexity wins. *)
 let speedup_pairs =
   [
-    ("scale_condensed_2k", "condensed_naive_n2000", "condensed_blocked_pool4_n2000", Some 4);
     ("scale_knn_query_10k", "knn_naive_n10000", "knn_ann_n10000", None);
     ("scale_subset_query_5k", "subset_naive_n5000", "subset_scalable_n5000", None);
     ("sketch_extended_swim_200k", "sketch_exact_extended_swim_200k",
@@ -805,8 +784,7 @@ let () =
      index build are setup, not the query being measured *)
   if not smoke then begin
     Printf.printf "preparing scale fixtures (2k/5k/10k corpora, ANN index)...\n%!";
-    ignore (Lazy.force zcol2k);
-    ignore (Lazy.force condensed2k_out);
+    ignore (Lazy.force zrows2k);
     ignore (Lazy.force corpus5k);
     ignore (Lazy.force ann10k);
     ignore (Lazy.force query10k)

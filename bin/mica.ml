@@ -60,18 +60,23 @@ let metrics_opt =
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
+(* A file the user asked for that cannot be committed is one
+   [error: cannot write <what>PATH: REASON] line and exit 2. *)
+let write_or_exit ?(what = "") path contents =
+  try Mica_util.Artifact.write path contents
+  with Sys_error reason | Mica_util.Fault.Injected reason ->
+    Printf.eprintf "error: cannot write %s%s: %s\n%!" what path reason;
+    exit 2
+
 (* The snapshot is written from [at_exit] so every exit path of every
-   subcommand — including the [exit 1/2] error paths — still commits it.
-   A snapshot that cannot be committed is an error line and exit 2. *)
+   subcommand — including the [exit 1/2] error paths — still commits it. *)
 let setup_metrics = function
   | None -> ()
   | Some path ->
     Mica_obs.Obs.set_enabled true;
     at_exit (fun () ->
-        try Mica_util.Artifact.write path (Mica_obs.Obs.to_json (Mica_obs.Obs.snapshot ()))
-        with Sys_error reason | Mica_util.Fault.Injected reason ->
-          Printf.eprintf "error: cannot write metrics snapshot %s: %s\n%!" path reason;
-          exit 2)
+        write_or_exit ~what:"metrics snapshot " path
+          (Mica_obs.Obs.to_json (Mica_obs.Obs.snapshot ())))
 
 (* ---------------- run directories ---------------- *)
 
@@ -314,7 +319,7 @@ let stream_cmd =
     | None -> ()
     | Some d ->
       Printf.printf "\nexponentially-decayed characteristic vector (alpha %.2f):\n"
-        Mica_sketch.Stream.default_alpha;
+        Mica_sketch.Stream.alpha;
       Array.iteri
         (fun i v ->
           Printf.printf "%2d  %-14s %14.6f\n" (i + 1) Mica_analysis.Extended.short_names.(i) v)
@@ -400,7 +405,7 @@ let load_run_or_exit dir =
     exit 2
 
 let write_json_report path json =
-  Mica_util.Artifact.write path (Mica_obs.Json.to_string ~pretty:true json ^ "\n")
+  write_or_exit path (Mica_obs.Json.to_string ~pretty:true json ^ "\n")
 
 let tolerance_opt =
   let doc =
@@ -921,26 +926,19 @@ let corpus_cmd =
         Printf.printf "wrote %s (%dx%d binary columnar)\n" path (Mica_core.Dataset.rows ds)
           (Mica_core.Dataset.cols ds))
       out;
+    let text = Mica_core.Dataset.csv ds in
     Option.iter
       (fun path ->
-        Mica_core.Dataset.to_csv ds path;
+        write_or_exit path text;
         Printf.printf "wrote %s\n" path)
       csv;
     (* commit a run directory so CI can gate regenerated corpora with
        [mica compare] — mica table only; compare notes the absent
        counters table instead of failing *)
-    let module R = Mica_run.Run_dir in
-    let table =
-      {
-        R.row_names = ds.Mica_core.Dataset.names;
-        columns = ds.Mica_core.Dataset.features;
-        cells = ds.Mica_core.Dataset.data;
-      }
-    in
     ignore
       (commit_run ~config ~icount:anchor_icount ~workloads:(Mica_core.Dataset.rows ds)
          ~seeds:[ ("corpus-version", string_of_int Mica_workloads.Corpus.version) ]
-         ~artifacts:[ { R.filename = R.mica_file; contents = R.csv_of_table table } ]);
+         ~artifacts:[ { Mica_run.Run_dir.filename = Mica_run.Run_dir.mica_file; contents = text } ]);
     let per_family = (size + 2) / 3 in
     Printf.printf "corpus: %d members x %d characteristics (%d families, <=%d each, %d anchors)\n"
       size (Mica_core.Dataset.cols ds)
@@ -1630,11 +1628,10 @@ let export_cmd =
   in
   let run config out_dir =
     let ctx = E.Context.load ~config () in
-    Mica_util.Artifact.mkdir_p out_dir;
     let mica_path = Filename.concat out_dir "mica_dataset.csv" in
     let hpc_path = Filename.concat out_dir "hpc_dataset.csv" in
-    Mica_core.Dataset.to_csv ctx.E.Context.mica mica_path;
-    Mica_core.Dataset.to_csv ctx.E.Context.hpc hpc_path;
+    write_or_exit mica_path (Mica_core.Dataset.csv ctx.E.Context.mica);
+    write_or_exit hpc_path (Mica_core.Dataset.csv ctx.E.Context.hpc);
     Printf.printf "wrote %s (%dx%d) and %s (%dx%d)\n" mica_path
       (Mica_core.Dataset.rows ctx.E.Context.mica)
       (Mica_core.Dataset.cols ctx.E.Context.mica)

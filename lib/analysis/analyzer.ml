@@ -7,10 +7,10 @@ type t = {
   ppm : Ppm.t;
 }
 
-let create ?(ppm_order = 8) ?ilp_windows () =
+let create ?(ppm_order = 8) () =
   {
     mix = Mix.create ();
-    ilp = Ilp.create ?windows:ilp_windows ();
+    ilp = Ilp.create ();
     regtraffic = Regtraffic.create ();
     working_set = Working_set.create ();
     strides = Strides.create ();

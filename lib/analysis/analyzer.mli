@@ -6,7 +6,7 @@
 
 type t
 
-val create : ?ppm_order:int -> ?ilp_windows:int array -> unit -> t
+val create : ?ppm_order:int -> unit -> t
 val sink : t -> Mica_trace.Sink.t
 
 val vector : t -> float array
@@ -16,11 +16,9 @@ val vector : t -> float array
 (** Access to the per-family analyzers, for case studies and tests. *)
 
 val mix : t -> Mix.result
-val ilp_ipc : t -> float array
 val regtraffic : t -> Regtraffic.result
 val working_set : t -> Working_set.result
 val strides : t -> Strides.result
-val ppm_miss_rates : t -> float array
 val instructions : t -> int
 
 val analyze : ?ppm_order:int -> Mica_trace.Program.t -> icount:int -> float array

@@ -52,6 +52,8 @@ let sink t =
         if t.in_interval >= t.interval then close_interval t
       done)
 
+(* Flush the current partial interval (if at least half full); every
+   accessor calls it. *)
 let finalize t =
   if not t.finalized then begin
     if t.in_interval >= t.interval / 2 then close_interval t;
@@ -62,7 +64,6 @@ let intervals_list t =
   finalize t;
   List.rev t.finished
 
-let interval_count t = List.length (intervals_list t)
 
 let block_ids t =
   let union = Hashtbl.create 1024 in

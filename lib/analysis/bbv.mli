@@ -16,16 +16,6 @@ val create : ?interval:int -> unit -> t
 
 val sink : t -> Mica_trace.Sink.t
 
-val finalize : t -> unit
-(** Flush the current partial interval (if at least half full).  Called
-    automatically by the accessors below. *)
-
-val interval_count : t -> int
-
-val block_ids : t -> int array
-(** Entry pcs of every basic block seen, ascending; the column order of
-    {!matrix}. *)
-
 val matrix : t -> float array array
 (** Interval-by-block matrix of execution frequencies, each row summing to
     1 (for non-empty intervals). *)

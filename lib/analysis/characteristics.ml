@@ -71,9 +71,5 @@ let names = Array.map (fun (_, n, _) -> n) table
 let short_names = Array.map (fun (_, _, s) -> s) table
 let categories = Array.map (fun (c, _, _) -> c) table
 
-let index_of_short_name s =
-  let rec go i = if i >= count then None else if short_names.(i) = s then Some i else go (i + 1) in
-  go 0
-
 let pp_row fmt i =
   Format.fprintf fmt "%2d  %-22s  %s" (i + 1) (category_name categories.(i)) names.(i)

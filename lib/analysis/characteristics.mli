@@ -22,10 +22,6 @@ val short_names : string array
 (** Compact labels for plots and tables, e.g. ["ll_stride<=64"]. *)
 
 val categories : category array
-val category_name : category -> string
-
-val index_of_short_name : string -> int option
-(** Lookup by compact label. *)
 
 val pp_row : Format.formatter -> int -> unit
 (** Pretty-print one Table II row: number, category, name. *)

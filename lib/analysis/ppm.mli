@@ -18,11 +18,6 @@
 
 type variant = GAg | PAg | GAs | PAs
 
-val all_variants : variant list
-(** In Table II order (rows 44-47): GAg, PAg, GAs, PAs. *)
-
-val variant_name : variant -> string
-
 type t
 
 val create : ?order:int -> ?variants:variant list -> unit -> t

@@ -93,8 +93,6 @@ let sink t =
 let accesses t = t.accesses
 let cold_misses t = t.cold
 
-let default_cutoffs = [| 4; 16; 64; 256; 1024; 4096; 16384; 65536 |]
-
 let cdf t cutoffs =
   let denom = float_of_int (max 1 t.accesses) in
   Array.map

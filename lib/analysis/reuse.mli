@@ -28,10 +28,6 @@ val cdf : t -> int array -> float array
 (** [cdf t cutoffs] gives P(reuse distance <= c) for each cutoff, over all
     accesses (cold misses count as exceeding every cutoff). *)
 
-val default_cutoffs : int array
-(** Powers of four: 4, 16, 64, ..., 65536 — log-spaced cache-size proxies
-    (in 32-byte blocks: 128B up to 2MB). *)
-
 val miss_rate_for_capacity : t -> blocks:int -> float
 (** Miss rate of a fully-associative LRU cache holding [blocks] blocks:
     fraction of accesses with reuse distance >= blocks (cold misses

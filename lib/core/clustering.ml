@@ -8,7 +8,7 @@ type t = {
   bic_sweep : (int * float) array;
 }
 
-let cluster ?(k_min = 1) ?(k_max = 70) ?(bic_frac = 0.9) ?(prefer = Stats.Bic.Peak)
+let cluster ?(k_min = 1) ?(k_max = 70) ?(prefer = Stats.Bic.Peak)
     ?(restarts = 3) ?(seed = 0x5EEDL) ?(pool = Mica_util.Pool.sequential) dataset =
   let normalized = Stats.Normalize.zscore dataset.Dataset.data in
   let rng = Mica_util.Rng.create ~seed in
@@ -16,7 +16,7 @@ let cluster ?(k_min = 1) ?(k_max = 70) ?(bic_frac = 0.9) ?(prefer = Stats.Bic.Pe
     Stats.Bic.sweep ~k_min ~k_max ~restarts ~pool ~features:dataset.Dataset.features ~rng
       normalized
   in
-  let k, result, _score = Stats.Bic.choose ~frac:bic_frac ~prefer sweep in
+  let k, result, _score = Stats.Bic.choose ~frac:0.9 ~prefer sweep in
   {
     dataset;
     k;
@@ -31,9 +31,6 @@ let members t c =
     (fun i a -> if a = c then out := t.dataset.Dataset.names.(i) :: !out)
     t.assignments;
   Array.of_list (List.rev !out)
-
-let cluster_of t name =
-  Option.map (fun i -> t.assignments.(i)) (Dataset.row_index t.dataset name)
 
 let sorted_clusters t =
   let clusters = List.init t.k (fun c -> (c, members t c)) in

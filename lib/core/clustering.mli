@@ -15,7 +15,6 @@ type t = {
 val cluster :
   ?k_min:int ->
   ?k_max:int ->
-  ?bic_frac:float ->
   ?prefer:Mica_stats.Bic.preference ->
   ?restarts:int ->
   ?seed:int64 ->
@@ -30,8 +29,6 @@ val cluster :
 
 val members : t -> int -> string array
 (** Row names assigned to a cluster, in dataset order. *)
-
-val cluster_of : t -> string -> int option
 
 val sorted_clusters : t -> (int * string array) list
 (** Clusters ordered by size (desc), singletons last;

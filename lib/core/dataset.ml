@@ -1,5 +1,6 @@
 module Matrix = Mica_stats.Matrix
 module Csv = Mica_util.Csv
+module Artifact = Mica_util.Artifact
 
 type t = { names : string array; features : string array; data : Matrix.t }
 
@@ -19,7 +20,6 @@ let index_of labels needle =
   go 0
 
 let row_index t name = index_of t.names name
-let feature_index t name = index_of t.features name
 
 let row_exn t name =
   match row_index t name with
@@ -33,31 +33,10 @@ let select_features t idx =
     data = Matrix.select_columns t.data idx;
   }
 
-let select_rows t idx =
-  {
-    names = Array.map (fun i -> t.names.(i)) idx;
-    features = t.features;
-    data = Array.map (fun i -> Array.copy t.data.(i)) idx;
-  }
+let csv t =
+  Csv.table ~columns:t.features (Array.to_list (Array.map2 (fun n row -> (n, row)) t.names t.data))
 
-let append_rows a b =
-  if a.features <> b.features then invalid_arg "Dataset.append_rows: feature mismatch";
-  {
-    names = Array.append a.names b.names;
-    features = a.features;
-    data = Array.append (Matrix.copy a.data) (Matrix.copy b.data);
-  }
-
-let to_csv t path =
-  let header = "name" :: Array.to_list t.features in
-  let rows =
-    Array.to_list
-      (Array.mapi
-         (fun i name ->
-           name :: Array.to_list (Array.map (Printf.sprintf "%.17g") t.data.(i)))
-         t.names)
-  in
-  Csv.to_file path (header :: rows)
+let to_csv t path = Artifact.write path (csv t)
 
 let of_csv path =
   match Csv.of_file path with

@@ -15,16 +15,15 @@ val cols : t -> int
 
 val row_index : t -> string -> int option
 val row_exn : t -> string -> float array
-val feature_index : t -> string -> int option
 
 val select_features : t -> int array -> t
-val select_rows : t -> int array -> t
 
-val append_rows : t -> t -> t
-(** Requires identical feature labels. *)
+val csv : t -> string
+(** [t] in the {!Mica_util.Csv.table} layout. *)
 
 val to_csv : t -> string -> unit
-(** Header row is ["name"; features...]; one row per observation. *)
+(** [to_csv t path] commits [csv t] through {!Mica_util.Artifact.write}:
+    atomically, or not at all, raising [Sys_error] or [Fault.Injected]. *)
 
 val of_csv : string -> t
 (** Inverse of {!to_csv}.  Raises [Failure] on malformed input. *)

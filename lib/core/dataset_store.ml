@@ -172,18 +172,5 @@ let verify path =
 
 (* --- conversions --------------------------------------------------- *)
 
-let to_dataset t =
-  Dataset.create ~names:t.names ~features:t.features (Colmat.to_matrix t.data)
-
 let of_dataset (ds : Dataset.t) =
   { names = ds.Dataset.names; features = ds.Dataset.features; data = Colmat.of_matrix ds.Dataset.data }
-
-let import_csv ~csv path =
-  match Dataset.of_csv csv with
-  | exception Failure msg -> Error msg
-  | exception Sys_error msg -> Error msg
-  | ds ->
-      write path ds;
-      Ok ()
-
-let export_csv t path = Dataset.to_csv (to_dataset t) path

@@ -53,16 +53,6 @@ val verify : string -> (unit, Mica_util.Artifact.read_error) result
 (** Full check of [path]: everything {!load} validates, plus the MD5 of
     the data section. *)
 
-val to_dataset : t -> Dataset.t
-(** Materialize as a row-major labeled matrix (copies the data). *)
-
 val of_dataset : Dataset.t -> t
 (** In-memory columnar view of a dataset (copies the data). *)
 
-val import_csv : csv:string -> string -> (unit, string) result
-(** [import_csv ~csv path] converts a {!Dataset.to_csv} file to the
-    binary format.  Lossless: {!Dataset} CSV prints floats with [%.17g],
-    so CSV -> binary -> CSV round-trips bit-exactly. *)
-
-val export_csv : t -> string -> unit
-(** Inverse of {!import_csv}. *)

@@ -329,6 +329,8 @@ let render_fig6 f =
 
 (* ---------------- Extended characteristic set ---------------- *)
 
+(* All workloads characterized with [Extended] (60 characteristics),
+   cached alongside the main datasets. *)
 let extended_dataset (ctx : Context.t) =
   let config = ctx.Context.config in
   let cache_path =
@@ -379,7 +381,7 @@ let extended_dataset (ctx : Context.t) =
            ~features:Analysis.Extended.short_names
            (Array.of_list (List.map snd entries))
        in
-       (try Dataset.to_csv ds p with Sys_error _ -> ())
+       (try Dataset.to_csv ds p with Sys_error _ | Mica_util.Fault.Injected _ -> ())
      | None -> ());
   Dataset.create
     ~names:(Array.of_list (List.map fst rows))
@@ -478,10 +480,10 @@ let time f =
   f ();
   Unix.gettimeofday () -. t0
 
-let cost_model ?(sample = 8) (ctx : Context.t) ~selected =
+let cost_model (ctx : Context.t) ~selected =
   Obs.span "experiments.cost" @@ fun () ->
   let workloads =
-    List.filteri (fun i _ -> i < sample) ctx.workloads
+    List.filteri (fun i _ -> i < 8) ctx.workloads
   in
   let run sinks_of =
     List.iter

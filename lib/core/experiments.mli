@@ -126,10 +126,6 @@ val render_fig6 : fig6 -> string
 
 (** {1 Extended characteristic set (the released tool's direction)} *)
 
-val extended_dataset : Context.t -> Dataset.t
-(** All workloads characterized with {!Mica_analysis.Extended} (60
-    characteristics), cached alongside the main datasets. *)
-
 type extended_result = {
   ext_ga : Mica_select.Genetic.result;  (** GA over the 60-characteristic space *)
   ext_selected_names : string array;
@@ -147,8 +143,8 @@ type cost = {
   full_seconds : float;  (** measuring all 47 characteristics *)
   reduced_seconds : float;  (** measuring only the selected ones *)
   speedup : float;  (** paper: about 3x *)
-  sample : int;  (** workloads timed *)
+  sample : int;  (** workloads timed: the context's first 8 *)
 }
 
-val cost_model : ?sample:int -> Context.t -> selected:int array -> cost
+val cost_model : Context.t -> selected:int array -> cost
 val render_cost : cost -> string

@@ -11,6 +11,7 @@ type t = {
   icount : int;
 }
 
+(* ["<machine>.<metric>"], machine-major, matching [matrix] columns. *)
 let column_names t =
   Array.concat
     (Array.to_list

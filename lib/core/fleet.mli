@@ -47,14 +47,8 @@ val characterize_n_pass :
     each workload's trace N times.  Must equal {!characterize}
     bit-for-bit. *)
 
-val column_names : t -> string array
-(** ["<machine>.<metric>"], machine-major, matching [matrix] columns. *)
-
 val to_table : t -> Mica_run.Run_dir.table
 (** The N×6-per-workload counter matrix as a run-directory table. *)
-
-val machine_dataset : t -> int -> Dataset.t
-(** [machine_dataset t m] is machine [m]'s 6-metric slice of the matrix. *)
 
 type report_row = {
   machine : string;

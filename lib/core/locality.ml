@@ -50,9 +50,9 @@ let run (ctx : Experiments.Context.t) =
   let rows = List.sort (fun a b -> compare b.mean_log2_distance a.mean_log2_distance) rows in
   { rows; suites }
 
-let default_capacities = [| 64; 256; 1024; 4096; 16384; 65536 |]
+let capacities = [| 64; 256; 1024; 4096; 16384; 65536 |]
 
-let miss_curve ?(capacities = default_capacities) w ~icount =
+let miss_curve w ~icount =
   let reuse = measure_workload w ~icount in
   Array.map (fun c -> (c, A.Reuse.miss_rate_for_capacity reuse ~blocks:c)) capacities
 

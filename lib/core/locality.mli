@@ -28,8 +28,8 @@ type result = {
 val run : Experiments.Context.t -> result
 (** One additional trace pass per workload at the context's trace length. *)
 
-val miss_curve :
-  ?capacities:int array -> Mica_workloads.Workload.t -> icount:int -> (int * float) array
-(** [(capacity_in_32B_blocks, LRU miss rate)] points for one workload. *)
+val miss_curve : Mica_workloads.Workload.t -> icount:int -> (int * float) array
+(** [(capacity_in_32B_blocks, LRU miss rate)] points for one workload, at
+    64 to 65536 blocks in powers of four. *)
 
 val render : result -> string

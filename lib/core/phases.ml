@@ -8,7 +8,7 @@ type t = {
   weights : float array;
 }
 
-let analyze ?(interval = 10_000) ?(max_k = 10) ?(dims = 15) program ~icount =
+let analyze ?(interval = 10_000) ?(dims = 15) program ~icount =
   let bbv = Mica_analysis.Bbv.create ~interval () in
   let (_ : int) =
     Mica_trace.Generator.run program ~icount ~sink:(Mica_analysis.Bbv.sink bbv)
@@ -30,7 +30,7 @@ let analyze ?(interval = 10_000) ?(max_k = 10) ?(dims = 15) program ~icount =
   let k, result =
     if negligible || n = 1 then (1, single)
     else begin
-      let sweep = Stats.Bic.sweep ~k_min:1 ~k_max:(min max_k n) ~restarts:3 ~rng projected in
+      let sweep = Stats.Bic.sweep ~k_min:1 ~k_max:(min 10 n) ~restarts:3 ~rng projected in
       (* SimPoint's selection rule: the smallest K within 90% of the best
          BIC (the Peak rule would chase residual noise). *)
       let k, result, _ = Stats.Bic.choose ~frac:0.9 ~prefer:Stats.Bic.Smallest_within sweep in

@@ -17,7 +17,7 @@ type t = {
 }
 
 val analyze :
-  ?interval:int -> ?max_k:int -> ?dims:int -> Mica_trace.Program.t -> icount:int -> t
+  ?interval:int -> ?dims:int -> Mica_trace.Program.t -> icount:int -> t
 (** [analyze program ~icount] traces the program and classifies its
     intervals.  Defaults: 10,000-instruction intervals, K swept to 10,
     15 projected dimensions. *)

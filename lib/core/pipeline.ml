@@ -101,22 +101,11 @@ let quarantine path reason =
   (try Sys.rename path dest with Sys_error _ -> ());
   Logs.warn (fun f -> f "cache %s %s; quarantined as %s, rows will be recomputed" path reason dest)
 
-(* The CSV body, laid out exactly like [Dataset.to_csv] (sorted rows,
-   %.17g floats) so caches round-trip bit-exactly and two runs over the
-   same workloads commit byte-identical files. *)
+(* The CSV body: rows sorted by name, so two runs over the same workloads
+   commit byte-identical files. *)
 let cache_body ~features tbl =
   let entries = Hashtbl.fold (fun name row acc -> (name, row) :: acc) tbl [] in
-  let entries = List.sort (fun (a, _) (b, _) -> compare a b) entries in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b (String.concat "," (List.map Csv.escape_field ("name" :: Array.to_list features)));
-  Buffer.add_char b '\n';
-  List.iter
-    (fun (name, row) ->
-      Buffer.add_string b (Csv.escape_field name);
-      Array.iter (fun v -> Buffer.add_string b (Printf.sprintf ",%.17g" v)) row;
-      Buffer.add_char b '\n')
-    entries;
-  Buffer.contents b
+  Csv.table ~columns:features (List.sort (fun (a, _) (b, _) -> compare a b) entries)
 
 let save_cache path ~features tbl =
   Obs.span "cache.save" @@ fun () ->
@@ -415,9 +404,6 @@ let committed_run_dir () = !last_run_dir
 
 let commit_run_dir config sink (mica : Dataset.t) (hpc : Dataset.t) report =
   let module R = Mica_run.Run_dir in
-  let table (ds : Dataset.t) =
-    { R.row_names = ds.Dataset.names; columns = ds.Dataset.features; cells = ds.Dataset.data }
-  in
   let manifest =
     {
       Mica_run.Manifest.schema = Mica_run.Manifest.schema_version;
@@ -441,8 +427,8 @@ let commit_run_dir config sink (mica : Dataset.t) (hpc : Dataset.t) report =
   in
   let artifacts =
     [
-      { R.filename = R.mica_file; contents = R.csv_of_table (table mica) };
-      { R.filename = R.hpc_file; contents = R.csv_of_table (table hpc) };
+      { R.filename = R.mica_file; contents = Dataset.csv mica };
+      { R.filename = R.hpc_file; contents = Dataset.csv hpc };
       { R.filename = R.metrics_file; contents = Obs.to_json (Obs.snapshot ()) };
     ]
   in
@@ -599,4 +585,3 @@ let datasets ?config workloads =
   (mica, hpc)
 
 let mica_dataset ?config workloads = fst (datasets ?config workloads)
-let hpc_dataset ?config workloads = snd (datasets ?config workloads)

@@ -105,4 +105,3 @@ val datasets : ?config:config -> Mica_workloads.Workload.t list -> Dataset.t * D
     fail loudly. *)
 
 val mica_dataset : ?config:config -> Mica_workloads.Workload.t list -> Dataset.t
-val hpc_dataset : ?config:config -> Mica_workloads.Workload.t list -> Dataset.t

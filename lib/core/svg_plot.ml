@@ -40,7 +40,10 @@ let nice_ticks lo hi =
   let rec go v acc = if v > hi +. (step /. 2.0) then List.rev acc else go (v +. step) (v :: acc) in
   List.filter (fun t -> t >= lo -. 1e-9 && t <= hi +. 1e-9) (go first [])
 
-let chart ~title ~x_label ~y_label ?(width = 640) ?(height = 440) ~draw series =
+let width = 640
+let height = 440
+
+let chart ~title ~x_label ~y_label ~draw series =
   let w = float_of_int width and h = float_of_int height in
   let ml = 64.0 and mr = 140.0 and mt = 40.0 and mb = 52.0 in
   let (xlo, xhi), (ylo, yhi) = extents series in
@@ -116,8 +119,8 @@ let chart ~title ~x_label ~y_label ?(width = 640) ?(height = 440) ~draw series =
   Buffer.add_string buf "</svg>\n";
   Buffer.contents buf
 
-let scatter ~title ~x_label ~y_label ?width ?height series =
-  chart ~title ~x_label ~y_label ?width ?height series ~draw:(fun buf ~px ~py s ->
+let scatter ~title ~x_label ~y_label series =
+  chart ~title ~x_label ~y_label series ~draw:(fun buf ~px ~py s ->
       Array.iter
         (fun (x, y) ->
           Buffer.add_string buf
@@ -126,8 +129,8 @@ let scatter ~title ~x_label ~y_label ?width ?height series =
                (px x) (py y) s.color))
         s.points)
 
-let lines ~title ~x_label ~y_label ?width ?height series =
-  chart ~title ~x_label ~y_label ?width ?height series ~draw:(fun buf ~px ~py s ->
+let lines ~title ~x_label ~y_label series =
+  chart ~title ~x_label ~y_label series ~draw:(fun buf ~px ~py s ->
       if Array.length s.points > 0 then begin
         let pts =
           String.concat " "

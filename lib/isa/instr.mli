@@ -38,8 +38,5 @@ val source_count : t -> int
     hardwired zero register (an instruction reading r31 still has the
     operand encoded). *)
 
-val reads_reg : t -> int -> bool
-val writes_reg : t -> int -> bool
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

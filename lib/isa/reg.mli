@@ -14,12 +14,6 @@ val zero : int
 val count : int
 (** Total number of architectural registers (64). *)
 
-val int_base : int
-(** First integer register id (0). *)
-
-val int_count : int
-(** Number of integer registers (32). *)
-
 val fp_base : int
 (** First floating-point register id (32). *)
 
@@ -27,7 +21,6 @@ val fp_count : int
 (** Number of floating-point registers (32). *)
 
 val is_none : int -> bool
-val is_int : int -> bool
 val is_fp : int -> bool
 
 val carries_dependency : int -> bool

@@ -246,9 +246,6 @@ let parse src =
   | v -> Ok v
   | exception Parse_error (pos, msg) -> Error (Printf.sprintf "at byte %d: %s" pos msg)
 
-let parse_exn src =
-  match parse src with Ok v -> v | Error msg -> failwith ("Json.parse: " ^ msg)
-
 (* ---------------- writer ----------------
 
    The inverse of [parse], used by the run-directory subsystem to commit

@@ -16,9 +16,6 @@ val parse : string -> (t, string) result
     Never raises: containers are read with an explicit stack, so deep
     nesting costs heap in proportion, not call stack. *)
 
-val parse_exn : string -> t
-(** Like {!parse} but raises [Failure]. *)
-
 val to_string : ?pretty:bool -> ?bare_non_finite:bool -> t -> string
 (** Serialize.  Object key order is preserved exactly as constructed, so
     output is byte-stable and suitable for golden tests and checksumming.

@@ -52,9 +52,6 @@ val ok : t -> bool
 (** No characteristic/counter drift beyond tolerance and no bench
     regression.  [mica compare] exits nonzero on [not (ok t)]. *)
 
-val drift : t -> cell_delta list
-val regressions : t -> bench_delta list
-
 val render : t -> string
 
 val to_json : t -> Mica_obs.Json.t

@@ -34,17 +34,7 @@ let timestamp () =
     tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
 
 let csv_of_table t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (String.concat "," (List.map Csv.escape_field ("name" :: Array.to_list t.columns)));
-  Buffer.add_char b '\n';
-  Array.iteri
-    (fun i name ->
-      Buffer.add_string b (Csv.escape_field name);
-      Array.iter (fun v -> Buffer.add_string b (Printf.sprintf ",%.17g" v)) t.cells.(i);
-      Buffer.add_char b '\n')
-    t.row_names;
-  Buffer.contents b
+  Csv.table ~columns:t.columns (Array.to_list (Array.map2 (fun n row -> (n, row)) t.row_names t.cells))
 
 let table_of_csv csv =
   match String.split_on_char '\n' csv with
@@ -104,23 +94,30 @@ let commit ~root ?dirname ~manifest ~artifacts () =
     | None -> Printf.sprintf "%s-%s" manifest.Manifest.created manifest.Manifest.tag
   in
   Artifact.mkdir_p root;
-  (* Uniquify: concurrent or same-second runs get .2, .3, ... *)
+  (* Uniquify: concurrent or same-second runs get .2, .3, ...  The claim is
+     the [mkdir] itself, so two commits never share a directory, and the
+     rollback below removes only a directory this call created. *)
   let rec claim n =
     let candidate = if n = 1 then base else Printf.sprintf "%s.%d" base n in
     let path = Filename.concat root candidate in
-    if Sys.file_exists path then claim (n + 1)
-    else begin
-      (try Sys.mkdir path 0o755 with Sys_error _ -> ());
-      path
-    end
+    match Unix.mkdir path 0o755 with
+    | () -> path
+    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> claim (n + 1)
+    | exception Unix.Unix_error (e, _, _) -> raise (Sys_error (path ^ ": " ^ Unix.error_message e))
   in
   let dir = claim 1 in
-  List.iter (fun a -> Artifact.write (Filename.concat dir a.filename) a.contents) artifacts;
-  let files =
-    List.sort compare (List.map (fun a -> (a.filename, Artifact.md5_hex a.contents)) artifacts)
-  in
-  write_manifest dir { manifest with Manifest.files };
-  dir
+  match
+    List.iter (fun a -> Artifact.write (Filename.concat dir a.filename) a.contents) artifacts;
+    let files =
+      List.sort compare (List.map (fun a -> (a.filename, Artifact.md5_hex a.contents)) artifacts)
+    in
+    write_manifest dir { manifest with Manifest.files }
+  with
+  | () -> dir
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Artifact.remove_tree dir;
+      Printexc.raise_with_backtrace e bt
 
 let read_manifest dir =
   match

@@ -30,7 +30,6 @@ type t = {
   bench : Mica_obs.Json.t option;
 }
 
-val manifest_file : string
 val mica_file : string
 val hpc_file : string
 val metrics_file : string
@@ -43,19 +42,18 @@ val csv_of_table : table -> string
 (** [name,<col>...] header then one row per observation, [%.17g] floats —
     the cache layout, so the dataset round-trips bit-exactly. *)
 
-val table_of_csv : string -> (table, string) result
-
 type artifact = { filename : string; contents : string }
 
 val commit :
   root:string -> ?dirname:string -> manifest:Manifest.t -> artifacts:artifact list -> unit -> string
-(** Create [root/<dirname>] (default [<manifest.created>-<manifest.tag>],
-    uniquified with a numeric suffix on collision), write every artifact
-    atomically, then write [manifest.json] — with [files] replaced by the
-    artifacts' actual digests — last, under its checksum header.  Returns
-    the run directory path.  May raise [Sys_error] / [Fault.Injected] on
-    commit failure; callers treat the run directory as an optimization
-    and degrade to a warning. *)
+(** Create [root/<dirname>] (default [<manifest.created>-<manifest.tag>];
+    when that exists, the first of [<dirname>.2], [<dirname>.3], ... that
+    this call creates), write every artifact atomically, then write
+    [manifest.json] — with [files] replaced by the artifacts' actual
+    digests — last, under its checksum header.  Returns the run directory
+    path.  On failure it removes the directory it created and raises
+    [Sys_error] / [Fault.Injected]; callers treat the run directory as an
+    optimization and degrade to a warning. *)
 
 val refresh_artifact : dir:string -> filename:string -> contents:string -> unit
 (** Rewrite one artifact of an existing run and re-commit the manifest
@@ -70,12 +68,6 @@ val load : string -> (t, string) result
     directory (empty, [.], [..] or containing [/]), any artifact listed
     in the manifest that is missing or fails its digest, or an
     unparsable dataset/JSON artifact. *)
-
-val list_runs : string -> string list
-(** Subdirectories of [root] containing a [manifest.json], sorted by name
-    (i.e. by stamp); does not verify them. *)
-
-val latest : string -> string option
 
 val resolve : string -> [ `Run of string | `Not_run | `Error of string ]
 (** Interpret a CLI path argument as a run directory.

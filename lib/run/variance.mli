@@ -31,9 +31,6 @@ type t = {
 val default_budget : float
 (** 0.2 — a metric whose run-to-run CV exceeds 20% is flagged. *)
 
-val metrics_of_run : Run_dir.t -> (string * float) list
-(** The scalar metrics extracted from one run (exposed for tests). *)
-
 val analyze : ?budget:float -> Run_dir.t list -> t
 (** Rows cover every metric with a finite sample in at least two runs;
     non-finite samples are counted per row in [dropped]. *)

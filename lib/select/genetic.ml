@@ -20,7 +20,6 @@ type config = {
   elite : int;
   stall_generations : int;
   init_select_prob : float;
-  delta_eval : bool;
 }
 
 let default_config =
@@ -33,7 +32,6 @@ let default_config =
     elite = 2;
     stall_generations = 40;
     init_select_prob = 0.25;
-    delta_eval = true;
   }
 
 type result = {
@@ -122,7 +120,7 @@ let run_body ~config ~pool ~rng fitness =
           let g = population.(i) and p = parents.(i) in
           valid_next.(i) <- true;
           let delta =
-            config.delta_eval && p >= 0 && valid_prev.(p)
+            p >= 0 && valid_prev.(p)
             &&
             let d = distance elders.(p) g in
             d > 0 && 2 * d < cardinal g
@@ -152,7 +150,7 @@ let run_body ~config ~pool ~rng fitness =
          children can still take the delta path next generation *)
       let p = parents.(i) in
       if
-        config.delta_eval && (not valid_next.(i))
+        (not valid_next.(i))
         && p >= 0 && valid_prev.(p)
         && distance elders.(p) population.(i) = 0
       then begin

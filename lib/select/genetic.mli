@@ -10,7 +10,11 @@
     the optional pool.  The batch grouping is sequential and keyed on
     genome content, so the result is bit-identical at any pool size; the
     random stream is consumed only while breeding, never during
-    evaluation. *)
+    evaluation.  A mutated copy of an evaluated parent is scored by
+    carrying the parent's running per-pair sums and flipping only the
+    differing columns (O(diff * pairs) instead of O(subset * pairs)); its
+    score agrees with the full in-order evaluation up to the delta
+    tolerance of DESIGN.md §9. *)
 
 type config = {
   population : int;
@@ -21,17 +25,9 @@ type config = {
   elite : int;  (** genomes copied unchanged each generation *)
   stall_generations : int;  (** stop after this many generations without improvement *)
   init_select_prob : float;  (** per-bit probability of 1 in the initial population *)
-  delta_eval : bool;
-      (** evaluate a mutated copy of an evaluated parent by carrying the
-          parent's running per-pair sums and flipping only the differing
-          columns (O(diff * pairs) instead of O(subset * pairs)).  Scores
-          then agree with the full in-order evaluation up to the delta
-          tolerance of DESIGN.md §9; set to [false] for scores bit-identical
-          to the naive reference path. *)
 }
 
 val default_config : config
-(** [delta_eval] defaults to [true]. *)
 
 type result = {
   selected : int array;  (** chosen characteristic indices, ascending *)

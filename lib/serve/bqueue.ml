@@ -47,12 +47,6 @@ let close t =
   Condition.broadcast t.nonempty;
   Mutex.unlock t.mutex
 
-let closed t =
-  Mutex.lock t.mutex;
-  let c = t.is_closed in
-  Mutex.unlock t.mutex;
-  c
-
 let length t =
   Mutex.lock t.mutex;
   let n = Queue.length t.items in

@@ -29,6 +29,5 @@ val try_pop : 'a t -> 'a option
 val close : 'a t -> unit
 (** Refuse subsequent pushes and wake blocked poppers.  Idempotent. *)
 
-val closed : 'a t -> bool
 val length : 'a t -> int
 val capacity : 'a t -> int

@@ -79,7 +79,6 @@ type response = {
 }
 
 val status_name : status -> string
-val status_of_name : string -> status option
 
 val encode_request : request -> string
 (** One line, no trailing newline. *)

@@ -103,16 +103,15 @@ val flush : t -> unit
 
 type address = Unix_path of string | Tcp of { host : string; port : int }
 
-val max_line_bytes : int
-(** The longest request line a connection may send, newline excluded
-    (1 MiB).  A longer line is answered with one [error] reply with rid -1,
-    and that connection is then shut down; the rest of the line is never
-    read, so it bounds what a reader thread holds. *)
-
 val listen_and_serve : ?on_ready:(unit -> unit) -> t -> address -> unit
 (** Bind, listen and serve until SIGTERM/SIGINT.  On signal: admission
     flips to [draining], the listener closes, in-flight work finishes and
     its replies are delivered, the cache and (if metrics are enabled) the
     run metrics are flushed, connections close, and the call returns —
     the graceful-drain path the soak test and CI smoke assert.
-    [on_ready] runs once the socket is listening. *)
+    [on_ready] runs once the socket is listening.
+
+    A request line longer than 1 MiB (newline excluded) is answered with
+    one [error] reply with rid -1, and that connection is then shut down;
+    the rest of the line is never read, so the cap bounds what a reader
+    thread holds. *)

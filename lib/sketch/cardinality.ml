@@ -91,14 +91,3 @@ let estimate t =
      more accurate than the raw harmonic-mean estimate *)
   if raw <= 2.5 *. m && !zeros > 0 then m *. log (m /. float_of_int !zeros) else raw
 
-let merge a b =
-  if a.m <> b.m then invalid_arg "Cardinality.merge: register counts differ";
-  let t = create ~registers:a.m () in
-  for i = 0 to a.m - 1 do
-    let ra = Char.code (Bytes.unsafe_get a.regs i)
-    and rb = Char.code (Bytes.unsafe_get b.regs i) in
-    Bytes.unsafe_set t.regs i (Char.unsafe_chr (max ra rb))
-  done;
-  t
-
-let equal a b = a.m = b.m && Bytes.equal a.regs b.regs

@@ -25,14 +25,6 @@ val add : t -> int -> unit
 val estimate : t -> float
 (** Estimated number of distinct keys observed. *)
 
-val merge : t -> t -> t
-(** Register-wise max; the merge of two sketches estimates the union of
-    their streams.  Associative and commutative (bit-exactly).  Raises
-    [Invalid_argument] if register counts differ. *)
-
-val equal : t -> t -> bool
-(** Bit-equality of the register state (same size, same registers). *)
-
 val reset : t -> unit
 (** Clear all registers in place (no allocation). *)
 

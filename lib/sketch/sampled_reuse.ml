@@ -308,10 +308,6 @@ let access t addr =
 let accesses t = t.accesses
 let cold_estimate t = t.facc.(2)
 let rate t = t.rate
-let tracked t = t.fresident
-let near_resident t = t.nresident
-let rate_doublings t = t.rate_doublings
-let compactions t = t.compactions
 
 let cdf t =
   let denom = float_of_int (max 1 t.accesses) in

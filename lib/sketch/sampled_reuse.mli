@@ -47,13 +47,6 @@ val cold_estimate : t -> float
 val rate : t -> int
 (** Current far-side sampling rate (1 = still tracking every block). *)
 
-val tracked : t -> int
-(** Sampled blocks currently resident in the far table. *)
-
-val near_resident : t -> int
-val rate_doublings : t -> int
-val compactions : t -> int
-
 val reset : t -> unit
 (** Return to the freshly-created state (rate included) in place. *)
 

@@ -327,8 +327,6 @@ let branches_vector t =
   let biased_fraction = float_of_int !biased /. float_of_int (max 1 t.resident) in
   [| taken_rate; transition_rate; biased_fraction |]
 
-let branches_static_estimate t = Cardinality.estimate t.statics
-
 let branches_reset t =
   Array.fill t.keys 0 (t.mask + 1) (-1);
   Array.fill t.execs 0 (t.mask + 1) 0;
@@ -379,8 +377,6 @@ let create ?(ppm_order = 8) ?plan:(p = plan ()) () =
       Sampled_reuse.create ~near_slots:p.reuse_near_slots ~capacity:p.reuse_capacity
         ~cutoffs:Extended.reuse_cutoffs ();
   }
-
-let the_plan t = t.plan
 
 let is_mem_code = Array.init Opcode.count (fun i -> Opcode.is_mem (Opcode.of_int i))
 
@@ -483,8 +479,6 @@ let state_bytes t =
   + branches_bytes t.branches
   + Sampled_reuse.state_bytes t.reuse
 
-let static_branch_estimate t = branches_static_estimate t.branches
-let reuse_rate t = Sampled_reuse.rate t.reuse
 
 let analyze ?ppm_order ?plan program ~icount =
   let t = create ?ppm_order ?plan () in

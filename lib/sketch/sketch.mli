@@ -39,7 +39,6 @@ val plan : ?bytes:int -> unit -> plan
     component is monotone in [bytes]. *)
 
 val create : ?ppm_order:int -> ?plan:plan -> unit -> t
-val the_plan : t -> plan
 
 val sink : t -> Mica_trace.Sink.t
 (** Chunk sink; drop-in for [Mica_analysis.Extended.sink] in any
@@ -60,12 +59,6 @@ val reset : t -> unit
 val state_bytes : t -> int
 (** Total resident estimator memory in bytes — fixed at creation,
     independent of trace length. *)
-
-val static_branch_estimate : t -> float
-(** Estimated number of static conditional branches. *)
-
-val reuse_rate : t -> int
-(** Current reuse-sampling rate (1 = still exact). *)
 
 val analyze : ?ppm_order:int -> ?plan:plan -> Mica_trace.Program.t -> icount:int -> t
 (** Generate [icount] instructions of [program] into a fresh sketch. *)

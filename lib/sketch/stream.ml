@@ -32,7 +32,6 @@ type t = {
   sketch_sink : Mica_trace.Sink.t;
   window : int;
   snapshot_every : int;
-  alpha : float;
   stage : Chunk.t;
   mutable in_window : int;
   mutable windows_done : int;
@@ -43,21 +42,17 @@ type t = {
 }
 
 let default_window = 65536
-let default_alpha = 0.5
+let alpha = 0.5
 
-let create ?(window = default_window) ?(snapshot_every = 1) ?(alpha = default_alpha)
-    ?ppm_order ?plan () =
+let create ?(window = default_window) ?(snapshot_every = 1) ?ppm_order ?plan () =
   if window <= 0 then invalid_arg "Stream.create: window must be positive";
   if snapshot_every <= 0 then invalid_arg "Stream.create: snapshot_every must be positive";
-  if not (alpha > 0.0 && alpha <= 1.0) then
-    invalid_arg "Stream.create: alpha must be in (0, 1]";
   let sketch = Sketch.create ?ppm_order ?plan () in
   {
     sketch;
     sketch_sink = Sketch.sink sketch;
     window;
     snapshot_every;
-    alpha;
     stage = Chunk.create ();
     in_window = 0;
     windows_done = 0;
@@ -81,7 +76,7 @@ let close_window t =
   if Array.length t.decayed = 0 then t.decayed <- Array.copy v
   else
     Array.iteri
-      (fun i x -> t.decayed.(i) <- (t.alpha *. x) +. ((1.0 -. t.alpha) *. t.decayed.(i)))
+      (fun i x -> t.decayed.(i) <- (alpha *. x) +. ((1.0 -. alpha) *. t.decayed.(i)))
       v;
   let index = t.windows_done in
   if (index + 1) mod t.snapshot_every = 0 || t.in_window < t.window then
@@ -121,8 +116,8 @@ let instructions t = t.total
 let decayed t = if Array.length t.decayed = 0 then None else Some (Array.copy t.decayed)
 let state_bytes t = Sketch.state_bytes t.sketch
 
-let run ?window ?snapshot_every ?alpha ?ppm_order ?plan program ~icount =
-  let t = create ?window ?snapshot_every ?alpha ?ppm_order ?plan () in
+let run ?window ?snapshot_every ?ppm_order ?plan program ~icount =
+  let t = create ?window ?snapshot_every ?ppm_order ?plan () in
   let (_ : int) = Mica_trace.Generator.run program ~icount ~sink:(sink t) in
   let snapshots = finish t in
   (t, snapshots)

@@ -23,20 +23,19 @@ type t
 val default_window : int
 (** 65536 instructions. *)
 
-val default_alpha : float
+val alpha : float
 (** 0.5 — the newest window's EWMA weight. *)
 
 val create :
   ?window:int ->
   ?snapshot_every:int ->
-  ?alpha:float ->
   ?ppm_order:int ->
   ?plan:Sketch.plan ->
   unit ->
   t
 (** [window] instructions per window; a snapshot is emitted every
     [snapshot_every] windows (default 1) plus always for a trailing
-    partial window; [alpha] in (0, 1]. *)
+    partial window. *)
 
 val sink : t -> Mica_trace.Sink.t
 
@@ -55,7 +54,6 @@ val state_bytes : t -> int
 val run :
   ?window:int ->
   ?snapshot_every:int ->
-  ?alpha:float ->
   ?ppm_order:int ->
   ?plan:Sketch.plan ->
   Mica_trace.Program.t ->

@@ -3,8 +3,10 @@ module Pool = Mica_util.Pool
 
 type interval = { estimate : float; lo : float; hi : float; replicates : int }
 
-let interval ?(replicates = 1000) ?(confidence = 0.95) ?(pool = Mica_util.Pool.sequential)
-    ~rng ~n f =
+(* The probability outside each bound of a two-sided 95% interval. *)
+let tail = (1.0 -. 0.95) /. 2.0
+
+let interval ?(replicates = 1000) ?(pool = Mica_util.Pool.sequential) ~rng ~n f =
   if n <= 0 then invalid_arg "Bootstrap.interval: need observations";
   let estimate = f (Array.init n Fun.id) in
   (* sequential pre-split, one generator per replicate, so the replicate
@@ -15,11 +17,10 @@ let interval ?(replicates = 1000) ?(confidence = 0.95) ?(pool = Mica_util.Pool.s
         let rng = rngs.(r) in
         f (Array.init n (fun _ -> Rng.int rng n)))
   in
-  let alpha = (1.0 -. confidence) /. 2.0 in
   {
     estimate;
-    lo = Descriptive.percentile stats alpha;
-    hi = Descriptive.percentile stats (1.0 -. alpha);
+    lo = Descriptive.percentile stats tail;
+    hi = Descriptive.percentile stats (1.0 -. tail);
     replicates;
   }
 

@@ -16,7 +16,6 @@ type interval = {
 
 val interval :
   ?replicates:int ->
-  ?confidence:float ->
   ?pool:Mica_util.Pool.t ->
   rng:Mica_util.Rng.t ->
   n:int ->
@@ -24,8 +23,8 @@ val interval :
   interval
 (** [interval ~rng ~n f] evaluates [f] on the identity sample [|0..n-1|]
     for the point estimate, then on [replicates] (default 1000) resamples
-    drawn with replacement, and returns percentile bounds at [confidence]
-    (default 0.95).  Each replicate draws from its own generator split off
+    drawn with replacement, and returns the two-sided 95% percentile
+    bounds.  Each replicate draws from its own generator split off
     [rng] up front and the replicates fan out over [pool]; the interval is
     identical at any pool size. *)
 

@@ -102,6 +102,8 @@ let zscore t =
   done;
   out
 
+(* Accumulated in ascending column order, the
+   [Distance.squared_euclidean] order. *)
 let squared_distance t i j =
   if i < 0 || i >= t.rows || j < 0 || j >= t.rows then
     invalid_arg "Colmat.squared_distance: row out of bounds";

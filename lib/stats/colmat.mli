@@ -8,9 +8,8 @@
     - the storage can alias an {!Unix.map_file} mapping, which is how
       {!Mica_core.Dataset_store} opens a 10k-row dataset in O(1) without
       parsing anything; and
-    - the blocked distance kernels ({!Distance.condensed_blocked}) stream
-      whole column slices through the cache instead of striding across
-      row records.
+    - column scans ({!zscore}, the {!Ann} index) stream whole column
+      slices through the cache instead of striding across row records.
 
     Element [(i, j)] lives at index [j * rows + i].  All scans iterate
     rows in ascending order, so per-column reductions see values in
@@ -67,10 +66,6 @@ val zscore_params : t -> (float * float) array
 val zscore : t -> t
 (** Columnwise (x - mean) / stddev into a fresh matrix; zero-variance
     columns map to 0, like {!Normalize.zscore}. *)
-
-val squared_distance : t -> int -> int -> float
-(** Squared Euclidean distance between rows [i] and [j], accumulated in
-    ascending column order (the {!Distance.squared_euclidean} order). *)
 
 val distance : t -> int -> int -> float
 

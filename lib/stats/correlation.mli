@@ -8,5 +8,3 @@ val spearman : float array -> float array -> float
 (** Spearman rank correlation (Pearson over average ranks, handling
     ties). *)
 
-val ranks : float array -> float array
-(** Average ranks (1-based) with ties sharing their mean rank. *)

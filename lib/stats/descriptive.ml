@@ -82,16 +82,3 @@ let summarize xs =
   in
   { count; mean_v; stddev_v; cv }
 
-type running = { mutable n : int; mutable m : float; mutable m2 : float }
-
-let running_create () = { n = 0; m = 0.0; m2 = 0.0 }
-
-let running_add r x =
-  r.n <- r.n + 1;
-  let delta = x -. r.m in
-  r.m <- r.m +. (delta /. float_of_int r.n);
-  r.m2 <- r.m2 +. (delta *. (x -. r.m))
-
-let running_count r = r.n
-let running_mean r = r.m
-let running_stddev r = if r.n < 2 then 0.0 else sqrt (r.m2 /. float_of_int r.n)

@@ -33,11 +33,4 @@ val summarize : float array -> summary
     non-finite samples are dropped rather than propagated, so one corrupt
     measurement degrades a sample instead of poisoning the report. *)
 
-type running
-(** Welford accumulator for single-pass mean/variance. *)
 
-val running_create : unit -> running
-val running_add : running -> float -> unit
-val running_count : running -> int
-val running_mean : running -> float
-val running_stddev : running -> float

@@ -1,8 +1,3 @@
-module Pool = Mica_util.Pool
-module Obs = Mica_obs.Obs
-
-let m_blocked_pairs = Obs.counter "distance.blocked_pairs"
-
 let squared_euclidean a b =
   let n = Array.length a in
   assert (n = Array.length b);
@@ -14,15 +9,6 @@ let squared_euclidean a b =
   !acc
 
 let euclidean a b = sqrt (squared_euclidean a b)
-
-let manhattan a b =
-  let n = Array.length a in
-  assert (n = Array.length b);
-  let acc = ref 0.0 in
-  for i = 0 to n - 1 do
-    acc := !acc +. Float.abs (a.(i) -. b.(i))
-  done;
-  !acc
 
 let pair_count n = n * (n - 1) / 2
 
@@ -42,20 +28,9 @@ let pairs ~n =
   done;
   out
 
-let check_out ~name ~n out =
-  let want = pair_count n in
-  match out with
-  | None -> Array.make want 0.0
-  | Some buf ->
-      if Array.length buf <> want then
-        invalid_arg
-          (Printf.sprintf "%s: output buffer holds %d entries, want %d" name (Array.length buf)
-             want);
-      buf
-
-let condensed ?out m =
+let condensed m =
   let n = Array.length m in
-  let out = check_out ~name:"Distance.condensed" ~n out in
+  let out = Array.make (pair_count n) 0.0 in
   let k = ref 0 in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
@@ -83,101 +58,10 @@ let condensed_squared_components m =
   done;
   out
 
-let subset_distances ?out components cols =
-  match out with
-  | None ->
-      Array.map
-        (fun comp ->
-          let acc = ref 0.0 in
-          Array.iter (fun c -> acc := !acc +. comp.(c)) cols;
-          sqrt !acc)
-        components
-  | Some buf ->
-      let n = Array.length components in
-      if Array.length buf <> n then
-        invalid_arg
-          (Printf.sprintf "Distance.subset_distances: output buffer holds %d entries, want %d"
-             (Array.length buf) n);
-      for p = 0 to n - 1 do
-        let comp = Array.unsafe_get components p in
-        let acc = ref 0.0 in
-        Array.iter (fun c -> acc := !acc +. comp.(c)) cols;
-        Array.unsafe_set buf p (sqrt !acc)
-      done;
-      buf
-
-(* Cache-tiled condensed distances over columnar storage.
-
-   The naive kernel walks row records, so at 10k x 47 every pair touches
-   two scattered 376-byte rows.  Here the row set is cut into [block]-row
-   tiles; for a tile pair the column loop is outermost, streaming two
-   contiguous column slices while the per-pair accumulators live in a
-   block*block scratch that fits in L1/L2.
-
-   Bit-identity with {!condensed}: each pair's accumulator receives its
-   per-column contributions in ascending column order with the same
-   [d = a -. b; acc +. d *. d] expression, and interleaving updates of
-   *different* accumulators cannot change any single accumulator's
-   rounding sequence.  Parallel writes are disjoint: worker blocks
-   partition the i-rows, and row [i]'s condensed slots
-   [kbase i + j, j > i] form a contiguous range owned by exactly one
-   worker — so results are independent of [jobs]. *)
-
-let default_block = 64
-
-let condensed_blocked ?(pool = Pool.sequential) ?(block = default_block) ?out t =
-  Obs.span "stats.condensed_blocked" @@ fun () ->
-  let n = Colmat.rows t in
-  let cols = Colmat.cols t in
-  let data = t.Colmat.data in
-  let out = check_out ~name:"Distance.condensed_blocked" ~n out in
-  if block <= 0 then invalid_arg "Distance.condensed_blocked: block must be positive";
-  Obs.add m_blocked_pairs (float_of_int (pair_count n));
-  if Pool.jobs pool = 1 then
-    (* Tiling only pays for itself when the tiles run on separate
-       workers; alone, the scratch zeroing and write-back pass make it
-       slightly slower than the straight row scan.  Materializing the
-       row-major image costs n*cols words once, then each pair streams
-       two contiguous rows.  Bit-identity is free: [condensed]
-       accumulates per-column terms in the same ascending order as the
-       tile kernel. *)
-    ignore (condensed ~out (Colmat.to_matrix t) : float array)
-  else begin
-  let nblocks = (n + block - 1) / block in
-  let kbase i = (i * (n - 1)) - (i * (i - 1) / 2) - i - 1 in
-  Pool.run_blocks pool nblocks (fun _blk blo bhi ->
-      (* per-worker tile scratch: accumulator for pair (i, j) of tile
-         (bi, bj) lives at (i - i0) * block + (j - j0) *)
-      let scratch = Array.make (block * block) 0.0 in
-      for bi = blo to bhi do
-        let i0 = bi * block in
-        let i1 = min n (i0 + block) in
-        for bj = bi to nblocks - 1 do
-          let j0 = bj * block in
-          let j1 = min n (j0 + block) in
-          Array.fill scratch 0 (block * block) 0.0;
-          for c = 0 to cols - 1 do
-            let base = c * n in
-            for i = i0 to i1 - 1 do
-              let ai = Bigarray.Array1.unsafe_get data (base + i) in
-              let srow = (i - i0) * block in
-              let jstart = max (i + 1) j0 in
-              for j = jstart to j1 - 1 do
-                let d = ai -. Bigarray.Array1.unsafe_get data (base + j) in
-                let s = srow + (j - j0) in
-                Array.unsafe_set scratch s (Array.unsafe_get scratch s +. (d *. d))
-              done
-            done
-          done;
-          for i = i0 to i1 - 1 do
-            let srow = (i - i0) * block in
-            let kb = kbase i in
-            let jstart = max (i + 1) j0 in
-            for j = jstart to j1 - 1 do
-              Array.unsafe_set out (kb + j) (sqrt (Array.unsafe_get scratch (srow + (j - j0))))
-            done
-          done
-        done
-      done)
-  end;
-  out
+let subset_distances components cols =
+  Array.map
+    (fun comp ->
+      let acc = ref 0.0 in
+      Array.iter (fun c -> acc := !acc +. comp.(c)) cols;
+      sqrt !acc)
+    components

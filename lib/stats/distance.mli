@@ -7,10 +7,6 @@
 
 val euclidean : float array -> float array -> float
 val squared_euclidean : float array -> float array -> float
-val manhattan : float array -> float array -> float
-
-val pair_count : int -> int
-(** n(n-1)/2. *)
 
 val pair_index : n:int -> int -> int -> int
 (** [pair_index ~n i j] is the condensed index of pair (i, j), [i <> j]. *)
@@ -18,21 +14,8 @@ val pair_index : n:int -> int -> int -> int
 val pairs : n:int -> (int * int) array
 (** All (i, j) with i < j, in condensed order. *)
 
-val condensed : ?out:float array -> Matrix.t -> float array
-(** Euclidean distances between all row pairs, condensed order.  [?out]
-    supplies a preallocated [pair_count n]-length result buffer (returned
-    filled); [Invalid_argument] on length mismatch. *)
-
-val condensed_blocked :
-  ?pool:Mica_util.Pool.t -> ?block:int -> ?out:float array -> Colmat.t -> float array
-(** Cache-tiled condensed distances over columnar storage — bit-identical
-    to [condensed (Colmat.to_matrix t)] at any [pool] jobs count (each
-    pair accumulates its per-column terms in the same ascending order,
-    and workers own disjoint condensed ranges).  With a single-job pool
-    the tiling overhead buys nothing, so the kernel falls back to the
-    naive row scan over the materialized row-major image — same bits,
-    less bookkeeping.  [block] is the tile edge in rows (default 64);
-    [?out] as in {!condensed}. *)
+val condensed : Matrix.t -> float array
+(** Euclidean distances between all row pairs, condensed order. *)
 
 val condensed_squared_components : Matrix.t -> Matrix.t
 (** Row p of the result holds, for pair p, the per-column squared
@@ -40,8 +23,6 @@ val condensed_squared_components : Matrix.t -> Matrix.t
     is the sum over S.  This is the precomputation that makes feature-subset
     search cheap. *)
 
-val subset_distances : ?out:float array -> Matrix.t -> int array -> float array
+val subset_distances : Matrix.t -> int array -> float array
 (** [subset_distances components cols]: condensed Euclidean distances using
-    only the selected columns, from {!condensed_squared_components} output.
-    [?out] supplies a preallocated result buffer of the same length as
-    [components]; [Invalid_argument] on mismatch. *)
+    only the selected columns, from {!condensed_squared_components} output. *)

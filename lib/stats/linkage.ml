@@ -74,15 +74,6 @@ let cluster ?(linkage = Average) m =
     (* n = 1: single leaf *)
     match trees.(0) with Some t -> t | None -> assert false)
 
-let merge_heights tree =
-  let rec go acc = function
-    | Leaf _ -> acc
-    | Node { left; right; height; _ } -> go (go (height :: acc) left) right
-  in
-  let hs = Array.of_list (go [] tree) in
-  Array.sort compare hs;
-  hs
-
 let assignments_of_subtrees total subtrees =
   let out = Array.make total (-1) in
   List.iteri (fun c t -> List.iter (fun leaf -> out.(leaf) <- c) (leaves t)) subtrees;
@@ -111,13 +102,3 @@ let cut tree ~k =
       !clusters
   in
   assignments_of_subtrees n ordered
-
-let cut_height tree ~height:h =
-  let rec collect t =
-    match t with
-    | Leaf _ -> [ t ]
-    | Node { left; right; height; _ } ->
-      if height > h then collect left @ collect right else [ t ]
-  in
-  let subtrees = collect tree in
-  assignments_of_subtrees (size tree) subtrees

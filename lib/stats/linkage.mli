@@ -24,16 +24,8 @@ val size : tree -> int
 val height : tree -> float
 (** 0 for leaves. *)
 
-val leaves : tree -> int list
-(** Left-to-right leaf order (the dendrogram display order). *)
-
 val cut : tree -> k:int -> int array
 (** Cut into exactly [k] clusters (undoing the last k-1 merges); returns a
     cluster id per observation, ids 0..k-1 in leaf order.  Requires
     [1 <= k <= size]. *)
 
-val cut_height : tree -> height:float -> int array
-(** Cut all merges strictly above [height]. *)
-
-val merge_heights : tree -> float array
-(** All internal merge heights, ascending; useful for picking cut points. *)

@@ -46,10 +46,6 @@ let column_min_max m j =
   done;
   (!lo, !hi)
 
-let transpose m =
-  let rows, cols = dims m in
-  Array.init cols (fun j -> Array.init rows (fun i -> m.(i).(j)))
-
 let map f m = Array.map (Array.map f) m
 
 let select_columns m idx = Array.map (fun row -> Array.map (fun j -> row.(j)) idx) m

@@ -23,7 +23,6 @@ val column_min_max : t -> int -> float * float
 val row : t -> int -> float array
 (** [row] aliases the underlying storage; [column] copies. *)
 
-val transpose : t -> t
 val map : (float -> float) -> t -> t
 
 val select_columns : t -> int array -> t

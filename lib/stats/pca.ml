@@ -99,18 +99,3 @@ let explained_variance_ratio t =
   let total = Descriptive.sum t.eigenvalues in
   if total <= 0.0 then Array.map (fun _ -> 0.0) t.eigenvalues
   else Array.map (fun l -> l /. total) t.eigenvalues
-
-let dims_for_variance t frac =
-  let ratios = explained_variance_ratio t in
-  let acc = ref 0.0 and d = ref 0 in
-  (try
-     Array.iteri
-       (fun i r ->
-         acc := !acc +. r;
-         if !acc >= frac then begin
-           d := i + 1;
-           raise Exit
-         end)
-       ratios
-   with Exit -> ());
-  if !d = 0 then Array.length ratios else !d

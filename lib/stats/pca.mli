@@ -26,11 +26,3 @@ val transform : t -> ?dims:int -> Matrix.t -> Matrix.t
 
 val explained_variance_ratio : t -> float array
 
-val dims_for_variance : t -> float -> int
-(** Smallest number of leading components whose cumulative explained
-    variance reaches the given fraction. *)
-
-val jacobi_eigen : Matrix.t -> float array * Matrix.t
-(** [jacobi_eigen sym] returns (eigenvalues, eigenvectors-as-rows) of a
-    symmetric matrix, sorted by descending eigenvalue.  Exposed for
-    testing. *)

@@ -35,7 +35,6 @@ let length c = c.len
 let is_full c = c.len = c.capacity
 let clear c = c.len <- 0
 
-let opcode c i = Opcode.of_int c.op.(i)
 let taken c i = Bytes.get c.taken i <> '\000'
 
 let get c i : Instr.t =

@@ -29,10 +29,6 @@ type t = {
   taken : Bytes.t;  (** ['\000'] not taken, anything else taken *)
 }
 
-val default_capacity : int
-(** 4096: large enough to amortize dispatch, small enough to stay
-    cache-resident across the analyzer fan-out. *)
-
 val create : ?capacity:int -> unit -> t
 (** An empty chunk.  Raises [Invalid_argument] unless [capacity > 0]. *)
 
@@ -41,10 +37,6 @@ val is_full : t -> bool
 
 val clear : t -> unit
 (** Resets [len] to 0; storage is reused, not reallocated. *)
-
-val opcode : t -> int -> Mica_isa.Opcode.t
-(** [opcode c i] decodes element [i]'s opcode.  Unchecked beyond the
-    {!Mica_isa.Opcode.of_int} range test; callers loop over [0 .. len-1]. *)
 
 val taken : t -> int -> bool
 (** [taken c i] decodes element [i]'s branch outcome. *)

@@ -153,8 +153,6 @@ type instance = {
   br_execs : int array;
 }
 
-let code_bytes spec = (spec.body_slots + 1 + spec.helper_instrs) * 4
-
 let slot_pc k i =
   if i < 0 || i >= Array.length k.op then invalid_arg "Kernel.slot_pc: no such slot"
   else if i < k.body_len then k.code_base + (4 * i)

@@ -138,6 +138,3 @@ val slot_pc : instance -> int -> int
 (** Code address of image slot [i].  Raises [Invalid_argument] outside
     [0, Array.length op). *)
 
-val code_bytes : spec -> int
-(** Static code footprint implied by the spec (body + loop branch + helpers),
-    in bytes. *)

@@ -8,13 +8,8 @@
     - {e binary}: fixed 28-byte little-endian records behind a magic
       header; compact and fast.
 
-    Writers are ordinary {!Sink}s, so a trace can be captured while it is
-    being analyzed; readers replay a file into any sink, so every analyzer
-    works identically on live and recorded traces. *)
-
-val text_sink : out_channel -> Sink.t
-val binary_sink : out_channel -> Sink.t
-(** The binary sink writes the header on creation. *)
+    Readers replay a file into any {!Sink}, so every analyzer works
+    identically on live and recorded traces. *)
 
 val write_text : path:string -> Program.t -> icount:int -> int
 val write_binary : path:string -> Program.t -> icount:int -> int

@@ -55,11 +55,6 @@ type outcome = {
 
 val default_icount : int
 
-val run_kernel : ?icount:int -> Machine.config list -> kernel:string -> outcome list
-(** Generate the kernel's trace once and fan it out to every machine
-    (via {!Machine.measure_all}), then check each machine's counters
-    against its envelopes. *)
-
 val run_all : ?icount:int -> Machine.config list -> outcome list
 (** {!run_kernel} over all four kernels. *)
 

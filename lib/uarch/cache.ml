@@ -56,7 +56,6 @@ let create ~name ~size_bytes ~line_bytes ~assoc =
   }
 
 let name t = t.name
-let sets t = t.n_sets
 let line_bytes t = t.line_bytes
 let assoc t = t.assoc
 

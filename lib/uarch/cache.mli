@@ -17,7 +17,6 @@ val create : name:string -> size_bytes:int -> line_bytes:int -> assoc:int -> t
     otherwise. *)
 
 val name : t -> string
-val sets : t -> int
 val line_bytes : t -> int
 val assoc : t -> int
 

@@ -16,6 +16,16 @@ let rec mkdir_p dir =
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
   end
 
+let rec remove_tree path =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_DIR ->
+      (match Sys.readdir path with
+      | names -> Array.iter (fun f -> remove_tree (Filename.concat path f)) names
+      | exception Sys_error _ -> ());
+      (try Sys.rmdir path with Sys_error _ -> ())
+  | _ -> ( try Sys.remove path with Sys_error _ -> ())
+  | exception Unix.Unix_error _ -> ()
+
 let write path contents =
   Fault.check Fault.Cache_write ~key:(Hashtbl.hash path);
   mkdir_p (Filename.dirname path);

@@ -20,6 +20,11 @@ val mkdir_p : string -> unit
 (** Create a directory and its missing parents; failures are left for the
     first write below it to report. *)
 
+val remove_tree : string -> unit
+(** Remove [path] and, for a directory, everything below it, without
+    following symbolic links.  Best effort: what cannot be removed stays,
+    and a missing [path] is no error. *)
+
 val write : string -> string -> unit
 (** [write path contents] commits [contents] to [path] atomically,
     creating [path]'s parent directory.  It checks the [Cache_write] fault

@@ -14,15 +14,17 @@ let escape_field s =
   end
   else s
 
-let write_row oc fields =
-  output_string oc (String.concat "," (List.map escape_field fields));
-  output_char oc '\n'
-
-let write_rows oc rows = List.iter (write_row oc) rows
-
-let to_file path rows =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write_rows oc rows)
+let table ~columns rows =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b (String.concat "," (List.map escape_field ("name" :: Array.to_list columns)));
+  Buffer.add_char b '\n';
+  List.iter
+    (fun (name, row) ->
+      Buffer.add_string b (escape_field name);
+      Array.iter (fun v -> Buffer.add_string b (Printf.sprintf ",%.17g" v)) row;
+      Buffer.add_char b '\n')
+    rows;
+  Buffer.contents b
 
 let parse_line line =
   let n = String.length line in

@@ -7,11 +7,11 @@
 val escape_field : string -> string
 (** Quote a field if needed. *)
 
-val write_row : out_channel -> string list -> unit
-val write_rows : out_channel -> string list list -> unit
-
-val to_file : string -> string list list -> unit
-(** [to_file path rows] writes all rows to [path]. *)
+val table : columns:string array -> (string * float array) list -> string
+(** The dataset layout, shared by dataset exports, caches and run
+    directories: a [name,<columns>] header, then one line per row, in the
+    order given, of its escaped name and its cells as [%.17g] (which reads
+    back to the same float). *)
 
 val parse_line : string -> string list
 (** Parse one physical line (no embedded newlines supported on input). *)

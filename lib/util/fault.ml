@@ -152,13 +152,6 @@ let fires_with t point ~task ~attempt ~key =
     | Some only when only <> task -> false
     | _ -> prob > 0.0 && uniform t point ~task ~attempt ~key < prob)
 
-let fires point ~key =
-  match Atomic.get current with
-  | None -> false
-  | Some t ->
-    let task, attempt = Domain.DLS.get context_key in
-    fires_with t point ~task ~attempt ~key
-
 let m_injected = Mica_obs.Obs.counter "fault.injected"
 
 let check point ~key =

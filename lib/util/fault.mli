@@ -23,7 +23,6 @@ type point =
 
 val all_points : point list
 val point_name : point -> string
-val point_of_name : string -> point option
 
 exception Injected of string
 (** The injected failure.  Carries a human-readable site description
@@ -63,5 +62,3 @@ val check : point -> key:int -> unit
 (** Raise {!Injected} iff the installed plan fires for [(point, ambient
     task, ambient attempt, key)].  No-op when no plan is installed. *)
 
-val fires : point -> key:int -> bool
-(** [check] as a query, without raising. *)

@@ -229,19 +229,7 @@ let shutdown t =
 type failure = { error : exn; backtrace : string }
 type 'a outcome = { result : ('a, failure) result; attempts : int }
 
-(* Deterministic jittered exponential backoff; [backoff = 0] sleeps not at
-   all (the test-suite setting). *)
-let backoff_delay ~seed ~task ~attempt ~backoff =
-  if backoff <= 0.0 then 0.0
-  else begin
-    let h = ref (seed lxor (task * 0x9E3779B9) lxor (attempt * 0x85EBCA6B)) in
-    h := !h * 0x27D4EB2F;
-    let u = float_of_int (!h land 0xFFFF) /. 65536.0 in
-    let scale = float_of_int (1 lsl min 6 (attempt - 1)) in
-    Float.min 1.0 (backoff *. scale *. (0.5 +. u))
-  end
-
-let run_results ?(retries = 2) ?(backoff = 0.0) ?(seed = 0) t n f =
+let run_results ?(retries = 2) t n f =
   if n = 0 then [||]
   else begin
     Printexc.record_backtrace true;
@@ -262,8 +250,6 @@ let run_results ?(retries = 2) ?(backoff = 0.0) ?(seed = 0) t n f =
             { result = Error { error = e; backtrace }; attempts = attempt }
           else begin
             Obs.incr m_retries;
-            let d = backoff_delay ~seed ~task:i ~attempt ~backoff in
-            if d > 0.0 then Unix.sleepf d;
             go (attempt + 1)
           end
       in

@@ -57,13 +57,10 @@ type 'a outcome = { result : ('a, failure) result; attempts : int }
     the body for that index (1 = first try succeeded); a [Failed] outcome
     has consumed its whole attempt budget. *)
 
-val run_results :
-  ?retries:int -> ?backoff:float -> ?seed:int -> t -> int -> (int -> 'a) -> 'a outcome array
+val run_results : ?retries:int -> t -> int -> (int -> 'a) -> 'a outcome array
 (** [run_results t n f] is {!map} with per-task fault containment: the
-    body's exceptions are caught and retried up to [retries] extra
-    attempts (default 2) with deterministic seeded-jitter exponential
-    backoff ([backoff] scales the delay; default [0.] = no sleeping), and
-    each index yields an [outcome] instead of aborting the batch — this
+    body's exceptions are caught and retried at once, up to [retries]
+    extra attempts (default 2), and each index yields an [outcome] instead of aborting the batch — this
     function never raises.  Scheduling uses the same static partition as
     {!run}; with a deterministic body the outcome array is bit-identical
     at any [jobs], and with no fault plan installed the values equal

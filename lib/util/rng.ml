@@ -130,10 +130,6 @@ let[@inline] geometric_log t ~log_q =
     (* inverse CDF; [u] in (0,1] so log is finite *)
     int_of_float (floor (log u /. log_q))
 
-let geometric t ~p =
-  assert (p > 0. && p <= 1.);
-  geometric_log t ~log_q:(log (1. -. p))
-
 let gaussian t ~mu ~sigma =
   let rec nonzero () =
     let u = float t 1.0 in
@@ -148,45 +144,6 @@ let exponential t ~mean =
     if u > 0. then u else nonzero ()
   in
   -.mean *. log (nonzero ())
-
-(* Zipf sampling by rejection (Devroye); exact for s > 0, fast for small n too. *)
-let zipf t ~n ~s =
-  assert (n > 0);
-  if n = 1 then 0
-  else begin
-    let nf = float_of_int n in
-    if abs_float (s -. 1.0) < 1e-9 then begin
-      (* harmonic case: invert H(x) = ln(1+x) approximately, then reject *)
-      let hn = log (nf +. 1.0) in
-      let rec go () =
-        let u = float t 1.0 in
-        let x = exp (u *. hn) -. 1.0 in
-        let k = int_of_float x in
-        if k < n then k else go ()
-      in
-      go ()
-    end
-    else begin
-      let one_minus_s = 1.0 -. s in
-      (* CDF of the continuous envelope over [0, n] *)
-      let hx x = ((x +. 1.0) ** one_minus_s -. 1.0) /. one_minus_s in
-      let hn = hx nf in
-      let rec go () =
-        let u = float t 1.0 *. hn in
-        let x = ((u *. one_minus_s) +. 1.0) ** (1.0 /. one_minus_s) -. 1.0 in
-        let k = int_of_float x in
-        if k >= 0 && k < n then begin
-          (* acceptance: ratio of true pmf to envelope slice; the envelope is
-             within a constant factor so accept with ratio test *)
-          let pk = (float_of_int k +. 1.0) ** -.s in
-          let env = hx (float_of_int k +. 1.0) -. hx (float_of_int k) in
-          if float t 1.0 *. env <= pk then k else go ()
-        end
-        else go ()
-      in
-      go ()
-    end
-  end
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -41,26 +41,17 @@ val bool : t -> bool
 val bernoulli : t -> p:float -> bool
 (** [bernoulli t ~p] is [true] with probability [p] (clamped to [0,1]). *)
 
-val geometric : t -> p:float -> int
-(** [geometric t ~p] counts Bernoulli(p) failures before the first success;
-    support 0, 1, 2, ...  Requires [0 < p <= 1]. *)
-
 val geometric_log : t -> log_q:float -> int
-(** [geometric_log t ~log_q] is [geometric t ~p] for [log_q = log (1. -. p)]:
-    the same value from the same draws, for callers that draw many times at
-    one [p] and take the logarithm once. *)
+(** [geometric_log t ~log_q] counts Bernoulli(p) failures before the first
+    success, for [log_q = log (1. -. p)] and [0 < p <= 1]; support 0, 1,
+    2, ...  Callers draw many times at one [p] and take the logarithm
+    once. *)
 
 val gaussian : t -> mu:float -> sigma:float -> float
 (** Normal deviate via Box-Muller. *)
 
 val exponential : t -> mean:float -> float
 (** Exponential deviate with the given mean. *)
-
-val zipf : t -> n:int -> s:float -> int
-(** [zipf t ~n ~s] samples ranks 0..n-1 with probability proportional to
-    [1/(rank+1)^s], via rejection-inversion-free CDF table-less sampling
-    (linear scan is avoided; uses the Ziggurat-free approximation of
-    rejection sampling for the Zipf law). *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

@@ -16,40 +16,6 @@ let float_arrays_equal a b =
   Array.length a = Array.length b
   && Array.for_all2 (fun (x : float) y -> Int64.bits_of_float x = Int64.bits_of_float y) a b
 
-let first_diff a b =
-  let rec go i =
-    if i >= Array.length a then "length mismatch"
-    else if Int64.bits_of_float a.(i) <> Int64.bits_of_float b.(i) then
-      Printf.sprintf "first divergence at %d: %.17g vs %.17g" i a.(i) b.(i)
-    else go (i + 1)
-  in
-  if Array.length a <> Array.length b then
-    Printf.sprintf "lengths %d vs %d" (Array.length a) (Array.length b)
-  else go 0
-
-let blocked_law z_rows z_col =
-  let naive = Distance.condensed z_rows in
-  let cases = [ (1, 5); (1, 64); (4, 7); (4, 64) ] in
-  let bad =
-    List.filter_map
-      (fun (jobs, block) ->
-        let blocked =
-          Pool.using ~jobs (fun pool -> Distance.condensed_blocked ~pool ~block z_col)
-        in
-        if float_arrays_equal naive blocked then None
-        else Some (Printf.sprintf "jobs=%d block=%d: %s" jobs block (first_diff naive blocked)))
-      cases
-  in
-  {
-    law = "blocked condensed = naive (bit-exact)";
-    ok = bad = [];
-    detail =
-      (if bad = [] then
-         Printf.sprintf "%d pairs identical across %d (jobs, block) cases" (Array.length naive)
-           (List.length cases)
-       else String.concat "; " bad);
-  }
-
 let zscore_law raw =
   let row_major = Normalize.zscore raw in
   let columnar = Colmat.zscore (Colmat.of_matrix raw) in
@@ -180,11 +146,9 @@ let k_center_law corpus z_col =
 let all ?(size = 96) () =
   let corpus = Corpus_gen.generate ~anchors:2 ~icount:10_000 ~size () in
   let raw = corpus.Dataset.data in
-  let z_rows = Normalize.zscore raw in
   let z_col = Colmat.zscore (Colmat.of_matrix raw) in
   [
     zscore_law raw;
-    blocked_law z_rows z_col;
     knn_recall_law z_col;
     budget_monotone_law z_col;
     range_exact_law z_col;

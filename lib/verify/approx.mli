@@ -4,9 +4,6 @@
     corpus regime is checked here against the naive implementation it
     replaces, on a freshly synthesized corpus:
 
-    - the blocked columnar distance kernel must equal the naive
-      row-major kernel {e bit for bit}, at several tile sizes and pool
-      widths;
     - columnar z-scoring must equal {!Mica_stats.Normalize.zscore};
     - ANN k-nearest-neighbor recall against the exact linear scan must
       meet {!min_recall}, and must be monotone in the candidate budget

@@ -3,9 +3,6 @@ module Dataset = Mica_core.Dataset
 
 type outcome = { law : string; ok : bool; detail : string }
 
-let pp_outcome fmt o =
-  Format.fprintf fmt "%-18s %s  %s" o.law (if o.ok then "ok" else "FAIL") o.detail
-
 (* Bit-exact float-array comparison; structural compare treats nan = nan,
    which is what we want — both sides computing the same nan is agreement. *)
 let first_diff a b =
@@ -107,17 +104,10 @@ let fresh_cache_dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "mica_verify_cache_%d_%d" (Unix.getpid ()) !counter)
 
-let remove_tree dir =
-  if Sys.file_exists dir && Sys.is_directory dir then begin
-    Array.iter (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      (Sys.readdir dir);
-    try Sys.rmdir dir with Sys_error _ -> ()
-  end
-
 let cache_roundtrip workloads ~icount =
   let dir = fresh_cache_dir () in
   Fun.protect
-    ~finally:(fun () -> remove_tree dir)
+    ~finally:(fun () -> Mica_util.Artifact.remove_tree dir)
     (fun () ->
       let config =
         { (base_config icount) with Pipeline.cache_dir = Some dir; jobs = 1 }

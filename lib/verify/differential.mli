@@ -21,8 +21,6 @@ type outcome = {
   detail : string;  (** what was compared; the first difference on failure *)
 }
 
-val pp_outcome : Format.formatter -> outcome -> unit
-
 val seed_determinism : Mica_trace.Program.t -> icount:int -> outcome
 
 val prefix_law : Mica_trace.Program.t -> n:int -> m:int -> outcome

@@ -49,9 +49,6 @@ val live_in_registers : t -> int
 val violations : t -> violation list
 (** Violations recorded so far, in stream order. *)
 
-val total_violations : t -> int
-(** Total violations seen, including those beyond [max_violations]. *)
-
 val finish : ?expected_icount:int -> t -> violation list
 (** End-of-trace checks (currently the exact-icount check) appended to
     the recorded violations.  Does not mutate the sink; safe to call more

@@ -48,13 +48,6 @@ type mismatch = {
 
 val pp_mismatch : Format.formatter -> mismatch -> unit
 
-val tolerances : float array
-(** Per-characteristic absolute+relative comparison tolerance.  Counting
-    families (mix, working set, strides, PPM) must agree to 1e-12;
-    the scheduling and register-traffic families to 1e-9 (they divide
-    accumulated integers and may differ in rounding of the final
-    division). *)
-
 val compare_vectors : got:float array -> oracle:float array -> mismatch list
 (** Elementwise comparison under {!tolerances}; NaN on either side is
     always a mismatch. *)

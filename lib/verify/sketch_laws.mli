@@ -15,15 +15,7 @@
 
 type outcome = { law : string; ok : bool; detail : string }
 
-val epsilon_of_name : string -> float
-(** The documented error bound for one characteristic, by its
-    [Mica_analysis.Extended.short_names] entry. *)
-
-val accuracy_law : icount:int -> Mica_workloads.Workload.t list -> outcome
 val budget_monotone_law : icount:int -> Mica_workloads.Workload.t list -> outcome
-val determinism_law : icount:int -> Mica_workloads.Workload.t list -> outcome
-val stream_chunk_law : icount:int -> Mica_workloads.Workload.t list -> outcome
-val jobs_invariance_law : icount:int -> Mica_workloads.Workload.t list -> outcome
 
 val all :
   ?accuracy_workloads:Mica_workloads.Workload.t list ->

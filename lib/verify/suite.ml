@@ -9,6 +9,8 @@ type report = { level : level; checks : check list; duration : float }
 let passed r = List.for_all (fun c -> c.ok) r.checks
 let failures r = List.filter (fun c -> not c.ok) r.checks
 
+(* Three contrasting workloads (control-heavy integer, pointer-chasing
+   memory-bound, floating-point streaming): the trio the golden tests pin. *)
 let default_workloads () =
   List.map Mica_workloads.Registry.find_exn
     [ "MiBench/sha/large"; "SPEC2000/mcf/ref"; "SPEC2000/swim/ref" ]

@@ -24,11 +24,6 @@ type report = {
 val passed : report -> bool
 val failures : report -> check list
 
-val default_workloads : unit -> Mica_workloads.Workload.t list
-(** Three contrasting workloads (control-heavy integer, pointer-chasing
-    memory-bound, floating-point streaming) — the same trio pinned by the
-    golden tests. *)
-
 val run :
   ?level:level ->
   ?workloads:Mica_workloads.Workload.t list ->

@@ -8,10 +8,6 @@ let families = [ Analytics; Key_value; Media_stream ]
 
 let family_name = function Analytics -> "analytics" | Key_value -> "kv" | Media_stream -> "media"
 
-let family_of_name s =
-  let s = String.lowercase_ascii s in
-  List.find_opt (fun f -> family_name f = s) families
-
 let version = 1
 
 let input_tag fam i =

@@ -25,11 +25,6 @@
 type family = Analytics | Key_value | Media_stream
 
 val families : family list
-val family_name : family -> string
-(** ["analytics" | "kv" | "media"]. *)
-
-val family_of_name : string -> family option
-(** Case-insensitive inverse of {!family_name}. *)
 
 val version : int
 (** Sweep-definition version, part of every member id. *)

@@ -2,7 +2,7 @@ module K = Mica_trace.Kernel
 module P = Mica_trace.Program
 
 let kernel ~name ?body ?mix ?loads ?stores ?data_kb ?code ?regions ?call_prob ?trip ?dep_p
-    ?carried ?hot ?imm ?branches ?skip ?fp_mul ?fp_div () =
+    ?carried ?hot ?branches ?skip ?fp_mul ?fp_div () =
   let d = K.default in
   let value v default = Option.value v ~default in
   {
@@ -20,18 +20,17 @@ let kernel ~name ?body ?mix ?loads ?stores ?data_kb ?code ?regions ?call_prob ?t
     dep_geom_p = value dep_p d.K.dep_geom_p;
     loop_carried_frac = value carried d.K.loop_carried_frac;
     hot_value_frac = value hot d.K.hot_value_frac;
-    imm_frac = value imm d.K.imm_frac;
     branch_kinds = value branches d.K.branch_kinds;
     branch_skip_max = value skip d.K.branch_skip_max;
     fp_mul_frac = value fp_mul d.K.fp_mul_frac;
     fp_div_frac = value fp_div d.K.fp_div_frac;
   }
 
-let program ~name ?(phase_len = 50_000) phases =
+let program ~name phases =
   P.make ~name
     (List.mapi
        (fun i kernels ->
-         { P.ph_name = Printf.sprintf "phase%d" i; ph_kernels = kernels; ph_length = phase_len })
+         { P.ph_name = Printf.sprintf "phase%d" i; ph_kernels = kernels; ph_length = 50_000 })
        phases)
 
 let single ~name spec = program ~name [ [ (1.0, spec) ] ]

@@ -25,7 +25,6 @@ val kernel :
   ?dep_p:float ->
   ?carried:float ->
   ?hot:float ->
-  ?imm:float ->
   ?branches:(float * Mica_trace.Kernel.branch_kind) list ->
   ?skip:int ->
   ?fp_mul:float ->
@@ -34,10 +33,9 @@ val kernel :
   Mica_trace.Kernel.spec
 (** Thin named-parameter wrapper over {!Mica_trace.Kernel.default}. *)
 
-val program :
-  name:string -> ?phase_len:int -> (float * Mica_trace.Kernel.spec) list list ->
-  Mica_trace.Program.t
-(** [program ~name phases] with each phase a weighted kernel list. *)
+val program : name:string -> (float * Mica_trace.Kernel.spec) list list -> Mica_trace.Program.t
+(** [program ~name phases] with each phase a weighted kernel list,
+    50,000 instructions per phase. *)
 
 val single : name:string -> Mica_trace.Kernel.spec -> Mica_trace.Program.t
 

@@ -25,13 +25,4 @@ let of_name s =
   if s = "gen" || s = "generated" then Some Generated
   else List.find_opt (fun t -> String.lowercase_ascii (name t) = s) all
 
-let domain = function
-  | BioInfoMark -> "bioinformatics"
-  | BioMetricsWorkload -> "biometrics"
-  | CommBench -> "telecommunication"
-  | MediaBench -> "multimedia"
-  | MiBench -> "embedded"
-  | SpecCpu2000 -> "general purpose"
-  | Generated -> "synthetic parameter sweep"
-
 let pp fmt t = Format.pp_print_string fmt (name t)

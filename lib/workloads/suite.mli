@@ -19,7 +19,4 @@ val name : t -> string
 val of_name : string -> t option
 (** Case-insensitive lookup by {!name}. *)
 
-val domain : t -> string
-(** Human-readable workload domain, e.g. "bioinformatics". *)
-
 val pp : Format.formatter -> t -> unit

@@ -234,6 +234,8 @@ let test_strides_vector_shape () =
 
 let always_taken_branch pc = Tutil.branch ~pc ~taken:true ()
 
+let ppm_variants = A.Ppm.[ (GAg, "GAg"); (PAg, "PAg"); (GAs, "GAs"); (PAs, "PAs") ]
+
 let test_ppm_always_taken () =
   let t = A.Ppm.create () in
   let sink = A.Ppm.sink t in
@@ -241,11 +243,10 @@ let test_ppm_always_taken () =
     Tutil.push_one sink (always_taken_branch 0x100)
   done;
   List.iter
-    (fun v ->
+    (fun (v, name) ->
       let miss = A.Ppm.miss_rate t v in
-      if miss > 0.02 then
-        Alcotest.failf "%s misses %.3f on constant branch" (A.Ppm.variant_name v) miss)
-    A.Ppm.all_variants
+      if miss > 0.02 then Alcotest.failf "%s misses %.3f on constant branch" name miss)
+    ppm_variants
 
 let test_ppm_alternating () =
   (* T N T N ... is learnable from one bit of history *)
@@ -255,11 +256,10 @@ let test_ppm_alternating () =
     Tutil.push_one sink (Tutil.branch ~pc:0x100 ~taken:(i mod 2 = 0) ())
   done;
   List.iter
-    (fun v ->
+    (fun (v, name) ->
       let miss = A.Ppm.miss_rate t v in
-      if miss > 0.05 then
-        Alcotest.failf "%s misses %.3f on alternating branch" (A.Ppm.variant_name v) miss)
-    A.Ppm.all_variants
+      if miss > 0.05 then Alcotest.failf "%s misses %.3f on alternating branch" name miss)
+    ppm_variants
 
 let test_ppm_global_correlation () =
   (* Branch B's outcome equals branch A's last outcome: global-history
@@ -350,11 +350,7 @@ let test_characteristics_catalogue () =
   Alcotest.(check int) "47 short names" 47 (Array.length A.Characteristics.short_names);
   Alcotest.(check int) "47 categories" 47 (Array.length A.Characteristics.categories);
   let uniq = List.sort_uniq compare (Array.to_list A.Characteristics.short_names) in
-  Alcotest.(check int) "short names unique" 47 (List.length uniq);
-  Alcotest.(check (option int)) "lookup" (Some 0)
-    (A.Characteristics.index_of_short_name "pct_load");
-  Alcotest.(check (option int)) "missing lookup" None
-    (A.Characteristics.index_of_short_name "nope")
+  Alcotest.(check int) "short names unique" 47 (List.length uniq)
 
 let suite =
   ( "analysis",

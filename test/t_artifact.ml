@@ -21,20 +21,6 @@ let md5_file path =
   in
   Digest.to_hex (Digest.string s)
 
-let rec remove_tree path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
-      try Sys.rmdir path with Sys_error _ -> ()
-    end
-    else try Sys.remove path with Sys_error _ -> ()
-
-let with_temp_dir f =
-  let dir = Filename.temp_file "mica_artifact" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> f dir)
-
 (* Every file under [dir] (recursively, relative names) with its MD5,
    sorted by name. *)
 let digests dir =
@@ -118,7 +104,7 @@ let store_dataset () =
 (* ---------------- pins ---------------- *)
 
 let test_cache_pin () =
-  with_temp_dir (fun dir ->
+  Tutil.with_temp_dir (fun dir ->
       Pipeline.flush_cache (cache_config dir) cache_entries;
       check_digests "flush_cache writes these bytes"
         [
@@ -130,7 +116,7 @@ let test_cache_pin () =
 (* The interrupted run of t_verify's crash-resume test: the main cache
    commit and workload 0's checkpoint fail, two checkpoints remain. *)
 let test_checkpoint_pin () =
-  with_temp_dir (fun dir ->
+  Tutil.with_temp_dir (fun dir ->
       let trio =
         List.map W.Registry.find_exn [ "MiBench/sha/large"; "SPEC2000/mcf/ref"; "SPEC2000/swim/ref" ]
       in
@@ -150,7 +136,7 @@ let test_checkpoint_pin () =
         dir)
 
 let test_run_dir_pin () =
-  with_temp_dir (fun root ->
+  Tutil.with_temp_dir (fun root ->
       let dir =
         R.Run_dir.commit ~root ~dirname:"pinned" ~manifest:run_manifest ~artifacts:run_artifacts ()
       in
@@ -165,14 +151,14 @@ let test_run_dir_pin () =
         dir)
 
 let test_store_pin () =
-  with_temp_dir (fun dir ->
+  Tutil.with_temp_dir (fun dir ->
       Core.Dataset_store.write (Filename.concat dir "pinned.micd") (store_dataset ());
       check_digests "Dataset_store.write" [ ("pinned.micd", "fe85b18aa49e37ceb61f2b8fce91e016") ] dir)
 
 (* A cache pair without a checksum header, as the first release wrote it
    (Dataset.to_csv): served without recomputing, and left untouched. *)
 let test_headerless_cache_served () =
-  with_temp_dir (fun dir ->
+  Tutil.with_temp_dir (fun dir ->
       let ws = List.map W.Registry.find_exn [ "MiBench/sha/large"; "SPEC2000/mcf/ref" ] in
       let ids = Array.of_list (List.map W.Workload.id ws) in
       (* recognizable values no analyzer produces *)

@@ -15,7 +15,6 @@ let test_dataset_basics () =
   Alcotest.(check int) "rows" 3 (C.Dataset.rows ds);
   Alcotest.(check int) "cols" 2 (C.Dataset.cols ds);
   Alcotest.(check (option int)) "row index" (Some 1) (C.Dataset.row_index ds "b");
-  Alcotest.(check (option int)) "feature index" (Some 1) (C.Dataset.feature_index ds "y");
   Alcotest.(check (array feq)) "row_exn" [| 3.0; 4.0 |] (C.Dataset.row_exn ds "b")
 
 let test_dataset_create_mismatch () =
@@ -28,22 +27,7 @@ let test_dataset_select () =
   let ds = sample_dataset () in
   let sub = C.Dataset.select_features ds [| 1 |] in
   Alcotest.(check (array string)) "feature kept" [| "y" |] sub.C.Dataset.features;
-  Alcotest.check feq "value kept" 4.0 sub.C.Dataset.data.(1).(0);
-  let rows = C.Dataset.select_rows ds [| 2; 0 |] in
-  Alcotest.(check (array string)) "rows reordered" [| "c"; "a" |] rows.C.Dataset.names
-
-let test_dataset_append () =
-  let ds = sample_dataset () in
-  let more =
-    C.Dataset.create ~names:[| "d" |] ~features:[| "x"; "y" |] [| [| 7.0; 8.0 |] |]
-  in
-  let both = C.Dataset.append_rows ds more in
-  Alcotest.(check int) "4 rows" 4 (C.Dataset.rows both);
-  let bad = C.Dataset.create ~names:[| "e" |] ~features:[| "z"; "w" |] [| [| 0.0; 0.0 |] |] in
-  try
-    ignore (C.Dataset.append_rows ds bad);
-    Alcotest.fail "expected Invalid_argument"
-  with Invalid_argument _ -> ()
+  Alcotest.check feq "value kept" 4.0 sub.C.Dataset.data.(1).(0)
 
 let test_dataset_csv_roundtrip () =
   let ds = sample_dataset () in
@@ -59,6 +43,31 @@ let test_dataset_csv_roundtrip () =
         (fun i row ->
           Array.iteri (fun j v -> Alcotest.check feq "value" v back.C.Dataset.data.(i).(j)) row)
         ds.C.Dataset.data)
+
+(* A dataset CSV the CLI cannot write ([mica export], [mica corpus --csv])
+   is one error line and exit 2, never an uncaught exception. *)
+let test_dataset_csv_write_failure () =
+  Tutil.with_temp_dir (fun dir ->
+      let blocker = Filename.concat dir "file" in
+      Mica_util.Artifact.write blocker "a regular file\n";
+      List.iter
+        (fun (what, args, path) ->
+          let code, err = T_trace.run_mica (args @ [ "--no-run" ]) in
+          Alcotest.(check int) (what ^ ": exit code; stderr: " ^ err) 2 code;
+          match List.filter (String.starts_with ~prefix:"error:") (String.split_on_char '\n' err) with
+          | [ line ] ->
+            let prefix = Printf.sprintf "error: cannot write %s: " path in
+            if not (String.starts_with ~prefix line) then Alcotest.failf "%s: %S" what line
+          | lines -> Alcotest.failf "%s: %d error lines in %S" what (List.length lines) err)
+        [
+          ( "export",
+            [ "export"; "--icount"; "2000"; "--no-cache"; "-o"; Filename.concat blocker "out" ],
+            Filename.concat (Filename.concat blocker "out") "mica_dataset.csv" );
+          ( "corpus --csv",
+            [ "corpus"; "--size"; "16"; "--csv"; Filename.concat blocker "c.csv" ],
+            Filename.concat blocker "c.csv" );
+        ];
+      Alcotest.(check (array string)) "nothing else written" [| "file" |] (Sys.readdir dir))
 
 (* ---------------- space ---------------- *)
 
@@ -167,13 +176,10 @@ let test_clustering_two_blobs () =
   let ds = blob_dataset () in
   let c = C.Clustering.cluster ~k_max:6 ds in
   Alcotest.(check int) "two clusters found" 2 c.C.Clustering.k;
-  (match C.Clustering.cluster_of c "w0" with
-  | Some c0 ->
-    for i = 1 to 14 do
-      Alcotest.(check (option int)) "first blob intact" (Some c0)
-        (C.Clustering.cluster_of c (Printf.sprintf "w%d" i))
-    done
-  | None -> Alcotest.fail "w0 missing");
+  let a = c.C.Clustering.assignments in
+  for i = 1 to 14 do
+    Alcotest.(check int) "first blob intact" a.(0) a.(i)
+  done;
   let sorted = C.Clustering.sorted_clusters c in
   Alcotest.(check int) "partition" 30
     (List.fold_left (fun acc (_, m) -> acc + Array.length m) 0 sorted)
@@ -379,8 +385,8 @@ let test_pipeline_datasets_shape () =
   Alcotest.(check string) "row order preserved" "MiBench/sha/large" mica.C.Dataset.names.(0)
 
 let test_pipeline_cache_roundtrip () =
-  let dir = Filename.temp_file "mica_cache" "" in
-  Sys.remove dir;
+  Tutil.with_temp_dir @@ fun tmp ->
+  let dir = Filename.concat tmp "cache" in
   let config = small_config (Some dir) in
   let ws = [ W.Registry.find_exn "MiBench/sha/large" ] in
   let mica1, _ = C.Pipeline.datasets ~config ws in
@@ -486,8 +492,8 @@ let suite =
       Alcotest.test_case "dataset basics" `Quick test_dataset_basics;
       Alcotest.test_case "dataset mismatch" `Quick test_dataset_create_mismatch;
       Alcotest.test_case "dataset select" `Quick test_dataset_select;
-      Alcotest.test_case "dataset append" `Quick test_dataset_append;
       Alcotest.test_case "dataset csv roundtrip" `Quick test_dataset_csv_roundtrip;
+      Alcotest.test_case "dataset csv write failure" `Quick test_dataset_csv_write_failure;
       Alcotest.test_case "space distances" `Quick test_space_distances;
       Alcotest.test_case "space nearest" `Quick test_space_nearest;
       Alcotest.test_case "space place" `Quick test_space_place;

@@ -59,8 +59,14 @@ let test_all_families_generate_and_analyze () =
 
 let mix name = A.Analyzer.mix (analyze (List.assoc name all_families))
 let ws name = A.Analyzer.working_set (analyze (List.assoc name all_families))
-let ppm name = A.Analyzer.ppm_miss_rates (analyze (List.assoc name all_families))
-let ilp name = A.Analyzer.ilp_ipc (analyze (List.assoc name all_families))
+(* One category's slice of a family's characteristic vector. *)
+let category cat name =
+  let v = A.Analyzer.vector (analyze (List.assoc name all_families)) in
+  Array.of_list
+    (List.filteri (fun i _ -> A.Characteristics.categories.(i) = cat) (Array.to_list v))
+
+let ppm = category A.Characteristics.Branch_predictability
+let ilp = category A.Characteristics.Ilp
 
 let test_fp_families_have_fp () =
   List.iter

@@ -231,8 +231,8 @@ let test_baseline_all_machines_in_envelope () =
 
 let test_baseline_deterministic () =
   let configs = [ U.Hw_counters.ev56 (); Tutil.preset "wide" ] in
-  let a = U.Baseline.run_kernel ~icount:10_000 configs ~kernel:"stream" in
-  let b = U.Baseline.run_kernel ~icount:10_000 configs ~kernel:"stream" in
+  let a = U.Baseline.run_all ~icount:10_000 configs in
+  let b = U.Baseline.run_all ~icount:10_000 configs in
   List.iter2
     (fun (x : U.Baseline.outcome) (y : U.Baseline.outcome) ->
       if Int64.bits_of_float x.U.Baseline.value <> Int64.bits_of_float y.U.Baseline.value then

@@ -207,22 +207,6 @@ let fault_trio () =
   List.map W.Registry.find_exn
     [ "MiBench/sha/large"; "SPEC2000/mcf/ref"; "SPEC2000/swim/ref" ]
 
-let with_temp_dir f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mica_fuzz_cache_%d_%d" (Unix.getpid ()) (Random.bits ()))
-  in
-  Sys.mkdir dir 0o755;
-  let rec remove_tree path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun e -> remove_tree (Filename.concat path e)) (Sys.readdir path);
-        try Sys.rmdir path with Sys_error _ -> ()
-      end
-      else try Sys.remove path with Sys_error _ -> ()
-  in
-  Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> f dir)
-
 let fault_config ?(jobs = 2) ?(retries = 0) dir =
   {
     Pipeline.default_config with
@@ -250,7 +234,7 @@ let test_fault_matrix () =
       (Dataset.row_exn mica id, Dataset.row_exn hpc id)
   in
   (* (a) no plan installed: supervised = baseline, rows in request order *)
-  with_temp_dir (fun dir ->
+  Tutil.with_temp_dir (fun dir ->
       let mica, hpc, report = Pipeline.datasets_report ~config:(fault_config (Some dir)) trio in
       Alcotest.(check bool) "no-fault run all ok" true (Run_report.all_ok report);
       List.iteri
@@ -266,7 +250,7 @@ let test_fault_matrix () =
         (fun retries ->
           let spec = Printf.sprintf "seed=41,%s=0.35" (Fault.point_name point) in
           let run () =
-            with_temp_dir (fun dir ->
+            Tutil.with_temp_dir (fun dir ->
                 Fault.with_plan
                   (Some
                      (match Fault.parse spec with

@@ -38,7 +38,6 @@ let test_latencies_positive () =
 
 let test_reg_helpers () =
   Alcotest.(check bool) "none" true (Reg.is_none Reg.none);
-  Alcotest.(check bool) "r0 is int" true (Reg.is_int 0);
   Alcotest.(check bool) "f0 is fp" true (Reg.is_fp Reg.fp_base);
   Alcotest.(check bool) "r31 carries no dependency" false (Reg.carries_dependency Reg.zero);
   Alcotest.(check bool) "r5 carries dependency" true (Reg.carries_dependency 5);
@@ -61,14 +60,6 @@ let test_instr_source_count () =
   Alcotest.(check int) "one source" 1 (Instr.source_count (Tutil.alu ~src1:3 ()));
   Alcotest.(check int) "two sources" 2 (Instr.source_count (Tutil.alu ~src1:3 ~src2:4 ()))
 
-let test_instr_reads_writes () =
-  let i = Tutil.alu ~src1:3 ~src2:4 ~dst:5 () in
-  Alcotest.(check bool) "reads src1" true (Instr.reads_reg i 3);
-  Alcotest.(check bool) "reads src2" true (Instr.reads_reg i 4);
-  Alcotest.(check bool) "does not read dst" false (Instr.reads_reg i 5);
-  Alcotest.(check bool) "writes dst" true (Instr.writes_reg i 5);
-  Alcotest.(check bool) "never reads none" false (Instr.reads_reg (Tutil.alu ()) (-1))
-
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
@@ -90,6 +81,5 @@ let suite =
       Alcotest.test_case "registers" `Quick test_reg_helpers;
       Alcotest.test_case "next_pc" `Quick test_instr_next_pc;
       Alcotest.test_case "source_count" `Quick test_instr_source_count;
-      Alcotest.test_case "reads/writes" `Quick test_instr_reads_writes;
       Alcotest.test_case "to_string" `Quick test_instr_to_string;
     ] )

@@ -69,7 +69,7 @@ let bits a = Array.map Int64.bits_of_float a
 (* ---------------- cache pair, through warm_cache ---------------- *)
 
 let test_cache_pair () =
-  T_artifact.with_temp_dir (fun dir ->
+  Tutil.with_temp_dir (fun dir ->
       let config = T_artifact.cache_config dir in
       Pipeline.flush_cache config T_artifact.cache_entries;
       let original = Pipeline.warm_cache config in
@@ -107,7 +107,7 @@ let test_cache_pair () =
 (* ---------------- checkpoint, through datasets_report ---------------- *)
 
 let test_checkpoint () =
-  T_artifact.with_temp_dir (fun dir ->
+  Tutil.with_temp_dir (fun dir ->
       (* a short trace: most mutations recompute the workload *)
       let config = { (T_artifact.cache_config dir) with Pipeline.icount = 100 } in
       let pair = List.map W.Registry.find_exn [ "MiBench/sha/large"; "SPEC2000/mcf/ref" ] in
@@ -152,7 +152,7 @@ let test_checkpoint () =
 (* ---------------- run directory, through Run_dir.load ---------------- *)
 
 let test_run_dir () =
-  T_artifact.with_temp_dir (fun root ->
+  Tutil.with_temp_dir (fun root ->
       let dir =
         R.Run_dir.commit ~root ~dirname:"run" ~manifest:T_artifact.run_manifest
           ~artifacts:T_artifact.run_artifacts ()
@@ -161,7 +161,7 @@ let test_run_dir () =
         match R.Run_dir.load dir with Ok r -> r | Error e -> Alcotest.failf "run: %s" e
       in
       let files =
-        [ R.Run_dir.manifest_file; R.Run_dir.mica_file; R.Run_dir.hpc_file; R.Run_dir.metrics_file ]
+        [ "manifest.json"; R.Run_dir.mica_file; R.Run_dir.hpc_file; R.Run_dir.metrics_file ]
       in
       let texts = List.map (fun f -> (f, read_exn (Filename.concat dir f))) files in
       let total =
@@ -185,17 +185,17 @@ let test_run_dir () =
 (* ---------------- MICD store, through verify then load ---------------- *)
 
 let test_store () =
-  T_artifact.with_temp_dir (fun dir ->
+  Tutil.with_temp_dir (fun dir ->
       let path = Filename.concat dir "store.micd" in
       let ds = T_artifact.store_dataset () in
       Core.Dataset_store.write path ds;
       let text = read_exn path in
       let data_offset = Int32.to_int (String.get_int32_le text 20) in
       let identical (t : Core.Dataset_store.t) =
-        let back = Core.Dataset_store.to_dataset t in
-        back.Core.Dataset.names = ds.Core.Dataset.names
-        && back.Core.Dataset.features = ds.Core.Dataset.features
-        && Array.map bits back.Core.Dataset.data = Array.map bits ds.Core.Dataset.data
+        t.Core.Dataset_store.names = ds.Core.Dataset.names
+        && t.Core.Dataset_store.features = ds.Core.Dataset.features
+        && Array.map bits (Mica_stats.Colmat.to_matrix t.Core.Dataset_store.data)
+           = Array.map bits ds.Core.Dataset.data
       in
       let total =
         fuzz "MICD store" ~framing:data_offset text (fun damaged ->
@@ -211,7 +211,7 @@ let test_store () =
 (* ---------------- machine description, through parse_string and load ---------------- *)
 
 let test_machine_desc () =
-  T_artifact.with_temp_dir (fun dir ->
+  Tutil.with_temp_dir (fun dir ->
       let text = read_exn (Filename.concat T_fleet.machines_dir "ev56.json") in
       let path = Filename.concat dir "ev56.json" in
       (* Every bit of every byte in memory; through the file, every

@@ -286,7 +286,7 @@ let num path doc =
 let test_json_roundtrip () =
   with_obs (fun () ->
       rt_setup ();
-      let doc = Json.parse_exn (Obs.to_json (Obs.snapshot ())) in
+      let doc = Result.get_ok (Json.parse (Obs.to_json (Obs.snapshot ()))) in
       Alcotest.(check (float 1e-9)) "counter survives" 3.0
         (num [ "metrics"; "t_obs.basic"; "value" ] doc);
       Alcotest.(check string) "counter typed"
@@ -338,7 +338,7 @@ let test_snapshot_file () =
    written is one error line and exit 2, never an uncaught exception at
    exit. *)
 let test_metrics_cli () =
-  T_artifact.with_temp_dir (fun dir ->
+  Tutil.with_temp_dir (fun dir ->
       let run path extra =
         T_trace.run_mica
           ([ "characterize"; "MiBench/sha/large"; "--icount"; "2000"; "--no-run"; "--no-cache";

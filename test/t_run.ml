@@ -18,10 +18,9 @@ let contains ~sub s =
 
 (* ---------------- fixtures ---------------- *)
 
-let fresh_root () =
-  let d = Filename.temp_file "mica_runs" "" in
-  Sys.remove d;
-  d
+(* [f root] on a run root that does not exist yet, inside a temp
+   directory removed after the test. *)
+let with_root f = Tutil.with_temp_dir (fun dir -> f (Filename.concat dir "runs"))
 
 let manifest ?(tag = "t") ?(created = "20260101-000000") ?(fault_spec = None) ?(mica_jobs_env = None)
     () =
@@ -204,9 +203,15 @@ let test_table_csv_roundtrip () =
       cells = [| [| 0.1; -3.25e-7; 196.0 |]; [| 1.0 /. 3.0; 0.0; 1e17 |] |];
     }
   in
-  match R.Run_dir.table_of_csv (R.Run_dir.csv_of_table t) with
-  | Error e -> Alcotest.failf "csv round-trip failed: %s" e
-  | Ok t' ->
+  with_root @@ fun root ->
+  let dir =
+    R.Run_dir.commit ~root ~manifest:(manifest ())
+      ~artifacts:[ { R.Run_dir.filename = R.Run_dir.mica_file; contents = R.Run_dir.csv_of_table t } ]
+      ()
+  in
+  match (load_exn dir).R.Run_dir.mica with
+  | None -> Alcotest.fail "csv round-trip lost the table"
+  | Some t' ->
       Alcotest.(check (array string)) "rows" t.R.Run_dir.row_names t'.R.Run_dir.row_names;
       Alcotest.(check (array string)) "cols" t.R.Run_dir.columns t'.R.Run_dir.columns;
       Alcotest.(check (array (array (Alcotest.float 0.0))))
@@ -215,7 +220,7 @@ let test_table_csv_roundtrip () =
 (* ---------------- commit / load / corruption ---------------- *)
 
 let test_commit_and_load () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   let dir = commit_run root ~tag:"alpha" ~bench:[ ("k1", 120.0) ] () in
   let r = load_exn dir in
   Alcotest.(check string) "tag survives" "alpha" r.R.Run_dir.manifest.R.Manifest.tag;
@@ -226,21 +231,36 @@ let test_commit_and_load () =
   Alcotest.(check int)
     "manifest lists both artifacts" 2
     (List.length r.R.Run_dir.manifest.R.Manifest.files);
-  (* the run root lists it; latest resolves to the lexicographically
-     newest stamp *)
-  Alcotest.(check bool) "listed" true
-    (List.mem (Filename.basename dir) (R.Run_dir.list_runs root));
+  (* latest resolves to the lexicographically newest stamp *)
+  let latest () =
+    match R.Run_dir.resolve (Filename.concat root "latest") with `Run d -> Some d | _ -> None
+  in
+  Alcotest.(check (option string)) "listed" (Some dir) (latest ());
   let dir2 = commit_run root ~tag:"beta" () in
-  Alcotest.(check (option string)) "latest" (Some dir2) (R.Run_dir.latest root);
+  Alcotest.(check (option string)) "latest" (Some dir2) (latest ());
   (* identical created+tag collides and is uniquified, not overwritten *)
   let dir3 = commit_run root ~tag:"beta" () in
-  Alcotest.(check bool) "collision uniquified" true (dir3 <> dir2);
-  Alcotest.(check int) "three runs listed" 3 (List.length (R.Run_dir.list_runs root))
+  Alcotest.(check string) "collision uniquified" (dir2 ^ ".2") dir3;
+  Alcotest.(check int) "three runs listed" 3 (Array.length (Sys.readdir root))
+
+(* A commit that fails leaves nothing behind; one whose directory name is
+   taken claims the next suffix. *)
+let test_commit_rollback_and_claim () =
+  with_root @@ fun root ->
+  let plan = Result.get_ok (Mica_util.Fault.parse "seed=1,cache.write=1") in
+  (match Mica_util.Fault.with_plan (Some plan) (fun () -> commit_run root ~tag:"faulted" ()) with
+  | dir -> Alcotest.failf "commit under cache.write=1 returned %s" dir
+  | exception Mica_util.Fault.Injected _ -> ());
+  Alcotest.(check (array string)) "root holds no entry" [||] (Sys.readdir root);
+  Unix.mkdir (Filename.concat root "taken") 0o755;
+  Alcotest.(check string)
+    "existing directory skipped" (Filename.concat root "taken.2")
+    (R.Run_dir.commit ~root ~dirname:"taken" ~manifest:(manifest ()) ~artifacts:[] ())
 
 let test_truncated_manifest_unreadable () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   let dir = commit_run root ~tag:"trunc" () in
-  let path = Filename.concat dir R.Run_dir.manifest_file in
+  let path = Filename.concat dir "manifest.json" in
   let ic = open_in_bin path in
   let raw = really_input_string ic (in_channel_length ic) in
   close_in ic;
@@ -252,7 +272,7 @@ let test_truncated_manifest_unreadable () =
   | Ok _ -> Alcotest.fail "truncated manifest must make the run unreadable"
 
 let test_tampered_artifact_unreadable () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   let dir = commit_run root ~tag:"tamper" () in
   let path = Filename.concat dir R.Run_dir.mica_file in
   let oc = open_out_gen [ Open_append ] 0o644 path in
@@ -268,24 +288,21 @@ let test_tampered_artifact_unreadable () =
   | Ok _ -> Alcotest.fail "missing artifact must make the run unreadable"
 
 let test_missing_run_unreadable () =
-  (match R.Run_dir.load "/nonexistent/run/dir" with
+  match R.Run_dir.load "/nonexistent/run/dir" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "missing dir must be an error");
-  let root = fresh_root () in
-  Mica_util.Artifact.mkdir_p root;
-  Alcotest.(check (option string)) "no runs -> no latest" None (R.Run_dir.latest root)
+  | Ok _ -> Alcotest.fail "missing dir must be an error"
 
 (* [m], framed as [Run_dir] frames a manifest, over [dir]'s manifest. *)
 let rewrite_manifest dir m =
   Mica_util.Artifact.write
-    (Filename.concat dir R.Run_dir.manifest_file)
+    (Filename.concat dir "manifest.json")
     (Mica_util.Artifact.frame ~prefix:"#mica-run " ~version:"v1"
        (J.to_string ~pretty:true (R.Manifest.to_json m) ^ "\n"))
 
 (* A manifest with a valid checksum that names a file outside its run
    directory, with that file's correct digest, must not load. *)
 let test_manifest_names_inside_run () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   let dir = commit_run root ~tag:"escape" () in
   let text = "not part of the run\n" in
   Mica_util.Artifact.write (Filename.concat root "outside.txt") text;
@@ -346,20 +363,23 @@ let test_manifest_integer_fields () =
 
 (* ---------------- compare: metamorphic laws ---------------- *)
 
+(* A count from the comparison's JSON report. *)
+let report_count cmp field = Option.bind (J.member field (R.Compare.to_json cmp)) J.to_num
+
 let test_compare_self_empty () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   let dir = commit_run root ~tag:"self" ~bench:[ ("k1", 100.0) ] () in
   let r = load_exn dir in
   let cmp = R.Compare.run r r in
   Alcotest.(check bool) "self-compare ok" true (R.Compare.ok cmp);
-  Alcotest.(check int) "no drift" 0 (List.length (R.Compare.drift cmp));
-  Alcotest.(check int) "no regressions" 0 (List.length (R.Compare.regressions cmp));
+  Alcotest.(check (option (float 0.0))) "no drift" (Some 0.0) (report_count cmp "drift");
+  Alcotest.(check (option (float 0.0))) "no regressions" (Some 0.0) (report_count cmp "regressions");
   List.iter
     (fun (d : R.Compare.cell_delta) -> Alcotest.check feq "zero delta" 0.0 d.R.Compare.rel)
     cmp.R.Compare.char_deltas
 
 let test_compare_antisymmetric () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   let da =
     commit_run root ~tag:"a"
       ~cells:[| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |]
@@ -403,7 +423,7 @@ let test_compare_antisymmetric () =
   Alcotest.(check bool) "B->A fails too (drift gates both ways)" false (R.Compare.ok ba)
 
 let test_compare_tolerance_gate () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   let da = commit_run root ~tag:"a" ~bench:[ ("k1", 100.0) ] () in
   let db =
     commit_run root ~tag:"b"
@@ -419,11 +439,11 @@ let test_compare_tolerance_gate () =
   let strict = { R.Compare.char_rel = 1e-12; bench_rel = 0.05 } in
   let cmp = R.Compare.run ~tol:strict ra rb in
   Alcotest.(check bool) "beyond tolerance" false (R.Compare.ok cmp);
-  Alcotest.(check int) "one drifting column" 1 (List.length (R.Compare.drift cmp));
-  Alcotest.(check int) "one regression" 1 (List.length (R.Compare.regressions cmp))
+  Alcotest.(check (option (float 0.0))) "one drifting column" (Some 1.0) (report_count cmp "drift");
+  Alcotest.(check (option (float 0.0))) "one regression" (Some 1.0) (report_count cmp "regressions")
 
 let test_compare_report_json () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   let da = commit_run root ~tag:"a" ~bench:[ ("k1", 100.0) ] () in
   let db = commit_run root ~tag:"b" ~bench:[ ("k1", 300.0) ] () in
   let cmp = R.Compare.run (load_exn da) (load_exn db) in
@@ -447,7 +467,7 @@ let test_compare_report_json () =
 (* jobs=1 vs jobs=4 same-seed runs through the real pipeline compare clean *)
 let test_compare_pipeline_jobs_invariant () =
   let ws = [ W.Registry.find_exn "MiBench/sha/large"; W.Registry.find_exn "SPEC2000/mcf/ref" ] in
-  let root = fresh_root () in
+  with_root @@ fun root ->
   let run_with ~tag ~jobs =
     let config =
       {
@@ -467,7 +487,7 @@ let test_compare_pipeline_jobs_invariant () =
   let d4 = run_with ~tag:"parallel" ~jobs:4 in
   let cmp = R.Compare.run (load_exn d1) (load_exn d4) in
   Alcotest.(check bool) "jobs=1 vs jobs=4 compares clean" true (R.Compare.ok cmp);
-  Alcotest.(check int) "no drift" 0 (List.length (R.Compare.drift cmp));
+  Alcotest.(check (option (float 0.0))) "no drift" (Some 0.0) (report_count cmp "drift");
   Alcotest.(check int) "all 47 characteristics compared" 47
     (List.length cmp.R.Compare.char_deltas);
   Alcotest.(check int) "all 7 counters compared" 7 (List.length cmp.R.Compare.counter_deltas)
@@ -475,7 +495,7 @@ let test_compare_pipeline_jobs_invariant () =
 (* ---------------- variance ---------------- *)
 
 let test_variance_aggregate () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   let mk tag c00 ns =
     let dir =
       commit_run root ~tag ~cells:[| [| c00; 2.0 |]; [| 3.0; 4.0 |] |] ~bench:[ ("k1", ns) ] ()
@@ -519,7 +539,7 @@ let test_variance_aggregate () =
 (* a NaN characteristic in one run must be counted as dropped, not
    silently vanish from the sample set *)
 let test_variance_dropped_nonfinite () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   let mk tag c00 =
     load_exn (commit_run root ~tag ~cells:[| [| c00; 2.0 |]; [| 3.0; 4.0 |] |] ())
   in
@@ -555,15 +575,21 @@ let test_variance_dropped_nonfinite () =
   | None -> Alcotest.fail "char/c1 missing from json metrics"
 
 let test_variance_metrics_of_run () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   let dir = commit_run root ~tag:"m" ~bench:[ ("k1", 100.0) ] () in
-  let metrics = R.Variance.metrics_of_run (load_exn dir) in
-  let names = List.map fst metrics in
+  let r = load_exn dir in
+  let rows = (R.Variance.analyze [ r; r ]).R.Variance.rows in
+  let mean name =
+    List.find_map
+      (fun (row : R.Variance.row) ->
+        if row.R.Variance.metric = name then Some row.R.Variance.stats.Mica_stats.Descriptive.mean_v
+        else None)
+      rows
+  in
   List.iter
-    (fun n -> Alcotest.(check bool) (n ^ " extracted") true (List.mem n names))
+    (fun n -> Alcotest.(check bool) (n ^ " extracted") true (mean n <> None))
     [ "char/c1"; "char/c2"; "bench/k1" ];
-  Alcotest.(check (option (float 1e-9))) "bench value" (Some 100.0)
-    (List.assoc_opt "bench/k1" metrics)
+  Alcotest.(check (option (float 1e-9))) "bench value" (Some 100.0) (mean "bench/k1")
 
 (* ---------------- resolve: latest / dangling / not-a-run ---------------- *)
 
@@ -575,7 +601,7 @@ let check_resolve_error name p ~sub =
   | `Not_run -> Alcotest.failf "%s: fell through to `Not_run" name
 
 let test_resolve_run_dir () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   let dir = commit_run root ~tag:"r" () in
   (match R.Run_dir.resolve dir with
   | `Run d -> Alcotest.(check string) "resolves to itself" dir d
@@ -585,29 +611,29 @@ let test_resolve_run_dir () =
   | _ -> Alcotest.fail "latest must resolve when a run exists"
 
 let test_resolve_latest_missing_root () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   check_resolve_error "missing root" (Filename.concat root "latest")
     ~sub:"no runs have been committed"
 
 let test_resolve_latest_empty_root () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   Unix.mkdir root 0o755;
   check_resolve_error "empty root" (Filename.concat root "latest") ~sub:"no run directories"
 
 let test_resolve_plain_dir () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   Unix.mkdir root 0o755;
   check_resolve_error "plain dir" root ~sub:"manifest.json"
 
 let test_resolve_dangling_symlink () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   Unix.mkdir root 0o755;
   let link = Filename.concat root "latest" in
   Unix.symlink (Filename.concat root "gone-20260101-000000") link;
   check_resolve_error "dangling symlink" link ~sub:"dangling"
 
 let test_resolve_not_a_path () =
-  let root = fresh_root () in
+  with_root @@ fun root ->
   match R.Run_dir.resolve (Filename.concat root "nope") with
   | `Not_run -> ()
   | `Run d -> Alcotest.failf "nonexistent path resolved to %s" d
@@ -622,6 +648,8 @@ let suite =
       Alcotest.test_case "checksummed io round-trip + tamper" `Quick test_checksummed_roundtrip;
       Alcotest.test_case "table csv round-trip" `Quick test_table_csv_roundtrip;
       Alcotest.test_case "commit and load" `Quick test_commit_and_load;
+      Alcotest.test_case "commit rolls back and claims atomically" `Quick
+        test_commit_rollback_and_claim;
       Alcotest.test_case "truncated manifest unreadable" `Quick test_truncated_manifest_unreadable;
       Alcotest.test_case "tampered artifact unreadable" `Quick test_tampered_artifact_unreadable;
       Alcotest.test_case "missing run unreadable" `Quick test_missing_run_unreadable;

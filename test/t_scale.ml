@@ -1,7 +1,7 @@
-(* Scale layer: columnar store, blocked kernels, ANN index, corpus sweep.
-   The load-bearing contracts here are bit-identity (blocked = naive,
-   store round-trips, corpus determinism) and the ANN recall/monotonicity
-   laws — see DESIGN.md §13. *)
+(* Scale layer: columnar store, ANN index, corpus sweep.
+   The load-bearing contracts here are bit-identity (store round-trips,
+   corpus determinism) and the ANN recall/monotonicity laws — see
+   DESIGN.md §13. *)
 module S = Mica_stats
 module Core = Mica_core
 module W = Mica_workloads
@@ -52,11 +52,11 @@ let test_store_round_trip () =
       match Core.Dataset_store.load path with
       | Error e -> Alcotest.failf "load: %s" (Mica_util.Artifact.describe_error e)
       | Ok st ->
-        let back = Core.Dataset_store.to_dataset st in
-        Alcotest.(check (array string)) "names" ds.Core.Dataset.names back.Core.Dataset.names;
+        Alcotest.(check (array string)) "names" ds.Core.Dataset.names st.Core.Dataset_store.names;
         Alcotest.(check (array string))
-          "features" ds.Core.Dataset.features back.Core.Dataset.features;
-        check_matrix_bits "cell" ds.Core.Dataset.data back.Core.Dataset.data)
+          "features" ds.Core.Dataset.features st.Core.Dataset_store.features;
+        check_matrix_bits "cell" ds.Core.Dataset.data
+          (Mica_stats.Colmat.to_matrix st.Core.Dataset_store.data))
 
 let test_store_header_golden () =
   let ds = mk_dataset ~rows:3 ~cols:2 () in
@@ -148,124 +148,9 @@ let test_store_degenerate () =
             Alcotest.failf "load %d rows: %s" rows (Mica_util.Artifact.describe_error e)
           | Ok st ->
             Alcotest.(check int) "rows" rows (Array.length st.Core.Dataset_store.names);
-            let back = Core.Dataset_store.to_dataset st in
-            check_matrix_bits "cell" ds.Core.Dataset.data back.Core.Dataset.data))
+            check_matrix_bits "cell" ds.Core.Dataset.data
+              (Mica_stats.Colmat.to_matrix st.Core.Dataset_store.data)))
     [ 0; 1 ]
-
-let test_store_csv_round_trip () =
-  let ds = mk_dataset ~rows:6 ~cols:5 ~seed:23L () in
-  let csv1 = Filename.temp_file "mica_scale" ".csv" in
-  let csv2 = Filename.temp_file "mica_scale" ".csv" in
-  let finally () = List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ csv1; csv2 ] in
-  Fun.protect ~finally (fun () ->
-      with_tmp_file (fun path ->
-          Core.Dataset.to_csv ds csv1;
-          (match Core.Dataset_store.import_csv ~csv:csv1 path with
-          | Ok () -> ()
-          | Error msg -> Alcotest.failf "import_csv: %s" msg);
-          (match Core.Dataset_store.load path with
-          | Error e -> Alcotest.failf "load: %s" (Mica_util.Artifact.describe_error e)
-          | Ok st -> Core.Dataset_store.export_csv st csv2);
-          let read p =
-            let ic = open_in_bin p in
-            let s = really_input_string ic (in_channel_length ic) in
-            close_in ic;
-            s
-          in
-          Alcotest.(check string) "csv -> binary -> csv byte-identical" (read csv1) (read csv2));
-      (* malformed CSV surfaces as Error, not an exception *)
-      let oc = open_out csv1 in
-      output_string oc "name,a\nw0,not_a_float\n";
-      close_out oc;
-      with_tmp_file (fun path ->
-          match Core.Dataset_store.import_csv ~csv:csv1 path with
-          | Error _ -> ()
-          | Ok () -> Alcotest.fail "malformed CSV should be Error"))
-
-(* ------------------------------------------------------------------ *)
-(* Blocked kernels and preallocated outputs                            *)
-
-let test_blocked_matches_naive () =
-  let ds = mk_dataset ~rows:37 ~cols:6 ~seed:41L () in
-  let naive = S.Distance.condensed ds.Core.Dataset.data in
-  let cm = S.Colmat.of_matrix ds.Core.Dataset.data in
-  List.iter
-    (fun (jobs, block) ->
-      let blocked =
-        Mica_util.Pool.using ~jobs (fun pool ->
-            S.Distance.condensed_blocked ~pool ~block cm)
-      in
-      Alcotest.(check int)
-        (Printf.sprintf "length jobs=%d block=%d" jobs block)
-        (Array.length naive) (Array.length blocked);
-      Array.iteri
-        (fun p v ->
-          Alcotest.(check int64)
-            (Printf.sprintf "pair %d jobs=%d block=%d" p jobs block)
-            (bits v) (bits blocked.(p)))
-        naive)
-    [ (1, 1); (1, 5); (1, 64); (4, 3); (4, 64) ]
-
-let prop_blocked_matches_naive =
-  let gen =
-    QCheck2.Gen.(
-      let* rows = int_range 0 40 in
-      let* cols = int_range 1 10 in
-      let* block = int_range 1 8 in
-      let* jobs = oneofl [ 1; 4 ] in
-      let* cells = list_repeat (rows * cols) (float_range (-1e3) 1e3) in
-      return (rows, cols, block, jobs, cells))
-  in
-  Tutil.qcheck_case ~count:80 "blocked condensed = naive (bit-exact)" gen
-    (fun (rows, cols, block, jobs, cells) ->
-      let cells = Array.of_list cells in
-      let m = Array.init rows (fun i -> Array.init cols (fun j -> cells.((i * cols) + j))) in
-      let naive = S.Distance.condensed m in
-      let blocked =
-        Mica_util.Pool.using ~jobs (fun pool ->
-            S.Distance.condensed_blocked ~pool ~block (S.Colmat.of_matrix m))
-      in
-      Array.length naive = Array.length blocked
-      && Array.for_all2 (fun a b -> bits a = bits b) naive blocked)
-
-let test_prealloc_out () =
-  let ds = mk_dataset ~rows:12 ~cols:5 ~seed:3L () in
-  let m = ds.Core.Dataset.data in
-  let n = Array.length m in
-  let expect = S.Distance.condensed m in
-  (* condensed reuses the supplied buffer *)
-  let out = Array.make (S.Distance.pair_count n) Float.nan in
-  let got = S.Distance.condensed ~out m in
-  Alcotest.(check bool) "condensed returns ?out" true (got == out);
-  Array.iteri (fun p v -> Alcotest.(check int64) "condensed value" (bits v) (bits out.(p))) expect;
-  (* blocked too *)
-  let out_b = Array.make (S.Distance.pair_count n) Float.nan in
-  let got_b = S.Distance.condensed_blocked ~out:out_b (S.Colmat.of_matrix m) in
-  Alcotest.(check bool) "blocked returns ?out" true (got_b == out_b);
-  (* subset_distances *)
-  let comps = S.Distance.condensed_squared_components m in
-  let cols = [| 0; 2; 4 |] in
-  let expect_s = S.Distance.subset_distances comps cols in
-  let out_s = Array.make (Array.length comps) Float.nan in
-  let got_s = S.Distance.subset_distances ~out:out_s comps cols in
-  Alcotest.(check bool) "subset returns ?out" true (got_s == out_s);
-  Array.iteri (fun p v -> Alcotest.(check int64) "subset value" (bits v) (bits out_s.(p))) expect_s;
-  (* wrong lengths raise *)
-  (try
-     ignore (S.Distance.condensed ~out:(Array.make 3 0.0) m : float array);
-     Alcotest.fail "condensed bad ?out should raise"
-   with Invalid_argument _ -> ());
-  (try
-     ignore (S.Distance.condensed_blocked ~out:(Array.make 3 0.0) (S.Colmat.of_matrix m) : float array);
-     Alcotest.fail "blocked bad ?out should raise"
-   with Invalid_argument _ -> ());
-  let bad_s () =
-    ignore (S.Distance.subset_distances ~out:(Array.make 3 0.0) comps cols : float array)
-  in
-  (try
-     bad_s ();
-     Alcotest.fail "subset bad ?out should raise"
-   with Invalid_argument _ -> ())
 
 let test_colmat_round_trip () =
   let ds = mk_dataset ~rows:9 ~cols:4 ~seed:31L () in
@@ -481,11 +366,6 @@ let suite =
       Alcotest.test_case "store golden header" `Quick test_store_header_golden;
       Alcotest.test_case "store tamper and truncation" `Quick test_store_tamper;
       Alcotest.test_case "store degenerate shapes" `Quick test_store_degenerate;
-      Alcotest.test_case "store csv round trip" `Quick test_store_csv_round_trip;
-      Alcotest.test_case "blocked = naive across jobs and blocks" `Quick
-        test_blocked_matches_naive;
-      prop_blocked_matches_naive;
-      Alcotest.test_case "preallocated ?out buffers" `Quick test_prealloc_out;
       Alcotest.test_case "colmat round trip and accessors" `Quick test_colmat_round_trip;
       Alcotest.test_case "matrix column stats" `Quick test_matrix_column_stats;
       Alcotest.test_case "corpus ids and enumeration" `Quick test_corpus_ids;

@@ -443,6 +443,9 @@ let test_served_matches_direct () =
 
 (* ---------------- socket + loadgen end-to-end ---------------- *)
 
+(* The daemon's request-line cap (see [Server.listen_and_serve]). *)
+let max_line_bytes = 1 lsl 20
+
 let test_socket_loadgen_sigterm () =
   let path = Filename.concat (Filename.get_temp_dir_name ()) "mica-serve-test.sock" in
   let t = Server.create (test_config ~icount:2_000 ~jobs:2 ~queue_capacity:16 ()) in
@@ -532,7 +535,7 @@ let test_socket_overlong_line () =
       let fd = connect () in
       (* The daemon stops reading past the cap, so the write fails
          (EPIPE: listen_and_serve ignores SIGPIPE) once it shuts down. *)
-      let big = Bytes.make (2 * Server.max_line_bytes) 'x' in
+      let big = Bytes.make (2 * max_line_bytes) 'x' in
       (try ignore (Unix.write fd big 0 (Bytes.length big) : int)
        with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
       let replies = lines (read_all fd) in
@@ -545,7 +548,7 @@ let test_socket_overlong_line () =
           Alcotest.(check bool) "error status" true (r.Protocol.status = Protocol.Error);
           Alcotest.(check bool) "names the cap" true
             (match r.Protocol.error with
-            | Some e -> contains ~sub:(string_of_int Server.max_line_bytes) e
+            | Some e -> contains ~sub:(string_of_int max_line_bytes) e
             | None -> false)
         | Error e -> Alcotest.failf "undecodable reply: %s" e)
       | ls -> Alcotest.failf "expected one reply, got %d" (List.length ls));

@@ -1,5 +1,5 @@
 (* Sketch layer: fixed-memory streaming estimators.  The load-bearing
-   contracts are the cardinality sketch's merge algebra and accuracy,
+   contracts are the cardinality sketch's accuracy,
    the sampled reuse estimator against the exact Fenwick analyzer, the
    O(1)-in-trace-length state, and bit-determinism across chunk
    boundaries — the same laws [mica verify] enforces, here driven by
@@ -25,16 +25,6 @@ let sketch_of keys =
   let t = Card.create ~registers:256 () in
   List.iter (Card.add t) keys;
   t
-
-let prop_merge_assoc_comm (xs, ys, zs) =
-  let a = sketch_of xs and b = sketch_of ys and c = sketch_of zs in
-  Card.equal (Card.merge a (Card.merge b c)) (Card.merge (Card.merge a b) c)
-  && Card.equal (Card.merge a b) (Card.merge b a)
-  && Card.equal (Card.merge a a) a
-
-let prop_merge_estimates_union (xs, ys) =
-  let merged = Card.merge (sketch_of xs) (sketch_of ys) in
-  Card.equal merged (sketch_of (xs @ ys))
 
 let prop_estimate_near_exact xs =
   let t = Card.create ~registers:1024 () in
@@ -63,8 +53,10 @@ let prop_estimate_near_exact xs =
    exact analyzer closely *)
 let addr_stream_gen = Gen.(list_size (int_range 50 600) (int_range 0 65_535))
 
+(* log-spaced cache-size proxies, in 32-byte blocks: 128 B up to 2 MiB *)
+let cutoffs = [| 4; 16; 64; 256; 1024; 4096; 16384; 65536 |]
+
 let prop_reuse_cdf_matches_exact addrs =
-  let cutoffs = A.Reuse.default_cutoffs in
   let exact = A.Reuse.create () in
   Mica_trace.Sink.feed_list (A.Reuse.sink exact)
     (List.map (fun addr -> Tutil.load ~dst:1 ~addr ()) addrs);
@@ -75,7 +67,7 @@ let prop_reuse_cdf_matches_exact addrs =
   && Array.for_all2 (fun w g -> Float.abs (w -. g) <= 0.08) want got
 
 let prop_reuse_accesses_exact addrs =
-  let sk = Sk.Sampled_reuse.create ~cutoffs:A.Reuse.default_cutoffs () in
+  let sk = Sk.Sampled_reuse.create ~cutoffs () in
   List.iter (Sk.Sampled_reuse.access sk) addrs;
   Sk.Sampled_reuse.accesses sk = List.length addrs
 
@@ -112,7 +104,7 @@ let test_state_constant_in_trace_length () =
   Alcotest.(check int) "long instruction count" 80_000 (Sk.Sketch.instructions long);
   Alcotest.(check bool)
     "state within plan budget" true
-    (Sk.Sketch.state_bytes long <= (Sk.Sketch.the_plan long).Sk.Sketch.bytes)
+    (Sk.Sketch.state_bytes long <= (Sk.Sketch.plan ()).Sk.Sketch.bytes)
 
 let test_plan_monotone () =
   let p1 = Sk.Sketch.plan ~bytes:(1 lsl 18) () and p2 = Sk.Sketch.plan ~bytes:(1 lsl 21) () in
@@ -165,12 +157,6 @@ let test_stream_assign_and_purity () =
 let suite =
   ( "sketch",
     [
-      Tutil.qcheck_case "cardinality merge associative/commutative/idempotent"
-        Gen.(triple keys_gen keys_gen keys_gen)
-        prop_merge_assoc_comm;
-      Tutil.qcheck_case "cardinality merge = union sketch"
-        Gen.(pair keys_gen keys_gen)
-        prop_merge_estimates_union;
       Tutil.qcheck_case "cardinality estimate near exact Int_map count" keys_gen
         prop_estimate_near_exact;
       Tutil.qcheck_case ~count:100 "sampled reuse cdf tracks exact analyzer" addr_stream_gen

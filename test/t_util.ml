@@ -1,85 +1,4 @@
-module Ring = Mica_util.Ring
 module Csv = Mica_util.Csv
-
-(* ---------------- Ring ---------------- *)
-
-let test_ring_basic () =
-  let r = Ring.create ~capacity:3 in
-  Alcotest.(check int) "empty length" 0 (Ring.length r);
-  Alcotest.(check bool) "not full" false (Ring.is_full r);
-  Ring.push r 1;
-  Ring.push r 2;
-  Alcotest.(check int) "length 2" 2 (Ring.length r);
-  Alcotest.(check int) "newest" 2 (Ring.get r 0);
-  Alcotest.(check int) "older" 1 (Ring.get r 1);
-  Alcotest.(check int) "oldest" 1 (Ring.oldest r)
-
-let test_ring_eviction () =
-  let r = Ring.create ~capacity:3 in
-  List.iter (Ring.push r) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check bool) "full" true (Ring.is_full r);
-  Alcotest.(check int) "newest is 5" 5 (Ring.get r 0);
-  Alcotest.(check int) "oldest is 3" 3 (Ring.oldest r);
-  let collected = ref [] in
-  Ring.iter r (fun x -> collected := x :: !collected);
-  Alcotest.(check (list int)) "iter newest->oldest" [ 3; 4; 5 ] !collected
-
-let test_ring_clear () =
-  let r = Ring.create ~capacity:2 in
-  Ring.push r 9;
-  Ring.clear r;
-  Alcotest.(check int) "cleared" 0 (Ring.length r)
-
-let prop_ring_model =
-  Tutil.qcheck_case "ring matches list model"
-    QCheck2.Gen.(pair (int_range 1 16) (list (int_bound 1000)))
-    (fun (cap, xs) ->
-      let r = Ring.create ~capacity:cap in
-      List.iter (Ring.push r) xs;
-      let expected =
-        let rec last_n n l = if List.length l <= n then l else last_n n (List.tl l) in
-        List.rev (last_n cap xs)
-      in
-      let actual = List.init (Ring.length r) (Ring.get r) in
-      actual = expected)
-
-(* Interleaved-operation model check: push/clear/get/oldest in random
-   order against a plain list model ([prop_ring_model] above is push-only,
-   so wrap-around after a mid-stream clear is never exercised there). *)
-let prop_ring_interleaved_model =
-  let op_gen =
-    QCheck2.Gen.(
-      frequency
-        [ (6, map (fun x -> `Push x) (int_bound 1000)); (1, pure `Clear); (2, pure `Probe) ])
-  in
-  Tutil.qcheck_case "ring matches model under interleaved ops"
-    QCheck2.Gen.(pair (int_range 1 8) (list_size (int_range 0 60) op_gen))
-    (fun (cap, ops) ->
-      let r = Ring.create ~capacity:cap in
-      let model = ref [] in
-      (* model: newest-first list, trimmed to capacity *)
-      let ok = ref true in
-      List.iter
-        (fun op ->
-          match op with
-          | `Push x ->
-            Ring.push r x;
-            model := x :: !model;
-            if List.length !model > cap then
-              model := List.filteri (fun i _ -> i < cap) !model
-          | `Clear ->
-            Ring.clear r;
-            model := []
-          | `Probe ->
-            let n = List.length !model in
-            if Ring.length r <> n then ok := false;
-            if Ring.is_full r <> (n = cap) then ok := false;
-            List.iteri (fun i x -> if Ring.get r i <> x then ok := false) !model;
-            if n > 0 && Ring.oldest r <> List.nth !model (n - 1) then ok := false)
-        ops;
-      !ok
-      && List.init (Ring.length r) (Ring.get r) = !model
-      && Ring.capacity r = cap)
 
 (* ---------------- Int_map ---------------- *)
 
@@ -246,9 +165,12 @@ let test_csv_file_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let rows = [ [ "name"; "x,y"; "q\"q" ]; [ "1"; "2"; "3" ] ] in
-      Csv.to_file path rows;
-      Alcotest.(check (list (list string))) "roundtrip" rows (Csv.of_file path))
+      Mica_util.Artifact.write path
+        (Csv.table ~columns:[| "x,y"; "q\"q" |] [ ("a,1", [| 2.0; 0.1 |]); ("b", [||]) ]);
+      Alcotest.(check (list (list string)))
+        "roundtrip"
+        [ [ "name"; "x,y"; "q\"q" ]; [ "a,1"; "2"; "0.10000000000000001" ]; [ "b" ] ]
+        (Csv.of_file path))
 
 let prop_csv_roundtrip =
   let field_gen =
@@ -383,23 +305,27 @@ let test_fault_disabled_is_silent () =
         List.iter (fun p -> Fault.check p ~key) Fault.all_points
       done)
 
+(* Whether [point] fires at [key], through the raising [Fault.check]. *)
+let fires point ~key =
+  match Fault.check point ~key with () -> false | exception Fault.Injected _ -> true
+
 let test_fault_deterministic_and_scoped () =
   let plan = plan_exn "seed=11,trace.gen=0.5" in
   Fault.with_plan (Some plan) (fun () ->
       let pattern () =
-        List.init 64 (fun key -> Fault.fires Fault.Trace_gen ~key)
+        List.init 64 (fun key -> fires Fault.Trace_gen ~key)
       in
       Alcotest.(check (list bool)) "pure function of key" (pattern ()) (pattern ());
       Alcotest.(check bool) "some fire" true (List.mem true (pattern ()));
       Alcotest.(check bool) "some don't" true (List.mem false (pattern ()));
       (* other points are untouched by a trace.gen rule *)
       for key = 0 to 63 do
-        Alcotest.(check bool) "other point silent" false (Fault.fires Fault.Pool_worker ~key)
+        Alcotest.(check bool) "other point silent" false (fires Fault.Pool_worker ~key)
       done;
       (* a different attempt re-rolls the decision *)
       let at_attempt a =
         Fault.with_context ~task:0 ~attempt:a (fun () ->
-            List.init 64 (fun key -> Fault.fires Fault.Trace_gen ~key))
+            List.init 64 (fun key -> fires Fault.Trace_gen ~key))
       in
       Alcotest.(check bool) "attempt changes the roll" true (at_attempt 1 <> at_attempt 2));
   Alcotest.(check bool) "plan restored" false (Fault.enabled ())
@@ -408,7 +334,7 @@ let test_fault_task_filter () =
   let plan = plan_exn "seed=3,pool.worker=1@2" in
   Fault.with_plan (Some plan) (fun () ->
       let fires_for task =
-        Fault.with_context ~task ~attempt:1 (fun () -> Fault.fires Fault.Pool_worker ~key:0)
+        Fault.with_context ~task ~attempt:1 (fun () -> fires Fault.Pool_worker ~key:0)
       in
       Alcotest.(check bool) "task 2 fires" true (fires_for 2);
       Alcotest.(check bool) "task 1 silent" false (fires_for 1);
@@ -537,11 +463,6 @@ let test_run_results_crash_recovery () =
 let suite =
   ( "util",
     [
-      Alcotest.test_case "ring basics" `Quick test_ring_basic;
-      Alcotest.test_case "ring eviction" `Quick test_ring_eviction;
-      Alcotest.test_case "ring clear" `Quick test_ring_clear;
-      prop_ring_model;
-      prop_ring_interleaved_model;
       prop_int_map_matches_hashtbl;
       Alcotest.test_case "int_map negative keys" `Quick test_int_map_negative_keys_rejected;
       Alcotest.test_case "int_map negative keys absent" `Quick test_int_map_negative_keys_absent;

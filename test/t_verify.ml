@@ -88,13 +88,12 @@ let test_inv_icount () =
 
 let test_inv_max_violations () =
   (* well-chained ALU stream where every instruction carries a stray address:
-     exactly one violation each, recording capped, counting unbounded *)
+     exactly one violation each, recording capped *)
   let bad =
     List.init 100 (fun i -> Instr.make ~pc:(0x1000 + (4 * i)) ~op:Opcode.Int_alu ~addr:0x40 ())
   in
   let t = run_inv ~max_violations:5 bad in
-  Alcotest.(check int) "recorded capped" 5 (List.length (V.Invariant_sink.violations t));
-  Alcotest.(check int) "all counted" 100 (V.Invariant_sink.total_violations t)
+  Alcotest.(check int) "recorded capped" 5 (List.length (V.Invariant_sink.violations t))
 
 (* ---------------- invariant sink + oracles on random programs ---------------- *)
 
@@ -267,9 +266,18 @@ let test_differential_jobs_equality () =
   let o = V.Differential.jobs_equality ~jobs:3 ws ~icount:2_000 in
   if not o.V.Differential.ok then Alcotest.fail o.V.Differential.detail
 
+(* The law's cache directory, with its checkpoints, is gone afterwards. *)
 let test_differential_cache_roundtrip () =
-  let o = V.Differential.cache_roundtrip [ List.hd (golden_trio ()) ] ~icount:1_000 in
-  if not o.V.Differential.ok then Alcotest.fail o.V.Differential.detail
+  Tutil.with_temp_dir @@ fun tmp ->
+  let saved = Filename.get_temp_dir_name () in
+  Filename.set_temp_dir_name tmp;
+  let o =
+    Fun.protect
+      ~finally:(fun () -> Filename.set_temp_dir_name saved)
+      (fun () -> V.Differential.cache_roundtrip [ List.hd (golden_trio ()) ] ~icount:1_000)
+  in
+  if not o.V.Differential.ok then Alcotest.fail o.V.Differential.detail;
+  Alcotest.(check (array string)) "temp directory left empty" [||] (Sys.readdir tmp)
 
 (* ---------------- selection/clustering kernel laws ----------------
 
@@ -982,22 +990,6 @@ let test_kmeans_matches_sequential_reference () =
 
 (* ---------------- pipeline cache staleness and corruption ---------------- *)
 
-let with_temp_cache_dir f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mica_test_cache_%d_%d" (Unix.getpid ()) (Random.bits ()))
-  in
-  Sys.mkdir dir 0o755;
-  let rec remove_tree path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
-        try Sys.rmdir path with Sys_error _ -> ()
-      end
-      else try Sys.remove path with Sys_error _ -> ()
-  in
-  Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> f dir)
-
 let cache_config dir =
   { Pipeline.default_config with Pipeline.icount = 1_000; cache_dir = Some dir;
     progress = false; jobs = 1 }
@@ -1007,7 +999,7 @@ let cache_file dir kind = Filename.concat dir (Printf.sprintf "%s-%s-1000.csv" k
 let test_cache_hit_is_consumed () =
   (* precondition for the staleness tests: a valid current-version cache row
      is actually read back, not recomputed *)
-  with_temp_cache_dir (fun dir ->
+  Tutil.with_temp_dir (fun dir ->
       let w = List.hd (golden_trio ()) in
       let config = cache_config dir in
       let (_ : Mica_core.Dataset.t) = Pipeline.mica_dataset ~config [ w ] in
@@ -1022,7 +1014,7 @@ let test_cache_hit_is_consumed () =
         reread.Mica_core.Dataset.data.(0).(0))
 
 let test_cache_stale_version_invalidated () =
-  with_temp_cache_dir (fun dir ->
+  Tutil.with_temp_dir (fun dir ->
       let w = List.hd (golden_trio ()) in
       let config = cache_config dir in
       let fresh = Pipeline.mica_dataset ~config:{ config with Pipeline.cache_dir = None } [ w ] in
@@ -1040,7 +1032,7 @@ let test_cache_stale_version_invalidated () =
       Alcotest.(check bool) "current-version cache rewritten" true (Sys.file_exists current))
 
 let test_cache_corrupt_recomputed () =
-  with_temp_cache_dir (fun dir ->
+  Tutil.with_temp_dir (fun dir ->
       let w = List.hd (golden_trio ()) in
       let config = cache_config dir in
       let fresh = Pipeline.mica_dataset ~config:{ config with Pipeline.cache_dir = None } [ w ] in
@@ -1056,7 +1048,7 @@ let test_cache_corrupt_recomputed () =
         fresh.Mica_core.Dataset.data.(0).(0) got.Mica_core.Dataset.data.(0).(0))
 
 let test_cache_truncated_recomputed () =
-  with_temp_cache_dir (fun dir ->
+  Tutil.with_temp_dir (fun dir ->
       let w = List.hd (golden_trio ()) in
       let config = cache_config dir in
       let (_ : Mica_core.Dataset.t) = Pipeline.mica_dataset ~config [ w ] in
@@ -1121,7 +1113,7 @@ let test_run_results_matches_run_differential () =
     Alcotest.fail "run_results not bit-identical across jobs"
 
 let test_cache_checksum_quarantine () =
-  with_temp_cache_dir (fun dir ->
+  Tutil.with_temp_dir (fun dir ->
       let w = List.hd (golden_trio ()) in
       let config = cache_config dir in
       let fresh = Pipeline.mica_dataset ~config [ w ] in
@@ -1150,8 +1142,8 @@ let test_cache_checksum_quarantine () =
    commit caches byte-identical to an uninterrupted run. *)
 let test_crash_resume_bit_identical () =
   let trio = golden_trio () in
-  with_temp_cache_dir (fun ref_dir ->
-      with_temp_cache_dir (fun dir ->
+  Tutil.with_temp_dir (fun ref_dir ->
+      Tutil.with_temp_dir (fun dir ->
           let reference =
             let config = cache_config ref_dir in
             let mica, hpc, _ = Pipeline.datasets_report ~config trio in
@@ -1189,7 +1181,7 @@ let test_crash_resume_bit_identical () =
 (* Graceful degradation: one permanently failing workload must not cost the
    others their rows, and the report must name it with a backtrace. *)
 let test_failing_workload_degrades_gracefully () =
-  with_temp_cache_dir (fun dir ->
+  Tutil.with_temp_dir (fun dir ->
       let trio = golden_trio () in
       let failing_id = Workload.id (List.nth trio 1) in
       let config = { (cache_config dir) with Pipeline.retries = 1 } in
@@ -1412,9 +1404,9 @@ let test_suite_smoke () =
   in
   Alcotest.(check bool) "suite passes" true (V.Suite.passed report);
   (* one workload: invariants + reference + 2 per-workload laws + 2 global,
-     plus the 5 sketch laws, the 2 single-workload serve laws and the 6
+     plus the 5 sketch laws, the 2 single-workload serve laws and the 5
      workload-independent scale laws *)
-  Alcotest.(check int) "check count" 19 (List.length report.V.Suite.checks);
+  Alcotest.(check int) "check count" 18 (List.length report.V.Suite.checks);
   Alcotest.(check bool) "scale layer present" true
     (List.exists (fun c -> c.V.Suite.layer = "scale") report.V.Suite.checks);
   Alcotest.(check bool) "sketch layer present" true

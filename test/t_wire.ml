@@ -517,14 +517,14 @@ let prop_deep =
    brackets and half of closing ones is one value that deep, and a whole
    cap of opening ones is an error, not an exception. *)
 let test_nesting_at_line_cap () =
-  let half = Server.max_line_bytes / 2 in
+  let half = T_serve.max_line_bytes / 2 in
   let closed = String.make half '[' ^ String.make half ']' in
   (match Json.parse closed with
   | Ok v ->
     let rec depth d = function Json.List [ inner ] -> depth (d + 1) inner | Json.List [] -> d + 1 | _ -> -1 in
     Alcotest.(check int) "depth" half (depth 0 v)
   | Error e -> Alcotest.failf "balanced nesting rejected: %s" e);
-  let open_only = String.make Server.max_line_bytes '[' in
+  let open_only = String.make T_serve.max_line_bytes '[' in
   Alcotest.(check bool) "unclosed nesting is an error" true (Result.is_error (Json.parse open_only));
   Alcotest.(check bool) "request decoder" true (Result.is_error (Protocol.decode_request open_only));
   Alcotest.(check bool) "response decoder" true

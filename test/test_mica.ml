@@ -27,4 +27,5 @@ let () =
       T_wire.suite;
       T_artifact.suite;
       T_mutation.suite;
+      T_interface.suite;
     ]

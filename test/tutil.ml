@@ -12,6 +12,13 @@ let baseline_file name =
 let baseline_csv = baseline_file "mica_dataset.csv"
 let baseline_hpc_csv = baseline_file "hpc_dataset.csv"
 
+(* [f dir] on a fresh temp directory, removed with everything in it after. *)
+let with_temp_dir f =
+  let dir = Filename.temp_file "mica_test" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> Mica_util.Artifact.remove_tree dir) (fun () -> f dir)
+
 let feq = Alcotest.float 1e-9
 let feq_loose = Alcotest.float 1e-6
 
