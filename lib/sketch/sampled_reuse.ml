@@ -71,8 +71,6 @@ type t = {
   facc : float array;  (* 0 = weighted sum of log2 (distance+1);
                           1 = total finite weight; 2 = estimated cold *)
   mutable accesses : int;  (* exact: every access is observed *)
-  mutable rate_doublings : int;
-  mutable compactions : int;
 }
 
 let create ?(block_bytes = 32) ?(near_slots = 4096) ?(capacity = 1024) ~cutoffs () =
@@ -108,8 +106,6 @@ let create ?(block_bytes = 32) ?(near_slots = 4096) ?(capacity = 1024) ~cutoffs 
     counts = Array.make (Array.length cutoffs + 1) 0.0;
     facc = Array.make 3 0.0;
     accesses = 0;
-    rate_doublings = 0;
-    compactions = 0;
   }
 
 (* Fenwick primitives over a caller-supplied tree. *)
@@ -161,7 +157,6 @@ let compact_positions ~keys ~pos ~tree ~cap ~size ~live:_ =
   !n
 
 let ncompact t =
-  t.compactions <- t.compactions + 1;
   (* The far table anchors each entry to the near clock; renumber those
      anchors with the old tree before it is rebuilt.  An anchor whose
      mark was evicted maps to the rank of the preceding live mark, which
@@ -175,7 +170,6 @@ let ncompact t =
       ~live:t.nresident
 
 let fcompact t =
-  t.compactions <- t.compactions + 1;
   t.ftime <-
     compact_positions ~keys:t.fkeys ~pos:t.fpos ~tree:t.ftree ~cap:t.ffen_cap ~size:t.ftsize
       ~live:t.fresident
@@ -192,7 +186,6 @@ let[@inline] fslot t h key = fprobe t key (h land (t.ftsize - 1))
    probe sequence without them. *)
 let rec tighten t =
   t.rate <- t.rate * 2;
-  t.rate_doublings <- t.rate_doublings + 1;
   let mask = t.rate - 1 in
   let keys' = Array.make t.fresident 0
   and pos' = Array.make t.fresident 0
@@ -337,9 +330,7 @@ let reset t =
   t.ftime <- 0;
   Array.fill t.counts 0 (Array.length t.counts) 0.0;
   Array.fill t.facc 0 3 0.0;
-  t.accesses <- 0;
-  t.rate_doublings <- 0;
-  t.compactions <- 0
+  t.accesses <- 0
 
 let state_bytes t =
   (8 * 2 * t.nsize) + (8 * (t.nfen_cap + 1))

@@ -110,25 +110,16 @@ let idents text =
   go 0 []
 
 (* Every [val name] of a stripped .mli, nested signatures included, in
-   order; operators ([val ( + )]) are not values this search can find. *)
+   order.  An operator ([val ( + )]) is no identifier this search can
+   find, so only a name right after [val] counts. *)
 let vals_of text =
   let rec go = function
-    | (_, "val") :: (_, name) :: rest -> name :: go rest
+    | (i, "val") :: (j, name) :: rest when String.trim (String.sub text (i + 3) (j - i - 3)) = "" ->
+        name :: go rest
     | _ :: rest -> go rest
     | [] -> []
   in
-  let ids = idents text in
-  (* [val (] has an operator, not the identifier that follows it. *)
-  let is_operator_val = function
-    | (i, "val") :: (j, _) :: _ -> String.contains (String.sub text i (j - i)) '('
-    | _ -> false
-  in
-  let rec keep = function
-    | [] -> []
-    | l when is_operator_val l -> keep (List.tl (List.tl l))
-    | x :: rest -> x :: keep rest
-  in
-  go (keep ids)
+  go (idents text)
 
 (* [lib/util/pool.mli] -> [lib/util/pool]: the module a file belongs to. *)
 let module_of path = Filename.remove_extension path
@@ -271,7 +262,9 @@ let test_guard () =
 
 let tree =
   [
-    ("lib/a/m.mli", "val used : int\nval dead : int\n(** [val ghost] *)\nmodule S : sig val inner : int end\n");
+    ( "lib/a/m.mli",
+      "val used : int\nval dead : int\n(** [val ghost] *)\nval ( +! ) : int -> int -> int\n\
+       module S : sig val inner : int end\n" );
     ("lib/a/m.ml", "let used = 1 let dead = used let inner = dead\n");
     ("lib/b/n.ml", "let x = M.used + M.S.inner (* M.dead *) let s = \"M.dead\" let q = {|dead|}\n");
     ("bin/main.ml", "let c = '\"' let y = N.x (* \"*)\" dead *)\n");
