@@ -127,7 +127,7 @@ let test_dendrogram_duplicate_points () =
   let d = C.Dendrogram.build ds in
   (match d.C.Dendrogram.tree with
   | S.Linkage.Node { left; right; size; _ } ->
-    Alcotest.(check int) "two merges" 3 size;
+    Alcotest.(check int) "three leaves, two merges" 3 size;
     Alcotest.check Tutil.feq "duplicates merge at height 0" 0.0
       (Float.max (S.Linkage.height left) (S.Linkage.height right))
   | S.Linkage.Leaf _ -> Alcotest.fail "three benchmarks in one leaf");
