@@ -16,9 +16,7 @@ val vector : t -> float array
 (** Access to the per-family analyzers, for case studies and tests. *)
 
 val mix : t -> Mix.result
-val regtraffic : t -> Regtraffic.result
 val working_set : t -> Working_set.result
-val strides : t -> Strides.result
 val instructions : t -> int
 
 val analyze : ?ppm_order:int -> Mica_trace.Program.t -> icount:int -> float array

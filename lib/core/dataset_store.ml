@@ -171,6 +171,3 @@ let verify path =
   if Digest.string data <> hd.h_data_md5 then corrupt "data digest mismatch" else Ok ()
 
 (* --- conversions --------------------------------------------------- *)
-
-let of_dataset (ds : Dataset.t) =
-  { names = ds.Dataset.names; features = ds.Dataset.features; data = Colmat.of_matrix ds.Dataset.data }

@@ -52,7 +52,3 @@ val load : string -> (t, Mica_util.Artifact.read_error) result
 val verify : string -> (unit, Mica_util.Artifact.read_error) result
 (** Full check of [path]: everything {!load} validates, plus the MD5 of
     the data section. *)
-
-val of_dataset : Dataset.t -> t
-(** In-memory columnar view of a dataset (copies the data). *)
-

@@ -10,7 +10,6 @@ type t = { entries : entry list }
 
 let create entries = { entries }
 let entries t = t.entries
-let total t = List.length t.entries
 
 let count pred t =
   List.fold_left (fun n e -> if pred e.status then n + 1 else n) 0 t.entries

@@ -26,14 +26,9 @@ type t
 
 val create : entry list -> t
 val entries : t -> entry list
-val total : t -> int
 val computed : t -> int
 val cached : t -> int
 val resumed : t -> int
-
-val retried : t -> int
-(** Workloads that needed more than one attempt (whether or not they
-    eventually succeeded). *)
 
 val failures : t -> entry list
 val all_ok : t -> bool

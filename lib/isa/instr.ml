@@ -27,5 +27,3 @@ let to_string t =
     (if Opcode.is_control t.op then
        Printf.sprintf " %s->0x%x" (if t.taken then "T" else "N") t.target
      else "")
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -38,5 +38,4 @@ val source_count : t -> int
     hardwired zero register (an instruction reading r31 still has the
     operand encoded). *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -46,8 +46,6 @@ let to_string = function
   | Fp_div -> "fp_div"
   | Nop -> "nop"
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 let all =
   [ Load; Store; Branch; Jump; Call; Return; Int_alu; Int_mul; Fp_add; Fp_mul; Fp_div; Nop ]
 

@@ -40,7 +40,6 @@ val latency : t -> int
     take their latency from the cache model). *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val all : t list
 (** Every opcode class, in declaration order. *)

@@ -93,13 +93,6 @@ val begin_drain : t -> unit
 
 val draining : t -> bool
 val queue_depth : t -> int
-val resident : t -> int
-(** Vectors in the exact-results table. *)
-
-val flush : t -> unit
-(** Merge every vector computed since startup into the on-disk cache
-    ([Pipeline.flush_cache]); no-op when caching is off.  Call after
-    drain. *)
 
 type address = Unix_path of string | Tcp of { host : string; port : int }
 

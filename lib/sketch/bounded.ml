@@ -27,9 +27,6 @@ module Map = struct
     let cap = ceil_pow2 (max 16 slots) 16 in
     { keys = Array.make cap (-1); vals = Array.make cap 0; mask = cap - 1; resident = 0; evictions = 0 }
 
-  let slots t = t.mask + 1
-  let resident t = t.resident
-  let evictions t = t.evictions
   let state_bytes t = 2 * 8 * (t.mask + 1)
 
   let[@inline] slot t key = Cardinality.hash key land t.mask
@@ -37,8 +34,6 @@ module Map = struct
   let find t key ~default =
     let i = slot t key in
     if Array.unsafe_get t.keys i = key then Array.unsafe_get t.vals i else default
-
-  let mem t key = Array.unsafe_get t.keys (slot t key) = key
 
   let[@inline] claim t i key =
     let k = Array.unsafe_get t.keys i in
@@ -68,8 +63,6 @@ module Map = struct
     t.resident <- 0;
     t.evictions <- 0
 
-  let iter t f =
-    Array.iteri (fun i k -> if k >= 0 then f k (Array.unsafe_get t.vals i)) t.keys
 end
 
 module Decay_hist = struct
@@ -90,11 +83,6 @@ module Decay_hist = struct
   let record ?(weight = 1.0) t v =
     let b = bucket_from t.cutoffs v 0 (Array.length t.cutoffs) in
     t.counts.(b) <- t.counts.(b) +. weight
-
-  let scale t factor =
-    for i = 0 to Array.length t.counts - 1 do
-      t.counts.(i) <- t.counts.(i) *. factor
-    done
 
   let total t = Array.fold_left ( +. ) 0.0 t.counts
 

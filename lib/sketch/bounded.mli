@@ -19,7 +19,6 @@ module Map : sig
   (** Capacity is [slots] rounded up to a power of two, at least 16. *)
 
   val find : t -> int -> default:int -> int
-  val mem : t -> int -> bool
 
   val set : t -> int -> int -> unit
   (** Insert or overwrite; evicts any colliding resident.  Raises
@@ -32,10 +31,6 @@ module Map : sig
   val reset : t -> unit
   (** Empty the table in place (no allocation). *)
 
-  val iter : t -> (int -> int -> unit) -> unit
-  val slots : t -> int
-  val resident : t -> int
-  val evictions : t -> int
   val state_bytes : t -> int
 end
 
@@ -50,16 +45,12 @@ module Decay_hist : sig
       larger values in the overflow bucket. *)
 
   val record : ?weight:float -> t -> int -> unit
-  val scale : t -> float -> unit
-  (** Multiply every bucket (and the total) by a factor; the stream mode
-      calls this at window boundaries to decay history exponentially. *)
 
   val cdf : t -> float array
   (** Cumulative fraction at each cutoff, denominated by the (decayed)
       total, clamped at 1.0 below — the same guard the exact analyzers
       apply to empty histograms. *)
 
-  val total : t -> float
   val reset : t -> unit
   val state_bytes : t -> int
 end

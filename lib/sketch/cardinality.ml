@@ -90,4 +90,3 @@ let estimate t =
   (* small-range regime: linear counting over the zero registers is far
      more accurate than the raw harmonic-mean estimate *)
   if raw <= 2.5 *. m && !zeros > 0 then m *. log (m /. float_of_int !zeros) else raw
-

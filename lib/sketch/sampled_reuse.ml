@@ -300,7 +300,6 @@ let access t addr =
 
 let accesses t = t.accesses
 let cold_estimate t = t.facc.(2)
-let rate t = t.rate
 
 let cdf t =
   let denom = float_of_int (max 1 t.accesses) in

@@ -44,9 +44,6 @@ val cold_estimate : t -> float
 (** Estimated first-access count: sampled cold accesses scaled by the
     sampling rate in force when each was observed. *)
 
-val rate : t -> int
-(** Current far-side sampling rate (1 = still tracking every block). *)
-
 val reset : t -> unit
 (** Return to the freshly-created state (rate included) in place. *)
 

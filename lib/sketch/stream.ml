@@ -14,8 +14,8 @@
 
    Phase detection is a pure post-processing step: {!assign} maps a
    vector to its nearest centroid (from an offline [Mica_stats.Kmeans]
-   fit), {!timeline} does so per snapshot, and {!purity} scores such an
-   online labeling against the offline phase oracle. *)
+   fit), and {!purity} scores such an online labeling against the
+   offline phase oracle. *)
 
 module Chunk = Mica_trace.Chunk
 
@@ -142,9 +142,6 @@ let assign ~centroids v =
       end)
     centroids;
   !best
-
-let timeline ~centroids snapshots =
-  Array.map (fun s -> assign ~centroids s.vector) snapshots
 
 (* Cluster purity of an online labeling against an oracle labeling:
    each cluster votes for its majority oracle label; purity is the

@@ -65,9 +65,6 @@ val assign : centroids:float array array -> float array -> int
 (** Index of the nearest centroid (squared-Euclidean; ties break to the
     lowest index).  Raises [Invalid_argument] on an empty centroid set. *)
 
-val timeline : centroids:float array array -> snapshot array -> int array
-(** Per-snapshot {!assign} over the window vectors. *)
-
 val purity : labels:int array -> oracle:int array -> float
 (** Cluster purity of an online labeling against an oracle labeling:
     each cluster votes for its majority oracle label and purity is the

@@ -24,12 +24,6 @@ let get t i j =
   if i < 0 || i >= t.rows || j < 0 || j >= t.cols then invalid_arg "Colmat.get: out of bounds";
   Bigarray.Array1.unsafe_get t.data ((j * t.rows) + i)
 
-let set t i j v =
-  if i < 0 || i >= t.rows || j < 0 || j >= t.cols then invalid_arg "Colmat.set: out of bounds";
-  Bigarray.Array1.unsafe_set t.data ((j * t.rows) + i) v
-
-let unsafe_get t i j = Bigarray.Array1.unsafe_get t.data ((j * t.rows) + i)
-
 let of_matrix m =
   let rows, cols = Matrix.dims m in
   let t = create ~rows ~cols in
@@ -54,11 +48,6 @@ let row t i =
   out
 
 let to_matrix t = Array.init t.rows (fun i -> row t i)
-
-let copy t =
-  let data = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (t.rows * t.cols) in
-  Bigarray.Array1.blit t.data data;
-  { t with data }
 
 (* Same summation order as [Descriptive.mean/stddev (Matrix.column m j)]:
    one ascending-row pass for the mean, a second for the squared

@@ -20,9 +20,6 @@ type array1 = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type t = private { rows : int; cols : int; data : array1 }
 
-val create : rows:int -> cols:int -> t
-(** Fresh zero-filled matrix. *)
-
 val of_array1 : rows:int -> cols:int -> array1 -> t
 (** View an existing flat buffer (e.g. an mmap) as a columnar matrix.
     Raises [Invalid_argument] unless the buffer holds exactly
@@ -33,10 +30,6 @@ val cols : t -> int
 val dims : t -> int * int
 
 val get : t -> int -> int -> float
-val set : t -> int -> int -> float -> unit
-
-val unsafe_get : t -> int -> int -> float
-(** No bounds check; kernels only. *)
 
 val of_matrix : Matrix.t -> t
 (** Copy a row-major matrix into columnar storage. *)
@@ -50,18 +43,11 @@ val row : t -> int -> float array
 val row_into : t -> int -> float array -> unit
 (** Fill a preallocated [cols]-length buffer with row [i]. *)
 
-val copy : t -> t
-(** Deep copy (detaches from any underlying mapping). *)
-
 val column_mean_std : t -> int -> float * float
 (** Per-column mean and standard deviation, summed in ascending row
     order — bit-identical to
     [Descriptive.mean / Descriptive.stddev (Matrix.column m j)] on the
     row-major image of the same matrix. *)
-
-val zscore_params : t -> (float * float) array
-(** All columns' [(mean, stddev)] — same contract as
-    {!Normalize.zscore_params}. *)
 
 val zscore : t -> t
 (** Columnwise (x - mean) / stddev into a fresh matrix; zero-variance

@@ -7,4 +7,3 @@ val pearson : float array -> float array -> float
 val spearman : float array -> float array -> float
 (** Spearman rank correlation (Pearson over average ranks, handling
     ties). *)
-

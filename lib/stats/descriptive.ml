@@ -81,4 +81,3 @@ let summarize xs =
     else stddev_v /. Float.abs mean_v
   in
   { count; mean_v; stddev_v; cv }
-

@@ -32,5 +32,3 @@ val summarize : float array -> summary
     array.  The run-to-run noise aggregator behind [mica variance]:
     non-finite samples are dropped rather than propagated, so one corrupt
     measurement degrades a sample instead of poisoning the report. *)
-
-

@@ -28,4 +28,3 @@ val cut : tree -> k:int -> int array
 (** Cut into exactly [k] clusters (undoing the last k-1 merges); returns a
     cluster id per observation, ids 0..k-1 in leaf order.  Requires
     [1 <= k <= size]. *)
-

@@ -7,7 +7,6 @@ let dims m = (Array.length m, if Array.length m = 0 then 0 else Array.length m.(
 let copy m = Array.map Array.copy m
 
 let column m j = Array.map (fun row -> row.(j)) m
-let row m i = m.(i)
 
 (* No-copy column reductions.  [column] allocates a fresh n-element array
    per access, which the hot per-column callers (normalization parameters,
@@ -45,8 +44,6 @@ let column_min_max m j =
     if x > !hi then hi := x
   done;
   (!lo, !hi)
-
-let map f m = Array.map (Array.map f) m
 
 let select_columns m idx = Array.map (fun row -> Array.map (fun j -> row.(j)) idx) m
 
@@ -111,10 +108,3 @@ let correlation_matrix m =
     done
   done;
   out
-
-let pp fmt m =
-  Array.iter
-    (fun row ->
-      Array.iter (fun x -> Format.fprintf fmt "%10.4f " x) row;
-      Format.pp_print_newline fmt ())
-    m

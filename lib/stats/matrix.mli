@@ -5,7 +5,6 @@
 
 type t = float array array
 
-val make : rows:int -> cols:int -> float -> t
 val dims : t -> int * int
 val copy : t -> t
 
@@ -19,11 +18,6 @@ val column_mean_std : t -> int -> float * float
 val column_min_max : t -> int -> float * float
 (** [(min, max)] of column [j] without materializing it; requires at least
     one row. *)
-
-val row : t -> int -> float array
-(** [row] aliases the underlying storage; [column] copies. *)
-
-val map : (float -> float) -> t -> t
 
 val select_columns : t -> int array -> t
 (** [select_columns m idx] keeps columns [idx] in the given order. *)
@@ -39,5 +33,3 @@ val correlation_matrix : t -> t
 (** Pearson correlation between every pair of columns; unit diagonal.
     Columns with zero variance correlate 0 with everything (and 1 with
     themselves). *)
-
-val pp : Format.formatter -> t -> unit

@@ -25,4 +25,3 @@ val transform : t -> ?dims:int -> Matrix.t -> Matrix.t
 (** Project observations onto the first [dims] components (default all). *)
 
 val explained_variance_ratio : t -> float array
-

@@ -77,11 +77,6 @@ let append src i dst =
   Bytes.unsafe_set dst.taken j (Bytes.unsafe_get src.taken i);
   dst.len <- j + 1
 
-let iter f c =
-  for i = 0 to c.len - 1 do
-    f (get c i)
-  done
-
 let to_list c =
   let acc = ref [] in
   for i = c.len - 1 downto 0 do

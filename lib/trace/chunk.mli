@@ -56,9 +56,5 @@ val append : t -> int -> t -> unit
     without boxing.  Raises [Invalid_argument] on a bad index or a full
     destination. *)
 
-val iter : (Mica_isa.Instr.t -> unit) -> t -> unit
-(** Boxed iteration in element order; compatibility path, allocates one
-    record per element. *)
-
 val to_list : t -> Mica_isa.Instr.t list
 (** Boxed snapshot of the live elements, in order. *)

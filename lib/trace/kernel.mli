@@ -137,4 +137,3 @@ val instantiate : spec -> rng:Mica_util.Rng.t -> code_base:int -> data_base:int 
 val slot_pc : instance -> int -> int
 (** Code address of image slot [i].  Raises [Invalid_argument] outside
     [0, Array.length op). *)
-

@@ -55,7 +55,6 @@ let create ~name ~size_bytes ~line_bytes ~assoc =
     line_bytes;
   }
 
-let name t = t.name
 let line_bytes t = t.line_bytes
 let assoc t = t.assoc
 
@@ -149,7 +148,3 @@ let misses t = t.misses
 
 let miss_rate t =
   if t.accesses = 0 then 0.0 else float_of_int t.misses /. float_of_int t.accesses
-
-let reset_counters t =
-  t.accesses <- 0;
-  t.misses <- 0

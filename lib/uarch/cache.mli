@@ -16,7 +16,6 @@ val create : name:string -> size_bytes:int -> line_bytes:int -> assoc:int -> t
     rejected rather than silently truncated.  Raises [Invalid_argument]
     otherwise. *)
 
-val name : t -> string
 val line_bytes : t -> int
 val assoc : t -> int
 
@@ -44,6 +43,3 @@ val misses : t -> int
 
 val miss_rate : t -> float
 (** [misses / accesses]; 0 before any access. *)
-
-val reset_counters : t -> unit
-(** Clears hit/miss counts, keeping cache contents (for warm-up discard). *)

@@ -95,7 +95,3 @@ let access_range t addr ~bytes =
 let accesses t = t.accesses
 let misses t = t.misses
 let miss_rate t = if t.accesses = 0 then 0.0 else float_of_int t.misses /. float_of_int t.accesses
-
-let reset_counters t =
-  t.accesses <- 0;
-  t.misses <- 0

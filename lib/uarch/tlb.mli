@@ -22,4 +22,3 @@ val access_range : t -> int -> bytes:int -> bool
 val accesses : t -> int
 val misses : t -> int
 val miss_rate : t -> float
-val reset_counters : t -> unit

@@ -61,4 +61,3 @@ val with_context : task:int -> attempt:int -> (unit -> 'a) -> 'a
 val check : point -> key:int -> unit
 (** Raise {!Injected} iff the installed plan fires for [(point, ambient
     task, ambient attempt, key)].  No-op when no plan is installed. *)
-

@@ -78,7 +78,6 @@ let create ~jobs =
   }
 
 let sequential = create ~jobs:1
-let jobs t = t.jobs
 
 (* [epoch0] is the state's epoch when the spawn was decided: only the
    submitter advances the epoch, and it does so after spawning, so a fresh

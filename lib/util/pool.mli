@@ -26,8 +26,6 @@ val create : jobs:int -> t
 val sequential : t
 (** The jobs = 1 pool; always runs inline. *)
 
-val jobs : t -> int
-
 val run : t -> int -> (int -> unit) -> unit
 (** [run t n f] calls [f i] for all [0 <= i < n]; each index exactly once.
     Worker exceptions are re-raised in the caller after all blocks finish

@@ -165,10 +165,6 @@ let shuffle_ints t (a : int array) ~pos ~len =
     a.(pos + j) <- tmp
   done
 
-let pick t a =
-  assert (Array.length a > 0);
-  a.(int t (Array.length a))
-
 (* One pass sums the weights in array order from 0.0 (the same float as a
    left fold), one draw, then one scan that stops at the first running
    sum above the draw, or at the last choice.  The float refs never

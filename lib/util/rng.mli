@@ -62,9 +62,6 @@ val shuffle_ints : t -> int array -> pos:int -> len:int -> unit
     elements, without [shuffle]'s write barrier per store.  Raises
     [Invalid_argument] if the range is not within [a]. *)
 
-val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
 val pick_weighted : t -> (float * 'a) array -> 'a
 (** [pick_weighted t choices] samples proportionally to the (non-negative,
     not all zero) weights. *)

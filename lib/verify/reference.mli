@@ -12,9 +12,6 @@
     Oracles are O(n^2)-ish in places and meant for short traces (a few
     thousand instructions). *)
 
-val mix : Mica_isa.Instr.t list -> float array
-(** Characteristics 1-6 by direct counting. *)
-
 val ilp : ?windows:int array -> Mica_isa.Instr.t list -> float array
 (** Characteristics 7-10 by exhaustive scheduling: every instruction's
     issue cycle is recomputed from scratch by scanning backwards for its
@@ -23,13 +20,6 @@ val ilp : ?windows:int array -> Mica_isa.Instr.t list -> float array
 val regtraffic : Mica_isa.Instr.t list -> float array
 (** Characteristics 11-19 by per-register list scans over the full
     indexed trace. *)
-
-val working_set : Mica_isa.Instr.t list -> float array
-(** Characteristics 20-23 via sorted deduplicated address lists. *)
-
-val strides : Mica_isa.Instr.t list -> float array
-(** Characteristics 24-43: stride lists per stream, CDF by direct
-    counting at each cutoff. *)
 
 val ppm : ?order:int -> Mica_isa.Instr.t list -> float array
 (** Characteristics 44-47: the four PPM predictors with boolean-list

@@ -15,8 +15,6 @@
 
 type outcome = { law : string; ok : bool; detail : string }
 
-val budget_monotone_law : icount:int -> Mica_workloads.Workload.t list -> outcome
-
 val all :
   ?accuracy_workloads:Mica_workloads.Workload.t list ->
   icount:int ->

@@ -22,7 +22,6 @@ type report = {
 }
 
 val passed : report -> bool
-val failures : report -> check list
 
 val run :
   ?level:level ->

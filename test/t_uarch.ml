@@ -121,13 +121,6 @@ let test_cache_probe_no_side_effect () =
   ignore (U.Cache.access c 0x100);
   Alcotest.(check bool) "probe warm" true (U.Cache.probe c 0x100)
 
-let test_cache_reset_counters () =
-  let c = U.Cache.create ~name:"c" ~size_bytes:1024 ~line_bytes:32 ~assoc:1 in
-  ignore (U.Cache.access c 0x100);
-  U.Cache.reset_counters c;
-  Alcotest.(check int) "reset" 0 (U.Cache.accesses c);
-  Alcotest.(check bool) "contents kept" true (U.Cache.access c 0x100)
-
 let prop_cache_miss_rate_bounds =
   Tutil.qcheck_case ~count:50 "miss rate in [0,1]"
     QCheck2.Gen.(list_size (int_range 1 200) (int_bound 100_000))
@@ -833,7 +826,6 @@ let suite =
       Alcotest.test_case "cache associativity" `Quick test_cache_associativity_absorbs_conflict;
       Alcotest.test_case "cache LRU" `Quick test_cache_lru;
       Alcotest.test_case "cache probe" `Quick test_cache_probe_no_side_effect;
-      Alcotest.test_case "cache reset" `Quick test_cache_reset_counters;
       prop_cache_miss_rate_bounds;
       Alcotest.test_case "tlb basics" `Quick test_tlb_basic;
       Alcotest.test_case "1-byte lines and pages rejected" `Quick test_one_byte_blocks_rejected;
