@@ -64,7 +64,6 @@ let intervals_list t =
   finalize t;
   List.rev t.finished
 
-
 let block_ids t =
   let union = Hashtbl.create 1024 in
   List.iter

@@ -5,7 +5,6 @@ type variant = GAg | PAg | GAs | PAs
 
 let all_variants = [ GAg; PAg; GAs; PAs ]
 
-
 let uses_local_history = function PAg | PAs -> true | GAg | GAs -> false
 let uses_per_address_table = function GAs | PAs -> true | GAg | PAg -> false
 

@@ -169,5 +169,3 @@ let verify path =
   seek_in ic hd.h_data_offset;
   let* data = read_exact ic (hd.h_rows * hd.h_cols * 8) in
   if Digest.string data <> hd.h_data_md5 then corrupt "data digest mismatch" else Ok ()
-
-(* --- conversions --------------------------------------------------- *)

@@ -18,7 +18,6 @@ let next_pc t = if Opcode.is_control t.op && t.taken then t.target else t.pc + 4
 let source_count t =
   (if Reg.is_none t.src1 then 0 else 1) + if Reg.is_none t.src2 then 0 else 1
 
-
 let to_string t =
   Printf.sprintf "%08x %-7s %s,%s -> %s%s%s" t.pc
     (Opcode.to_string t.op)

@@ -11,7 +11,7 @@
     compare with [Int64.bits_of_float] equality across the encode/decode
     round trip.
 
-    A line is at most [Server.max_line_bytes] long; the daemon answers a
+    A line is at most 1 MiB long; the daemon answers a
     longer one with one [Error] reply with [rid = -1] and closes the
     connection.
 

@@ -4,7 +4,7 @@
     testable without sockets or wall clocks:
 
     - a {b deterministic core} — {!create}, {!warm_start}, {!submit},
-      {!pump}, {!begin_drain}, {!flush} — in which every time read goes
+      {!pump}, {!begin_drain} — in which every time read goes
       through the injectable [config.clock], every admission decision is
       made by {!submit}, and all dispatch (batching, deadline sweeps,
       breaker consultation, degradation choice, result recording) happens

@@ -7,17 +7,13 @@
    ones that dominate the characteristic) stay resident, cold keys decay
    away through eviction.  All operations are allocation-free.
 
-   [Decay_hist] is a bounded histogram over fixed cutoffs with float
-   counts, so the stream mode can down-weight history exponentially at
-   window boundaries ([scale]) without unbounded state. *)
+   [Decay_hist] is a bounded histogram over fixed cutoffs. *)
 
 module Map = struct
   type t = {
     keys : int array;  (* -1 marks an empty slot *)
     vals : int array;
     mask : int;
-    mutable resident : int;  (* occupied slots *)
-    mutable evictions : int;
   }
 
   let rec ceil_pow2 n c = if c >= n then c else ceil_pow2 n (c * 2)
@@ -25,7 +21,7 @@ module Map = struct
   let create ~slots =
     if slots < 1 then invalid_arg "Bounded.Map.create: slots must be positive";
     let cap = ceil_pow2 (max 16 slots) 16 in
-    { keys = Array.make cap (-1); vals = Array.make cap 0; mask = cap - 1; resident = 0; evictions = 0 }
+    { keys = Array.make cap (-1); vals = Array.make cap 0; mask = cap - 1 }
 
   let state_bytes t = 2 * 8 * (t.mask + 1)
 
@@ -36,9 +32,7 @@ module Map = struct
     if Array.unsafe_get t.keys i = key then Array.unsafe_get t.vals i else default
 
   let[@inline] claim t i key =
-    let k = Array.unsafe_get t.keys i in
-    if k <> key then begin
-      if k = -1 then t.resident <- t.resident + 1 else t.evictions <- t.evictions + 1;
+    if Array.unsafe_get t.keys i <> key then begin
       Array.unsafe_set t.keys i key;
       true
     end
@@ -58,11 +52,7 @@ module Map = struct
     if claim t i key then Array.unsafe_set t.vals i delta
     else Array.unsafe_set t.vals i (Array.unsafe_get t.vals i + delta)
 
-  let reset t =
-    Array.fill t.keys 0 (t.mask + 1) (-1);
-    t.resident <- 0;
-    t.evictions <- 0
-
+  let reset t = Array.fill t.keys 0 (t.mask + 1) (-1)
 end
 
 module Decay_hist = struct
@@ -80,9 +70,9 @@ module Decay_hist = struct
   let rec bucket_from cutoffs v i n =
     if i >= n then n else if v <= Array.unsafe_get cutoffs i then i else bucket_from cutoffs v (i + 1) n
 
-  let record ?(weight = 1.0) t v =
+  let record t v =
     let b = bucket_from t.cutoffs v 0 (Array.length t.cutoffs) in
-    t.counts.(b) <- t.counts.(b) +. weight
+    t.counts.(b) <- t.counts.(b) +. 1.0
 
   let total t = Array.fold_left ( +. ) 0.0 t.counts
 

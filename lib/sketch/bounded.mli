@@ -1,5 +1,5 @@
 (** Fixed-capacity state for the sketch analyzers: a direct-mapped
-    int map with eviction, and a decayed bounded histogram. *)
+    int map with eviction, and a bounded histogram. *)
 
 module Map : sig
   (** Direct-mapped [int -> int] table.  One hash, one slot, no growth:
@@ -36,7 +36,7 @@ end
 
 module Decay_hist : sig
   (** Histogram over fixed integer cutoffs (plus an implicit overflow
-      bucket) with float-weighted counts and exponential decay. *)
+      bucket) with float counts. *)
 
   type t
 
@@ -44,10 +44,10 @@ module Decay_hist : sig
   (** [cutoffs] ascending; values [v <= cutoffs.(i)] land in bucket [i],
       larger values in the overflow bucket. *)
 
-  val record : ?weight:float -> t -> int -> unit
+  val record : t -> int -> unit
 
   val cdf : t -> float array
-  (** Cumulative fraction at each cutoff, denominated by the (decayed)
+  (** Cumulative fraction at each cutoff, denominated by the
       total, clamped at 1.0 below — the same guard the exact analyzers
       apply to empty histograms. *)
 

@@ -479,7 +479,6 @@ let state_bytes t =
   + branches_bytes t.branches
   + Sampled_reuse.state_bytes t.reuse
 
-
 let analyze ?ppm_order ?plan program ~icount =
   let t = create ?ppm_order ?plan () in
   let (_ : int) = Mica_trace.Generator.run program ~icount ~sink:(sink t) in

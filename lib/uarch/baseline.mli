@@ -56,7 +56,9 @@ type outcome = {
 val default_icount : int
 
 val run_all : ?icount:int -> Machine.config list -> outcome list
-(** {!run_kernel} over all four kernels. *)
+(** For each of the four kernels, generate its trace once and fan it out
+    to every machine (via {!Machine.measure_all}), then check each
+    machine's counters against its envelopes. *)
 
 val passed : outcome list -> bool
 val failures : outcome list -> outcome list

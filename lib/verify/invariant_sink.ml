@@ -112,7 +112,6 @@ let live_in_registers t = Array.fold_left (fun n b -> if b then n + 1 else n) 0 
 
 let violations t = List.rev t.recorded
 
-
 let finish ?expected_icount t =
   let tail =
     match expected_icount with

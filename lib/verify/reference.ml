@@ -256,11 +256,8 @@ let pp_mismatch fmt m =
   Format.fprintf fmt "characteristic %d (%s): analyzer %.12g, oracle %.12g (tolerance %g)"
     (m.index + 1) m.name m.got m.oracle m.tolerance
 
-(* Per-characteristic absolute+relative comparison tolerance.  Counting
-   families (mix, working set, strides, PPM) must agree to 1e-12; the
-   scheduling and register-traffic families to 1e-9 (they divide
-   accumulated integers and may differ in rounding of the final
-   division). *)
+(* The tolerances [compare_vectors] documents: 1e-9 for ILP and register
+   traffic (characteristics 7-19), 1e-12 for the rest. *)
 let tolerances =
   Array.init Mica_analysis.Characteristics.count (fun i ->
       if (i >= 6 && i < 10) || (i >= 10 && i < 19) then 1e-9 else 1e-12)

@@ -5,7 +5,7 @@
     code — direct counting, exhaustive window scheduling, list scans,
     sorted address sets, plain hashtables — with none of the incremental
     state, rings or packed hash keys the production analyzers use for
-    speed.  Agreement within {!tolerances} on the same instruction stream
+    speed.  Agreement within tolerance on the same instruction stream
     is strong evidence both sides are right; disagreement localizes the
     bug to one family.
 
@@ -39,7 +39,10 @@ type mismatch = {
 val pp_mismatch : Format.formatter -> mismatch -> unit
 
 val compare_vectors : got:float array -> oracle:float array -> mismatch list
-(** Elementwise comparison under {!tolerances}; NaN on either side is
+(** Elementwise comparison, absolute plus relative: to 1e-12 for the
+    counting families (mix, working set, strides, PPM), to 1e-9 for
+    scheduling and register traffic (they divide accumulated integers and
+    may round the final division differently).  NaN on either side is
     always a mismatch. *)
 
 val check : ?ppm_order:int -> Mica_trace.Program.t -> icount:int -> mismatch list
