@@ -8,7 +8,6 @@ type t = {
   mutable in_interval : int;
   mutable finished : (int, int) Hashtbl.t list;  (* reverse order *)
   mutable at_block_start : bool;
-  mutable current_block : int;  (* entry pc of the block being executed *)
   mutable finalized : bool;
 }
 
@@ -20,7 +19,6 @@ let create ?(interval = 10_000) () =
     in_interval = 0;
     finished = [];
     at_block_start = true;
-    current_block = 0;
     finalized = false;
   }
 
@@ -39,9 +37,7 @@ let sink t =
       let pcs = c.Chunk.pc and ops = c.Chunk.op in
       for i = 0 to len - 1 do
         if t.at_block_start then begin
-          let pc = Array.unsafe_get pcs i in
-          t.current_block <- pc;
-          bump t.current pc;
+          bump t.current (Array.unsafe_get pcs i);
           t.at_block_start <- false
         end;
         (* a control transfer ends the current block; the next instruction

@@ -1,7 +1,7 @@
 module Opcode = Mica_isa.Opcode
 module Chunk = Mica_trace.Chunk
 
-type per_branch = { mutable execs : int; mutable taken : int; mutable last : bool; mutable transitions : int }
+type per_branch = { mutable execs : int; mutable taken : int; mutable last : bool }
 
 type t = {
   table : (int, per_branch) Hashtbl.t;
@@ -28,15 +28,12 @@ let observe t ~pc ~taken =
   match Hashtbl.find_opt t.table pc with
   | None ->
     Hashtbl.add t.table pc
-      { execs = 1; taken = (if taken then 1 else 0); last = taken; transitions = 0 }
+      { execs = 1; taken = (if taken then 1 else 0); last = taken }
   | Some b ->
     b.execs <- b.execs + 1;
     if taken then b.taken <- b.taken + 1;
     t.with_history <- t.with_history + 1;
-    if b.last <> taken then begin
-      b.transitions <- b.transitions + 1;
-      t.transitions_total <- t.transitions_total + 1
-    end;
+    if b.last <> taken then t.transitions_total <- t.transitions_total + 1;
     b.last <- taken
 
 let op_branch = Opcode.to_int Opcode.Branch

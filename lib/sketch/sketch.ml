@@ -260,7 +260,6 @@ type branches = {
   mask : int;
   statics : Cardinality.t;
   mutable resident : int;
-  mutable evictions : int;
   mutable total : int;
   mutable taken_total : int;
   mutable transitions_total : int;
@@ -278,7 +277,6 @@ let make_branches ~slots ~registers =
     mask = cap - 1;
     statics = Cardinality.create ~registers ();
     resident = 0;
-    evictions = 0;
     total = 0;
     taken_total = 0;
     transitions_total = 0;
@@ -304,7 +302,7 @@ let branches_observe t ~pc ~outcome =
     else Array.unsafe_set t.trans i ((tr lsr 1) lsl 1 lor b)
   end
   else begin
-    if k = -1 then t.resident <- t.resident + 1 else t.evictions <- t.evictions + 1;
+    if k = -1 then t.resident <- t.resident + 1;
     Array.unsafe_set t.keys i pc;
     Array.unsafe_set t.execs i 1;
     Array.unsafe_set t.taken i b;
@@ -334,7 +332,6 @@ let branches_reset t =
   Array.fill t.trans 0 (t.mask + 1) 0;
   Cardinality.reset t.statics;
   t.resident <- 0;
-  t.evictions <- 0;
   t.total <- 0;
   t.taken_total <- 0;
   t.transitions_total <- 0;
@@ -346,7 +343,6 @@ let branches_bytes t = (4 * 8 * (t.mask + 1)) + Cardinality.state_bytes t.static
 (* The combined analyzer                                               *)
 
 type t = {
-  plan : plan;
   mix : Mix.t;
   ilp : Ilp.t;
   regtraffic : Regtraffic.t;
@@ -362,7 +358,6 @@ type t = {
 
 let create ?(ppm_order = 8) ?plan:(p = plan ()) () =
   {
-    plan = p;
     mix = Mix.create ();
     ilp = Ilp.create ();
     regtraffic = Regtraffic.create ();

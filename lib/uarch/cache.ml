@@ -1,10 +1,8 @@
 type t = {
-  name : string;
   line_shift : int;
   set_shift : int;
   set_mask : int;
   assoc : int;
-  n_sets : int;
   tags : int array;  (* n_sets * assoc; -1 = invalid *)
   stamps : int array;  (* LRU timestamps, parallel to [tags] *)
   mutable clock : int;
@@ -23,7 +21,7 @@ let log2 n =
   let rec go n acc = if n = 1 then acc else go (n lsr 1) (acc + 1) in
   go n 0
 
-let create ~name ~size_bytes ~line_bytes ~assoc =
+let create ~size_bytes ~line_bytes ~assoc =
   if not (is_pow2 line_bytes) then invalid_arg "Cache.create: line size must be a power of two";
   (* with 1-byte lines and one set, address -1 has tag -1, the invalid
      marker, and would hit in a cold cache; from 2 bytes up, every tag is
@@ -39,12 +37,10 @@ let create ~name ~size_bytes ~line_bytes ~assoc =
   let n_sets = size_bytes / (line_bytes * assoc) in
   if not (is_pow2 n_sets) then invalid_arg "Cache.create: set count must be a power of two";
   {
-    name;
     line_shift = log2 line_bytes;
     set_shift = log2 n_sets;
     set_mask = n_sets - 1;
     assoc;
-    n_sets;
     tags = Array.make (n_sets * assoc) (-1);
     stamps = Array.make (n_sets * assoc) 0;
     clock = 0;

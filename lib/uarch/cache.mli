@@ -5,7 +5,7 @@
 
 type t
 
-val create : name:string -> size_bytes:int -> line_bytes:int -> assoc:int -> t
+val create : size_bytes:int -> line_bytes:int -> assoc:int -> t
 (** [line_bytes] and the resulting set count [size_bytes / (line_bytes *
     assoc)] must be powers of two, [line_bytes] at least 2 (with 1-byte
     lines address -1 would carry the invalid tag -1), and [size_bytes] a

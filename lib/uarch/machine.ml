@@ -72,8 +72,8 @@ type t = {
   mutable last_cycle : int;
 }
 
-let make_cache name (g : cache_geometry) =
-  Cache.create ~name ~size_bytes:g.size_bytes ~line_bytes:g.line_bytes ~assoc:g.assoc
+let make_cache (g : cache_geometry) =
+  Cache.create ~size_bytes:g.size_bytes ~line_bytes:g.line_bytes ~assoc:g.assoc
 
 let make_predictor = function
   | Bimodal { entries } -> Branch_pred.bimodal ~entries
@@ -93,9 +93,9 @@ let create ?model cfg =
   {
     cfg;
     model = Option.value model ~default:("machine." ^ cfg.name);
-    l1i = make_cache (cfg.name ^ ".l1i") cfg.l1i;
-    l1d = make_cache (cfg.name ^ ".l1d") cfg.l1d;
-    l2 = make_cache (cfg.name ^ ".l2") cfg.l2;
+    l1i = make_cache cfg.l1i;
+    l1d = make_cache cfg.l1d;
+    l2 = make_cache cfg.l2;
     dtlb = Tlb.create ~entries:cfg.dtlb_entries ~page_bytes:cfg.page_bytes;
     pred = make_predictor cfg.predictor;
     stall_code = Array.map (fun o -> o.op_recip - 1) cfg.ops;

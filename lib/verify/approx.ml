@@ -1,8 +1,6 @@
 module Colmat = Mica_stats.Colmat
-module Distance = Mica_stats.Distance
 module Normalize = Mica_stats.Normalize
 module Ann = Mica_stats.Ann
-module Pool = Mica_util.Pool
 module Corpus_gen = Mica_core.Corpus_gen
 module Subsetting = Mica_core.Subsetting
 module Space = Mica_core.Space

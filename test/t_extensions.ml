@@ -583,10 +583,7 @@ let test_reuse_matches_fa_cache () =
   let addrs = List.init 4_000 (fun _ -> min (Rng.int rng blocks) (Rng.int rng blocks) * 32) in
   let reuse = A.Reuse.create ~block_bytes:32 () in
   Tutil.run_sink (A.Reuse.sink reuse) (mem_trace addrs);
-  let cache =
-    Mica_uarch.Cache.create ~name:"fa" ~size_bytes:(capacity * 32) ~line_bytes:32
-      ~assoc:capacity
-  in
+  let cache = Mica_uarch.Cache.create ~size_bytes:(capacity * 32) ~line_bytes:32 ~assoc:capacity in
   List.iter (fun a -> ignore (Mica_uarch.Cache.access cache a)) addrs;
   Alcotest.check Tutil.feq "stack property: FA-LRU miss rate = reuse tail"
     (Mica_uarch.Cache.miss_rate cache)

@@ -5,18 +5,18 @@ module Instr = Mica_isa.Instr
 (* ---------------- cache ---------------- *)
 
 let test_cache_geometry () =
-  let c = U.Cache.create ~name:"c" ~size_bytes:8192 ~line_bytes:32 ~assoc:1 in
+  let c = U.Cache.create ~size_bytes:8192 ~line_bytes:32 ~assoc:1 in
   Alcotest.(check int) "line" 32 (U.Cache.line_bytes c);
-  let l2 = U.Cache.create ~name:"l2" ~size_bytes:(96 * 1024) ~line_bytes:64 ~assoc:3 in
+  let l2 = U.Cache.create ~size_bytes:(96 * 1024) ~line_bytes:64 ~assoc:3 in
   Alcotest.(check int) "21164 L2 ways" 3 (U.Cache.assoc l2)
 
 let test_cache_invalid_geometry () =
   (try
-     ignore (U.Cache.create ~name:"bad" ~size_bytes:1000 ~line_bytes:33 ~assoc:1);
+     ignore (U.Cache.create ~size_bytes:1000 ~line_bytes:33 ~assoc:1);
      Alcotest.fail "expected Invalid_argument"
    with Invalid_argument _ -> ());
   try
-    ignore (U.Cache.create ~name:"bad" ~size_bytes:64 ~line_bytes:64 ~assoc:2);
+    ignore (U.Cache.create ~size_bytes:64 ~line_bytes:64 ~assoc:2);
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
@@ -24,7 +24,7 @@ let test_cache_size_not_multiple_rejected () =
   (* 2100 / 64 truncates to 32 sets — a pow2, so this used to be silently
      accepted as an effectively 2048-byte cache; it must be rejected *)
   try
-    ignore (U.Cache.create ~name:"bad" ~size_bytes:2100 ~line_bytes:32 ~assoc:2);
+    ignore (U.Cache.create ~size_bytes:2100 ~line_bytes:32 ~assoc:2);
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument msg ->
     Alcotest.(check bool) "actionable message" true
@@ -33,7 +33,7 @@ let test_cache_size_not_multiple_rejected () =
 
 let test_cache_assoc3_lru () =
   (* non-power-of-two associativity is explicitly legal: one 3-way set *)
-  let c = U.Cache.create ~name:"a3" ~size_bytes:192 ~line_bytes:64 ~assoc:3 in
+  let c = U.Cache.create ~size_bytes:192 ~line_bytes:64 ~assoc:3 in
   ignore (U.Cache.access c 0x0);
   ignore (U.Cache.access c 0x1000);
   ignore (U.Cache.access c 0x2000);
@@ -46,7 +46,7 @@ let test_cache_assoc3_lru () =
   Alcotest.(check bool) "LRU evicted" false (U.Cache.access c 0x0)
 
 let test_cache_access_range () =
-  let c = U.Cache.create ~name:"c" ~size_bytes:1024 ~line_bytes:32 ~assoc:1 in
+  let c = U.Cache.create ~size_bytes:1024 ~line_bytes:32 ~assoc:1 in
   (* 8 bytes at 0x3e straddle lines 1 and 2: both must be touched *)
   Alcotest.(check bool) "cold straddle misses" false (U.Cache.access_range c 0x3e ~bytes:8);
   Alcotest.(check int) "two lines accessed" 2 (U.Cache.accesses c);
@@ -74,14 +74,14 @@ let prop_cache_bigger_is_not_worse_on_stream =
         done;
         U.Cache.misses c
       in
-      let small = U.Cache.create ~name:"s" ~size_bytes:(1 lsl k) ~line_bytes:32 ~assoc:2 in
+      let small = U.Cache.create ~size_bytes:(1 lsl k) ~line_bytes:32 ~assoc:2 in
       let big =
-        U.Cache.create ~name:"b" ~size_bytes:(1 lsl (k + delta)) ~line_bytes:32 ~assoc:2
+        U.Cache.create ~size_bytes:(1 lsl (k + delta)) ~line_bytes:32 ~assoc:2
       in
       sweep big <= sweep small)
 
 let test_cache_hit_miss () =
-  let c = U.Cache.create ~name:"c" ~size_bytes:1024 ~line_bytes:32 ~assoc:1 in
+  let c = U.Cache.create ~size_bytes:1024 ~line_bytes:32 ~assoc:1 in
   Alcotest.(check bool) "cold miss" false (U.Cache.access c 0x100);
   Alcotest.(check bool) "hit same line" true (U.Cache.access c 0x110);
   Alcotest.(check bool) "miss next line" false (U.Cache.access c 0x120);
@@ -89,21 +89,21 @@ let test_cache_hit_miss () =
   Alcotest.(check int) "misses" 2 (U.Cache.misses c)
 
 let test_cache_direct_mapped_conflict () =
-  let c = U.Cache.create ~name:"c" ~size_bytes:1024 ~line_bytes:32 ~assoc:1 in
+  let c = U.Cache.create ~size_bytes:1024 ~line_bytes:32 ~assoc:1 in
   (* addresses 1024 apart map to the same set in a 1KB direct-mapped cache *)
   ignore (U.Cache.access c 0x0);
   ignore (U.Cache.access c 0x400);
   Alcotest.(check bool) "conflict evicted" false (U.Cache.access c 0x0)
 
 let test_cache_associativity_absorbs_conflict () =
-  let c = U.Cache.create ~name:"c" ~size_bytes:2048 ~line_bytes:32 ~assoc:2 in
+  let c = U.Cache.create ~size_bytes:2048 ~line_bytes:32 ~assoc:2 in
   ignore (U.Cache.access c 0x0);
   ignore (U.Cache.access c 0x400);
   Alcotest.(check bool) "both ways live" true (U.Cache.access c 0x0);
   Alcotest.(check bool) "second way too" true (U.Cache.access c 0x400)
 
 let test_cache_lru () =
-  let c = U.Cache.create ~name:"c" ~size_bytes:2048 ~line_bytes:32 ~assoc:2 in
+  let c = U.Cache.create ~size_bytes:2048 ~line_bytes:32 ~assoc:2 in
   (* three conflicting lines in a 2-way set: LRU must be evicted *)
   ignore (U.Cache.access c 0x0);
   ignore (U.Cache.access c 0x400);
@@ -115,7 +115,7 @@ let test_cache_lru () =
   Alcotest.(check bool) "LRU evicted" false (U.Cache.access c 0x400)
 
 let test_cache_probe_no_side_effect () =
-  let c = U.Cache.create ~name:"c" ~size_bytes:1024 ~line_bytes:32 ~assoc:1 in
+  let c = U.Cache.create ~size_bytes:1024 ~line_bytes:32 ~assoc:1 in
   Alcotest.(check bool) "probe cold" false (U.Cache.probe c 0x100);
   Alcotest.(check int) "probe not counted" 0 (U.Cache.accesses c);
   ignore (U.Cache.access c 0x100);
@@ -125,7 +125,7 @@ let prop_cache_miss_rate_bounds =
   Tutil.qcheck_case ~count:50 "miss rate in [0,1]"
     QCheck2.Gen.(list_size (int_range 1 200) (int_bound 100_000))
     (fun addrs ->
-      let c = U.Cache.create ~name:"p" ~size_bytes:512 ~line_bytes:32 ~assoc:2 in
+      let c = U.Cache.create ~size_bytes:512 ~line_bytes:32 ~assoc:2 in
       List.iter (fun a -> ignore (U.Cache.access c a)) addrs;
       let r = U.Cache.miss_rate c in
       r >= 0.0 && r <= 1.0)
@@ -161,14 +161,14 @@ let test_tlb_invalid () =
    rejected, and from 2 bytes up -1 misses like any other address. *)
 let test_one_byte_blocks_rejected () =
   (try
-     ignore (U.Cache.create ~name:"c" ~size_bytes:4 ~line_bytes:1 ~assoc:4);
+     ignore (U.Cache.create ~size_bytes:4 ~line_bytes:1 ~assoc:4);
      Alcotest.fail "1-byte cache lines accepted"
    with Invalid_argument _ -> ());
   (try
      ignore (U.Tlb.create ~entries:4 ~page_bytes:1);
      Alcotest.fail "1-byte pages accepted"
    with Invalid_argument _ -> ());
-  let c = U.Cache.create ~name:"c" ~size_bytes:2 ~line_bytes:2 ~assoc:1 in
+  let c = U.Cache.create ~size_bytes:2 ~line_bytes:2 ~assoc:1 in
   Alcotest.(check bool) "cold cache misses address -1" false (U.Cache.access c (-1));
   Alcotest.(check bool) "then hits it" true (U.Cache.access c (-1));
   let t = U.Tlb.create ~entries:4 ~page_bytes:2 in
@@ -368,7 +368,7 @@ let prop_cache_matches_reference =
     gen_cache_case
     (fun (assoc, line_bytes, n_sets, ops) ->
       let size_bytes = n_sets * line_bytes * assoc in
-      let c = U.Cache.create ~name:"c" ~size_bytes ~line_bytes ~assoc in
+      let c = U.Cache.create ~size_bytes ~line_bytes ~assoc in
       let r = Ref_cache.create ~size_bytes ~line_bytes ~assoc in
       let same_counts () =
         U.Cache.accesses c = r.Ref_cache.accesses && U.Cache.misses c = r.Ref_cache.misses
